@@ -23,7 +23,17 @@ from typing import Union
 import numpy as np
 
 from .monoid import FinitePermutation, IncreasingMap
-from .operators import Kind, Letter, Operator, StateFunctional, TruncatedSpace, Word
+from .operators import (
+    Kind,
+    StateFunctional,
+    TruncatedSpace,
+    Word,
+    annihilator_matrix,
+    creator_matrix,
+    evaluate_word,
+    label_state,
+    walk,
+)
 
 SHARP = "#"
 Label = Union[str, int]
@@ -81,10 +91,10 @@ class BooleanSpace:
         return self.element(m)
 
     def creator(self, j: int) -> "BooleanElement":
-        return self.matrix_unit(j, SHARP)
+        return self.element(creator_matrix(self, j).matrix)
 
     def annihilator(self, j: int) -> "BooleanElement":
-        return self.matrix_unit(SHARP, j)
+        return self.element(annihilator_matrix(self, j).matrix)
 
     def projection(self, labels) -> np.ndarray:
         m = np.zeros((self.dim, self.dim), dtype=complex)
@@ -93,34 +103,27 @@ class BooleanSpace:
             m[i, i] = 1.0
         return m
 
-    # -- word evaluation (generators are compact, so plain matrices suffice) -----
+    # -- label action; walker and letter matrices are derived from it -------
 
-    def _letter_matrix(self, letter: Letter) -> np.ndarray:
-        if letter.kind is Kind.UNIT:
-            return np.eye(self.dim, dtype=complex)
-        if letter.kind is Kind.CREATOR:
-            return self.creator(letter.index).compact
-        if letter.kind is Kind.ANNIHILATOR:
-            return self.annihilator(letter.index).compact
-        return self.creator(letter.index).compact + self.annihilator(letter.index).compact
+    def act(self, kind: Kind, j: int, label: Label) -> list[tuple[Label, int]]:
+        """The creator at j sends # to j; the annihilator sends j to #."""
+        if kind is Kind.CREATOR:
+            return [(j, 1)] if label == SHARP else []
+        return [(SHARP, 1)] if label == j else []
+
+    apply_word = walk
 
     def word_element(self, w: Word) -> "BooleanElement":
-        out = self.identity()
-        for letter in w.letters:
-            out = out * self.element(self._letter_matrix(letter))
-        return out
-
-    def word_operator(self, letter: Letter) -> Operator:
-        """Matrix form of one generator, for the generic word evaluator."""
-        return Operator(self.space, self._letter_matrix(letter))
+        """Products of generators are compact; a word of unit letters only is
+        the identity."""
+        if not w.indices():
+            return self.identity()
+        return self.element(evaluate_word(self, w).matrix)
 
     # -- word-level states ---------------------------------------------------------
 
     def sharp_state(self) -> StateFunctional:
-        def rule(w: Word) -> complex:
-            return omega_sharp(self.word_element(w))
-
-        return StateFunctional("vector", self.window, rule, label="sharp")
+        return label_state(self, SHARP, "sharp")
 
     def infinity_state(self) -> StateFunctional:
         def rule(w: Word) -> complex:
@@ -129,12 +132,7 @@ class BooleanSpace:
         return StateFunctional("at-infinity", self.window, rule, label="at-infinity")
 
     def vector_state(self, label: Label) -> StateFunctional:
-        i = self.index(label)
-
-        def rule(w: Word) -> complex:
-            return complex(self.word_element(w).total_matrix()[i, i])
-
-        return StateFunctional("vector", self.window, rule, label=f"e{label}")
+        return label_state(self, label, f"e{label}")
 
 
 @dataclass(frozen=True, eq=False)

@@ -1,9 +1,10 @@
 """Canonical anticommutation relations on a finite window of sites.
 
-Annihilators are realized on the 2^n occupation space by the standard chain
-construction: a sign string over the sites before j and a lowering factor at
-site j.  All entries are 0 or +-1, so every relation check below is exact
-integer arithmetic.
+Basis labels are the 0/1 occupation tuples of the sites in the window.  The
+annihilator at j empties an occupied site j and the creator fills an empty
+one, each with the Jordan-Wigner sign (-1)**(occupied sites before j).  All
+matrix entries are 0 or +-1, so every relation check below is exact integer
+arithmetic.
 
 The two-point function T implements the translation-invariant kernel
 i * 3C / (pi^2 (m-n)^2) above the diagonal (Hermitian below, constant on the
@@ -22,11 +23,17 @@ from itertools import product
 import numpy as np
 
 from .monoid import IncreasingMap, theta
-from .operators import Operator, TruncatedSpace
+from .operators import (
+    Kind,
+    Operator,
+    TruncatedSpace,
+    annihilator_matrix,
+    creator_matrix,
+    position_matrix,
+    walk,
+)
 
-_LOWER = np.array([[0.0, 1.0], [0.0, 0.0]])  # |1> -> |0>
-_SIGN = np.array([[1.0, 0.0], [0.0, -1.0]])
-_EYE2 = np.eye(2)
+Label = tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -38,39 +45,35 @@ class FermionChain:
         if lo > hi:
             raise ValueError(f"empty window [{lo}, {hi}]")
 
-    @property
-    def n_sites(self) -> int:
+    @cached_property
+    def labels(self) -> tuple[Label, ...]:
         lo, hi = self.window
-        return hi - lo + 1
-
-    @property
-    def dim(self) -> int:
-        return 2**self.n_sites
+        return tuple(product((0, 1), repeat=hi - lo + 1))
 
     @cached_property
     def space(self) -> TruncatedSpace:
-        labels = tuple(product((0, 1), repeat=self.n_sites))
-        return TruncatedSpace(labels)
+        return TruncatedSpace(self.labels)
 
-    def _site(self, j: int) -> int:
-        lo, hi = self.window
-        if not lo <= j <= hi:
-            raise IndexError(f"index {j} outside window [{lo}, {hi}]")
-        return j - lo
+    @property
+    def dim(self) -> int:
+        return len(self.labels)
 
-    def annihilator(self, j: int) -> Operator:
-        site = self._site(j)
-        m = np.array([[1.0]])
-        for k in range(self.n_sites):
-            factor = _SIGN if k < site else (_LOWER if k == site else _EYE2)
-            m = np.kron(m, factor)
-        return Operator(self.space, m)
+    # -- label action; walker and letter matrices are derived from it -------
 
-    def creator(self, j: int) -> Operator:
-        return Operator(self.space, self.annihilator(j).matrix.conj().T)
+    def act(self, kind: Kind, j: int, label: Label) -> list[tuple[Label, int]]:
+        """Fill (creator) or empty (annihilator) site j, with the sign of the
+        occupied sites before it; killed when the site is already so."""
+        site = j - self.window[0]
+        target = 1 if kind is Kind.CREATOR else 0
+        if label[site] == target:
+            return []
+        sign = -1 if sum(label[:site]) % 2 else 1
+        return [(label[:site] + (target,) + label[site + 1 :], sign)]
 
-    def position(self, j: int) -> Operator:
-        return self.creator(j) + self.annihilator(j)
+    apply_word = walk
+    creator = creator_matrix
+    annihilator = annihilator_matrix
+    position = position_matrix
 
 
 def anticommutator(a: Operator, b: Operator) -> Operator:

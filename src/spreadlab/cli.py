@@ -28,8 +28,12 @@ def parse_window(text: str) -> tuple[int, int]:
 
 def read_config_file(path: str) -> dict[str, str]:
     """key=value lines; blank lines and #-comments ignored."""
+    try:
+        text = Path(path).read_text()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read config file: {exc}") from exc
     values: dict[str, str] = {}
-    for raw in Path(path).read_text().splitlines():
+    for raw in text.splitlines():
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -66,7 +70,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", dest="fmt", choices=("json", "text", "csv"), default=None)
         p.add_argument("--out", default=None, metavar="DIR")
         p.add_argument("--config", default=None, metavar="FILE", help="key=value defaults")
-        p.add_argument("--parallel", action="store_true", default=None)
         p.add_argument("--C", dest="coupling", type=float, default=None, help="kernel coupling")
         p.add_argument("--diag", dest="diagonal", type=float, default=None)
         p.add_argument("--words-file", default=None, metavar="FILE",
@@ -84,7 +87,6 @@ _CONFIG_PARSERS = {
     "fmt": str,
     "format": str,
     "out": str,
-    "parallel": lambda v: v.lower() in ("1", "true", "yes"),
     "coupling": float,
     "C": float,
     "diag": float,
@@ -112,7 +114,7 @@ def build_config(args: argparse.Namespace) -> RunConfig:
             setattr(config, _CONFIG_ALIASES.get(key, key), value)
     # Explicit flags override file values.
     for key in ("depth", "q", "tol", "samples", "seed", "fmt", "out",
-                "parallel", "coupling", "diagonal", "words_file"):
+                "coupling", "diagonal", "words_file"):
         value = getattr(args, key)
         if value is not None:
             setattr(config, key, value)

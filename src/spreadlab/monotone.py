@@ -17,17 +17,20 @@ from functools import cached_property
 from itertools import combinations
 from typing import Iterable, Iterator, Sequence
 
-import numpy as np
-
 from .operators import (
     Kind,
-    Letter,
     Operator,
     StateFunctional,
     TruncatedSpace,
     Word,
     annihilator as annihilator_letter,
+    annihilator_matrix,
+    check_window,
     creator as creator_letter,
+    creator_matrix,
+    label_state,
+    position_matrix,
+    walk,
 )
 
 Label = tuple[int, ...]
@@ -62,68 +65,22 @@ class MonotoneBasis:
     def dim(self) -> int:
         return len(self.labels)
 
-    def _check_index(self, i: int) -> None:
-        lo, hi = self.window
-        if not lo <= i <= hi:
-            raise IndexError(f"index {i} outside window [{lo}, {hi}]")
+    # -- label action; walker and letter matrices are derived from it -------
 
-    # -- single-label actions ------------------------------------------------
-
-    def create(self, i: int, label: Label) -> Label | None:
-        """Image of a basis label under the creator at i, None if annihilated."""
-        self._check_index(i)
-        if len(label) == self.depth:
-            return None
-        if label and i >= label[0]:
-            return None
-        return (i,) + label
-
-    def annihilate(self, i: int, label: Label) -> Label | None:
-        self._check_index(i)
+    def act(self, kind: Kind, i: int, label: Label) -> list[tuple[Label, int]]:
+        """Weighted images of one basis label under the creator or annihilator at i."""
+        if kind is Kind.CREATOR:
+            if len(label) == self.depth or (label and i >= label[0]):
+                return []
+            return [((i,) + label, 1)]
         if label and label[0] == i:
-            return label[1:]
-        return None
+            return [(label[1:], 1)]
+        return []
 
-    def apply_letter(self, letter: Letter, vec: dict[Label, complex]) -> dict[Label, complex]:
-        """Push a superposition (label -> coefficient) through one letter."""
-        if letter.kind is Kind.UNIT:
-            return dict(vec)
-        out: dict[Label, complex] = {}
-        for label, coeff in vec.items():
-            images: list[tuple[Label | None, complex]] = []
-            if letter.kind in (Kind.CREATOR, Kind.POSITION):
-                images.append((self.create(letter.index, label), coeff))
-            if letter.kind in (Kind.ANNIHILATOR, Kind.POSITION):
-                images.append((self.annihilate(letter.index, label), coeff))
-            for image, c in images:
-                if image is not None:
-                    out[image] = out.get(image, 0.0) + c
-        return out
-
-    def apply_word(self, w: Word, vec: dict[Label, complex]) -> dict[Label, complex]:
-        for letter in reversed(w.letters):
-            vec = self.apply_letter(letter, vec)
-        return vec
-
-    # -- matrices -------------------------------------------------------------
-
-    def _matrix_from_action(self, action) -> Operator:
-        m = np.zeros((self.dim, self.dim), dtype=complex)
-        index = self.space.index
-        for col, label in enumerate(self.labels):
-            image = action(label)
-            if image is not None:
-                m[index(image), col] = 1.0
-        return Operator(self.space, m)
-
-    def creator(self, i: int) -> Operator:
-        return self._matrix_from_action(lambda t: self.create(i, t))
-
-    def annihilator(self, i: int) -> Operator:
-        return self._matrix_from_action(lambda t: self.annihilate(i, t))
-
-    def position(self, i: int) -> Operator:
-        return self.creator(i) + self.annihilator(i)
+    apply_word = walk
+    creator = creator_matrix
+    annihilator = annihilator_matrix
+    position = position_matrix
 
     def truncation_columns(self, i: int) -> tuple[Label, ...]:
         """Labels where the creator at i is killed only by the depth cap."""
@@ -136,16 +93,11 @@ class MonotoneBasis:
     # -- states ----------------------------------------------------------------
 
     def vacuum_state(self) -> StateFunctional:
-        """Vector state at the vacuum."""
-
-        def rule(w: Word) -> complex:
-            return self.apply_word(w, {VACUUM: 1.0}).get(VACUUM, 0.0)
-
-        return StateFunctional("vector", self.window, rule, label="vacuum")
+        return label_state(self, VACUUM, "vacuum")
 
     def probe_value(self, w: Word, probe: int) -> complex:
         """Diagonal value of the word at the single-entry label (probe,)."""
-        self._check_index(probe)
+        check_window(self, probe)
         if any(i >= probe for i in w.indices()):
             raise ValueError(f"probe {probe} is not above every word index")
         start: Label = (probe,)
@@ -166,13 +118,7 @@ class MonotoneBasis:
         return StateFunctional("at-infinity", (lo, hi - 1), rule, label="at-infinity")
 
     def vector_state(self, label: Label) -> StateFunctional:
-        if label not in set(self.labels):
-            raise ValueError(f"{label!r} is not a basis label")
-
-        def rule(w: Word) -> complex:
-            return self.apply_word(w, {label: 1.0}).get(label, 0.0)
-
-        return StateFunctional("vector", self.window, rule, label=f"e{label}")
+        return label_state(self, label, f"e{label}")
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,13 @@ matrices acting on such a space.  Generator words are sequences of abstract
 letters (creator / annihilator / position / unit at an integer index) that a
 concrete model turns into matrices; strings of letters multiply left to
 right, leftmost factor applied last.
+
+Every model implements one label action, ``act(kind, index, label)``, giving
+the weighted basis labels that a creator or annihilator sends one basis
+label to, plus an inclusive index ``window`` and its ``labels``/``space``.
+Everything else is derived here once: the window check, position letters
+(creator images, then annihilator images), unit letters, the dict walker
+:func:`walk`, dense letter matrices and the vector states.
 """
 
 from __future__ import annotations
@@ -66,7 +73,16 @@ def position(i: int) -> Letter:
     return Letter(Kind.POSITION, i)
 
 
-_WORD_TOKEN = re.compile(r"([cax])\((-?\d+)\)|1")
+# Letter names, with the q-deformed ldag/l/s spellings as aliases.
+_LETTER_NAMES = {
+    "c": Kind.CREATOR,
+    "a": Kind.ANNIHILATOR,
+    "x": Kind.POSITION,
+    "ldag": Kind.CREATOR,
+    "l": Kind.ANNIHILATOR,
+    "s": Kind.POSITION,
+}
+_WORD_TOKEN = re.compile(r"(ldag|[caxls])\((-?\d+)\)|1")
 
 
 @dataclass(frozen=True)
@@ -109,7 +125,7 @@ class Word:
             if m.group(1) is None:
                 letters.append(Letter(Kind.UNIT))
             else:
-                letters.append(Letter(Kind(m.group(1)), int(m.group(2))))
+                letters.append(Letter(_LETTER_NAMES[m.group(1)], int(m.group(2))))
         return cls(tuple(letters))
 
     def __str__(self) -> str:
@@ -217,34 +233,101 @@ def metric_adjoint(a: Operator) -> Operator:
     return Operator(a.space, np.linalg.solve(g, a.matrix.conj().T @ g))
 
 
+# ---------------------------------------------------------------------------
+# Derived from a model's label action
+
+
+# The actions each letter is made of: a position letter acts as the creator,
+# then the annihilator.
+_PARTS = {
+    Kind.CREATOR: (Kind.CREATOR,),
+    Kind.ANNIHILATOR: (Kind.ANNIHILATOR,),
+    Kind.POSITION: (Kind.CREATOR, Kind.ANNIHILATOR),
+}
+
+
+def check_window(model, index: int) -> None:
+    lo, hi = model.window
+    if not lo <= index <= hi:
+        raise IndexError(f"index {index} outside window [{lo}, {hi}]")
+
+
+def walk(model, w: Word, vec: dict) -> dict:
+    """Push a superposition (label -> coefficient) through a word, rightmost
+    letter first.  Products equal to zero are dropped; unit letters are
+    skipped."""
+    act = model.act
+    lo, hi = model.window
+    for letter in reversed(w.letters):
+        index = letter.index
+        if index is None:
+            continue
+        if not lo <= index <= hi:
+            check_window(model, index)  # raises
+        if not vec:
+            continue
+        parts = _PARTS[letter.kind]
+        out: dict = {}
+        for label, coeff in vec.items():
+            for kind in parts:
+                for image, weight in act(kind, index, label):
+                    c = weight * coeff
+                    if c != 0:
+                        out[image] = out.get(image, 0.0) + c
+        vec = out
+    return vec
+
+
+def letter_matrix(model, letter: Letter) -> Operator:
+    """Dense matrix of one letter over ``model.space.labels``."""
+    space = model.space
+    if letter.index is None:
+        return space.identity()
+    check_window(model, letter.index)
+    m = np.zeros((space.dim, space.dim), dtype=complex)
+    index = space.index
+    for col, label in enumerate(space.labels):
+        for kind in _PARTS[letter.kind]:
+            for image, weight in model.act(kind, letter.index, label):
+                m[index(image), col] += weight
+    return Operator(space, m)
+
+
+def creator_matrix(model, i: int) -> Operator:
+    return letter_matrix(model, creator(i))
+
+
+def annihilator_matrix(model, i: int) -> Operator:
+    return letter_matrix(model, annihilator(i))
+
+
+def position_matrix(model, i: int) -> Operator:
+    return letter_matrix(model, position(i))
+
+
 def evaluate_word(model, w: Word) -> Operator:
-    """Ordered matrix product of the model's letter operators.
+    """Ordered matrix product of the model's letter matrices.
 
     The leftmost letter is the leftmost factor, i.e. it acts last on vectors,
     matching the usual left-to-right operator strings.  The empty word is the
-    identity.  Models expose ``space`` plus ``creator``/``annihilator``/
-    ``position`` matrix builders and a ``window`` for index validation.
+    identity.
     """
     out = model.space.identity()
     for letter in w.letters:
-        out = out @ letter_operator(model, letter)
+        out = out @ letter_matrix(model, letter)
     return out
 
 
-def letter_operator(model, letter: Letter) -> Operator:
-    if letter.kind is Kind.UNIT:
-        return model.space.identity()
-    lo, hi = model.window
-    if not lo <= letter.index <= hi:
-        raise IndexError(f"index {letter.index} outside model window [{lo}, {hi}]")
-    # Models whose generators are not plain matrices expose word_operator.
-    if hasattr(model, "word_operator"):
-        return model.word_operator(letter)
-    if letter.kind is Kind.CREATOR:
-        return model.creator(letter.index)
-    if letter.kind is Kind.ANNIHILATOR:
-        return model.annihilator(letter.index)
-    return model.position(letter.index)
+def label_state(model, label: Hashable, name: str) -> StateFunctional:
+    """Vector state w -> <e_label, w e_label> on an orthonormal basis, read
+    off the model's walker."""
+    if label not in set(model.labels):
+        raise ValueError(f"{label!r} is not a basis label")
+
+    def rule(w: Word) -> complex:
+        return model.apply_word(w, {label: 1.0}).get(label, 0.0)
+
+    return StateFunctional("vector", model.window, rule, label=name)
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,6 @@ arithmetic is generic, so exact rational cross-checks cost nothing.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import permutations, product
@@ -24,10 +23,14 @@ import numpy as np
 from .operators import (
     Kind,
     Letter,
-    Operator,
     StateFunctional,
     TruncatedSpace,
     Word,
+    annihilator_matrix,
+    creator_matrix,
+    label_state,
+    position_matrix,
+    walk,
 )
 
 Label = tuple[int, ...]
@@ -120,72 +123,27 @@ class QBasis:
     def dim(self) -> int:
         return len(self.labels)
 
-    def _check_index(self, j: int) -> None:
-        lo, hi = self.window
-        if not lo <= j <= hi:
-            raise IndexError(f"index {j} outside window [{lo}, {hi}]")
+    # -- label action; walker and letter matrices are derived from it -------
 
-    # -- single-label actions --------------------------------------------------
+    def act(self, kind: Kind, j: int, label: Label) -> list[tuple[Label, float]]:
+        """Weighted images of one basis label: the creator prepends j below the
+        depth cap; the annihilator removes slot k holding j with weight q**k
+        (0-based k, i.e. q**(k-1) in 1-based slot counting)."""
+        if kind is Kind.CREATOR:
+            if len(label) == self.depth:
+                return []
+            return [((j,) + label, 1)]
+        q = float(self.q)
+        return [
+            (label[:k] + label[k + 1 :], q**k)
+            for k, entry in enumerate(label)
+            if entry == j
+        ]
 
-    def create(self, j: int, label: Label) -> Label | None:
-        self._check_index(j)
-        if len(label) == self.depth:
-            return None
-        return (j,) + label
-
-    def annihilate(self, j: int, label: Label) -> list[tuple[Label, float]]:
-        """Images of one label under the annihilator: slot k removed with
-        weight q**k (0-based k, i.e. q**(k-1) in 1-based slot counting)."""
-        self._check_index(j)
-        out = []
-        for k, entry in enumerate(label):
-            if entry == j:
-                out.append((label[:k] + label[k + 1 :], float(self.q) ** k))
-        return out
-
-    def apply_letter(self, letter: Letter, vec: dict[Label, complex]) -> dict[Label, complex]:
-        if letter.kind is Kind.UNIT:
-            return dict(vec)
-        out: dict[Label, complex] = {}
-
-        def add(label: Label | None, coeff: complex) -> None:
-            if label is not None and coeff != 0:
-                out[label] = out.get(label, 0.0) + coeff
-
-        for label, coeff in vec.items():
-            if letter.kind in (Kind.CREATOR, Kind.POSITION):
-                add(self.create(letter.index, label), coeff)
-            if letter.kind in (Kind.ANNIHILATOR, Kind.POSITION):
-                for image, weight in self.annihilate(letter.index, label):
-                    add(image, weight * coeff)
-        return out
-
-    def apply_word(self, w: Word, vec: dict[Label, complex]) -> dict[Label, complex]:
-        for letter in reversed(w.letters):
-            vec = self.apply_letter(letter, vec)
-        return vec
-
-    # -- matrices ----------------------------------------------------------------
-
-    def creator(self, j: int) -> Operator:
-        m = np.zeros((self.dim, self.dim), dtype=complex)
-        index = self.space.index
-        for col, label in enumerate(self.labels):
-            image = self.create(j, label)
-            if image is not None:
-                m[index(image), col] = 1.0
-        return Operator(self.space, m)
-
-    def annihilator(self, j: int) -> Operator:
-        m = np.zeros((self.dim, self.dim), dtype=complex)
-        index = self.space.index
-        for col, label in enumerate(self.labels):
-            for image, weight in self.annihilate(j, label):
-                m[index(image), col] += weight
-        return Operator(self.space, m)
-
-    def position(self, j: int) -> Operator:
-        return self.creator(j) + self.annihilator(j)
+    apply_word = walk
+    creator = creator_matrix
+    annihilator = annihilator_matrix
+    position = position_matrix
 
     # -- states --------------------------------------------------------------------
 
@@ -199,10 +157,9 @@ class QBasis:
         return total
 
     def vacuum_state(self) -> StateFunctional:
-        def rule(w: Word) -> complex:
-            return self.apply_word(w, {VACUUM: 1.0}).get(VACUUM, 0.0)
-
-        return StateFunctional("vector", self.window, rule, label="vacuum")
+        # The vacuum has norm 1 and is orthogonal to every other label, so its
+        # coordinate is the deformed inner product.
+        return label_state(self, VACUUM, "vacuum")
 
     def vector_state(self, label: Label | int) -> StateFunctional:
         base: Label = (label,) if isinstance(label, int) else tuple(label)
@@ -213,41 +170,6 @@ class QBasis:
             return self.inner(self.apply_word(w, {base: 1.0}), base)
 
         return StateFunctional("vector", self.window, rule, label=f"e{base}")
-
-
-# ---------------------------------------------------------------------------
-# Word tokens: ldag(j) creator, l(j) annihilator, s(j) position
-
-
-_Q_TOKEN = re.compile(r"(ldag|l|s)\((-?\d+)\)")
-
-_Q_KIND = {"ldag": Kind.CREATOR, "l": Kind.ANNIHILATOR, "s": Kind.POSITION}
-_Q_NAME = {Kind.CREATOR: "ldag", Kind.ANNIHILATOR: "l", Kind.POSITION: "s"}
-
-
-def parse_word(text: str) -> Word:
-    text = text.strip()
-    if not text or text == "1":
-        return Word(())
-    letters = []
-    for token in text.split("."):
-        m = _Q_TOKEN.fullmatch(token.strip())
-        if m is None:
-            raise ValueError(f"bad token {token!r}; expected l/ldag/s(index)")
-        letters.append(Letter(_Q_KIND[m.group(1)], int(m.group(2))))
-    return Word(tuple(letters))
-
-
-def format_word(w: Word) -> str:
-    if not w.letters:
-        return "1"
-    parts = []
-    for letter in w.letters:
-        if letter.kind is Kind.UNIT:
-            parts.append("1")
-        else:
-            parts.append(f"{_Q_NAME[letter.kind]}({letter.index})")
-    return ".".join(parts)
 
 
 def words_over(

@@ -8,6 +8,7 @@ created from the config seed, so identical configs give identical reports.
 
 from __future__ import annotations
 
+import functools
 import time
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -64,7 +65,6 @@ class RunConfig:
     seed: int = 0
     fmt: str = "text"
     out: str | None = None
-    parallel: bool = False
     coupling: float = 1.0
     diagonal: float = 0.5
     words_file: str | None = None
@@ -89,6 +89,7 @@ class RunConfig:
 
 
 def _timed(fn):
+    @functools.wraps(fn)
     def wrapper(config: RunConfig) -> SuiteReport:
         start = time.perf_counter()
         report = fn(config)
@@ -272,12 +273,20 @@ def monotone_hamel(config: RunConfig) -> SuiteReport:
 
 def _simplex_words(config: RunConfig):
     if config.words_file:
-        with open(config.words_file) as fh:
-            return [
-                LambdaForm.from_text(line.strip()).word()
-                for line in fh
-                if line.strip() and not line.startswith("#")
-            ]
+        path = config.words_file
+        try:
+            with open(path) as fh:
+                lines = fh.read().splitlines()
+        except OSError as exc:
+            raise ConfigError(f"cannot read words file: {exc}") from exc
+        words = []
+        for lineno, line in enumerate(lines, 1):
+            if line.strip() and not line.startswith("#"):
+                try:
+                    words.append(LambdaForm.from_text(line).word())
+                except ValueError as exc:
+                    raise ConfigError(f"{path}:{lineno}: {exc}") from exc
+        return words
     return [f.word() for f in lambda_forms(range(-3, 4), 4, 4, max_length=4)]
 
 
@@ -294,9 +303,7 @@ def monotone_simplex(config: RunConfig) -> SuiteReport:
     all_pass = True
     per_weight = {}
     for x in (0.0, 0.25, 0.5, 1.0):
-        report = check_symmetry(
-            mixture(infinity, vacuum, x), words, family, tol=tol, parallel=config.parallel
-        )
+        report = check_symmetry(mixture(infinity, vacuum, x), words, family, tol=tol)
         samples += report.samples
         skipped += report.skipped
         worst = max(worst, report.max_deviation)
@@ -419,7 +426,7 @@ def qdeformed_vacuum(config: RunConfig) -> SuiteReport:
     all_pass = True
     for words in (ladder, positions):
         for family in families:
-            report = check_symmetry(vacuum, words, family, tol=tol, parallel=config.parallel)
+            report = check_symmetry(vacuum, words, family, tol=tol)
             samples += report.samples
             skipped += report.skipped
             worst = max(worst, report.max_deviation)
@@ -624,7 +631,7 @@ def car_relations(config: RunConfig) -> SuiteReport:
         seed=config.seed,
         samples=samples,
         max_deviation=worst,
-        details={"sites": chain.n_sites, "dimension": chain.dim},
+        details={"sites": hi - lo + 1, "dimension": chain.dim},
     )
 
 
@@ -739,5 +746,10 @@ def run_suites(config: RunConfig) -> list[SuiteReport]:
                     f"unknown suite {name!r} for model {model!r};"
                     f" available: {', '.join(table)}"
                 )
-            reports.append(table[name](suite_config))
+            try:
+                reports.append(table[name](suite_config))
+            except ValueError as exc:
+                # Models and states reject windows, depths and labels that
+                # do not fit together; that is bad configuration too.
+                raise ConfigError(f"{model}/{name}: {exc}") from exc
     return reports

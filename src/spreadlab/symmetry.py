@@ -10,7 +10,6 @@ deterministic from the seed recorded in every report.
 from __future__ import annotations
 
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -160,50 +159,33 @@ def check_symmetry(
     family: SymmetryFamily,
     tol: float = 1e-10,
     max_witnesses: int = 10,
-    parallel: bool = False,
 ) -> SymmetryReport:
     """Max deviation |phi(w) - phi(w∘g)| over all words and family maps.
 
     Each (word, map) pair whose relabeled indices leave the state window is
-    counted as skipped.  With ``parallel`` the per-word scans run on a thread
-    pool; aggregation order is fixed by the word order either way.
+    counted as skipped.
     """
-    words = list(words)
-
-    def scan(w: Word):
-        rows = []
+    samples = skipped = 0
+    max_dev = 0.0
+    witnesses: list[SymmetryWitness] = []
+    for w in words:
         if not state.admits(w):
-            return [(None, None, None)] * len(family.maps)
+            skipped += len(family.maps)
+            continue
         base = state(w)
         for g in family.maps:
             wg = relabel(w, g)
             if not state.admits(wg):
-                rows.append((None, None, None))
-                continue
-            rows.append((base, state(wg), describe_map(g)))
-        return rows
-
-    if parallel and words:
-        with ThreadPoolExecutor() as pool:
-            all_rows = list(pool.map(scan, words))
-    else:
-        all_rows = [scan(w) for w in words]
-
-    samples = skipped = 0
-    max_dev = 0.0
-    witnesses: list[SymmetryWitness] = []
-    for w, rows in zip(words, all_rows):
-        for lhs, rhs, map_text in rows:
-            if lhs is None:
                 skipped += 1
                 continue
             samples += 1
-            dev = abs(lhs - rhs)
+            value = state(wg)
+            dev = abs(base - value)
             if dev > max_dev:
                 max_dev = dev
             if dev > tol and len(witnesses) < max_witnesses:
                 witnesses.append(
-                    SymmetryWitness(w.to_text(), map_text, lhs, rhs, dev)
+                    SymmetryWitness(w.to_text(), describe_map(g), base, value, dev)
                 )
     return SymmetryReport(
         family=family.name,

@@ -3,6 +3,8 @@ segment of invariant states."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spreadlab.boolean import (
     SHARP,
@@ -24,7 +26,7 @@ from spreadlab.monoid import (
     tau_pow,
     theta,
 )
-from spreadlab.operators import annihilator, creator, word
+from spreadlab.operators import Kind, Letter, Word, annihilator, creator, evaluate_word, word
 
 
 @pytest.fixture(scope="module")
@@ -52,6 +54,42 @@ def test_annihilator_sends_site_to_vacuum(bs):
     out = bs.annihilator(0).compact @ bs.space.basis_vector(0)
     assert np.array_equal(out, bs.space.basis_vector(SHARP))
     assert not (bs.annihilator(0).compact @ bs.space.basis_vector(SHARP)).any()
+
+
+def hand_letter(space, kind, j):
+    """Letter matrix from matrix units (row #, column 0), independent of the
+    label action."""
+    c = np.zeros((space.dim, space.dim))
+    c[1 + j - space.window[0], 0] = 1.0
+    return {Kind.CREATOR: c, Kind.ANNIHILATOR: c.T, Kind.POSITION: c + c.T}[kind]
+
+
+def test_letter_matrices_match_hand_built(bs):
+    for j in range(0, 4):
+        for kind in (Kind.CREATOR, Kind.ANNIHILATOR, Kind.POSITION):
+            got = evaluate_word(bs, word(Letter(kind, j))).matrix
+            assert np.array_equal(got, hand_letter(bs, kind, j))
+
+
+@given(data=st.data())
+@settings(max_examples=100, deadline=None)
+def test_walker_matches_hand_built_product(bs, data):
+    label = data.draw(st.sampled_from(bs.labels))
+    letters = data.draw(
+        st.lists(
+            st.tuples(st.sampled_from([Kind.CREATOR, Kind.ANNIHILATOR, Kind.POSITION]),
+                      st.integers(0, 3)),
+            max_size=4,
+        )
+    )
+    product = np.eye(bs.dim)
+    for kind, j in letters:
+        product = product @ hand_letter(bs, kind, j)
+    w = Word(tuple(Letter(kind, j) for kind, j in letters))
+    got = np.zeros(bs.dim)
+    for image, coeff in bs.apply_word(w, {label: 1.0}).items():
+        got[bs.index(image)] += coeff
+    assert np.array_equal(got, product[:, bs.index(label)])
 
 
 def test_matrix_unit_identities(bs):
@@ -263,6 +301,7 @@ def test_word_level_states(bs):
     assert sharp(w) == 1
     assert infinity(w) == 0  # nonempty products have no scalar part
     assert infinity(word()) == 1
+    assert infinity(word(Letter(Kind.UNIT))) == 1  # unit letters keep the scalar part
     assert sharp(word(creator(0), annihilator(0))) == 0  # eps_00 at the vacuum
 
 

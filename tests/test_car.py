@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spreadlab.car import (
     FermionChain,
@@ -14,6 +16,58 @@ from spreadlab.car import (
     twopoint_stationarity,
 )
 from spreadlab.monoid import tau_pow, theta
+from spreadlab.operators import Kind, Letter, Word
+
+# Reference chain construction, independent of the label action: a sign
+# string over the sites before j and a lowering factor at site j.
+_LOWER = np.array([[0.0, 1.0], [0.0, 0.0]])  # |1> -> |0>
+_SIGN = np.array([[1.0, 0.0], [0.0, -1.0]])
+_EYE2 = np.eye(2)
+
+
+def kron_annihilator(n_sites, site):
+    m = np.array([[1.0]])
+    for k in range(n_sites):
+        m = np.kron(m, _SIGN if k < site else (_LOWER if k == site else _EYE2))
+    return m
+
+
+def kron_letter(n_sites, kind, site):
+    a = kron_annihilator(n_sites, site)
+    return {Kind.CREATOR: a.T, Kind.ANNIHILATOR: a, Kind.POSITION: a + a.T}[kind]
+
+
+@pytest.mark.parametrize("n_sites", range(1, 9))
+def test_matrices_match_kron_reference(n_sites):
+    chain = FermionChain((-1, n_sites - 2))  # site k holds index k - 1
+    for site in range(n_sites):
+        j = site - 1
+        for kind, got in ((Kind.ANNIHILATOR, chain.annihilator(j)),
+                          (Kind.CREATOR, chain.creator(j)),
+                          (Kind.POSITION, chain.position(j))):
+            assert np.array_equal(got.matrix, kron_letter(n_sites, kind, site))
+
+
+@given(n_sites=st.integers(1, 5), data=st.data())
+@settings(max_examples=100, deadline=None)
+def test_walker_matches_kron_product(n_sites, data):
+    chain = FermionChain((0, n_sites - 1))
+    label = data.draw(st.sampled_from(chain.labels))
+    letters = data.draw(
+        st.lists(
+            st.tuples(st.sampled_from([Kind.CREATOR, Kind.ANNIHILATOR, Kind.POSITION]),
+                      st.integers(0, n_sites - 1)),
+            max_size=4,
+        )
+    )
+    product = np.eye(chain.dim)
+    for kind, site in letters:
+        product = product @ kron_letter(n_sites, kind, site)
+    w = Word(tuple(Letter(kind, site) for kind, site in letters))
+    got = np.zeros(chain.dim)
+    for image, coeff in chain.apply_word(w, {label: 1.0}).items():
+        got[chain.space.index(image)] += coeff
+    assert np.array_equal(got, product[:, chain.space.index(label)])
 
 
 @pytest.mark.parametrize("n_sites", range(2, 9))

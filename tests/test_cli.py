@@ -38,6 +38,45 @@ def test_exit_two_on_unknown_suite(capsys):
     assert "unknown suite" in capsys.readouterr().err
 
 
+def test_exit_two_when_vector_label_is_outside_window(capsys):
+    code = main(["qdeformed", "--check", "vacuum", "--window", "5..9", "--depth", "2"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and "(1,) is not a basis label" in err
+    assert err.count("\n") == 1
+
+
+def test_exit_two_on_missing_words_file(tmp_path, capsys):
+    missing = str(tmp_path / "nonexistent")
+    assert main(["monotone", "--check", "simplex", "--words-file", missing]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1
+
+
+def test_exit_two_on_missing_config_file(tmp_path, capsys):
+    assert main(["monotone", "--config", str(tmp_path / "nonexistent")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1
+
+
+def test_exit_two_on_malformed_words_file_line(tmp_path, capsys):
+    words = tmp_path / "words.txt"
+    words.write_text("D[0]A[0]\nD[0\n")
+    assert main(["monotone", "--check", "simplex", "--words-file", str(words)]) == 2
+    assert f"{words}:2:" in capsys.readouterr().err
+
+
+def test_parallel_config_key_is_unknown(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("parallel=true\n")
+    assert main(["monoid", "--config", str(cfg)]) == 2
+    assert "unknown config key 'parallel'" in capsys.readouterr().err
+
+
+def test_suites_keep_their_names():
+    assert SUITES["monotone"]["simplex"].__name__ == "monotone_simplex"
+
+
 def test_exit_one_on_suite_failure(monkeypatch, capsys):
     def failing(config):
         return SuiteReport(

@@ -3,6 +3,8 @@ segment of spreading-invariant states."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spreadlab.monotone import (
     VACUUM,
@@ -13,6 +15,9 @@ from spreadlab.monotone import (
     lambda_matrix,
 )
 from spreadlab.operators import (
+    Kind,
+    Letter,
+    Word,
     annihilator,
     creator,
     evaluate_word,
@@ -27,34 +32,55 @@ def basis():
     return MonotoneBasis((0, 4), 3)
 
 
+def hand_matrices(b, i):
+    """Creator and annihilator at i by the tuple rule, written out here so the
+    matrix route does not go through the model's label action."""
+    c = np.zeros((b.dim, b.dim))
+    a = np.zeros((b.dim, b.dim))
+    for col, t in enumerate(b.labels):
+        if len(t) < b.depth and (not t or i < t[0]):
+            c[b.labels.index((i,) + t), col] = 1.0
+        if t and t[0] == i:
+            a[b.labels.index(t[1:]), col] = 1.0
+    return c, a
+
+
+def hand_word_matrix(b, letters):
+    m = np.eye(b.dim)
+    for kind, i in letters:
+        c, a = hand_matrices(b, i)
+        m = m @ {Kind.CREATOR: c, Kind.ANNIHILATOR: a, Kind.POSITION: c + a}[kind]
+    return m
+
+
 # ---------------------------------------------------------------------------
 # Creation and annihilation
 
 
 def test_creator_prepends_when_below_head(basis):
-    assert basis.create(0, (1, 2)) == (0, 1, 2)
+    assert basis.act(Kind.CREATOR, 0, (1, 2)) == [((0, 1, 2), 1)]
 
 
 def test_creator_kills_when_not_below_head(basis):
-    assert basis.create(2, (1, 3)) is None
-    assert basis.create(1, (1, 3)) is None
+    assert basis.act(Kind.CREATOR, 2, (1, 3)) == []
+    assert basis.act(Kind.CREATOR, 1, (1, 3)) == []
 
 
 def test_creator_respects_depth_cap(basis):
-    assert basis.create(0, (1, 2, 3)) is None
+    assert basis.act(Kind.CREATOR, 0, (1, 2, 3)) == []
 
 
 def test_annihilator_strips_matching_head(basis):
-    assert basis.annihilate(1, (1, 2)) == (2,)
-    assert basis.annihilate(2, (1, 2)) is None
-    assert basis.annihilate(0, VACUUM) is None
+    assert basis.act(Kind.ANNIHILATOR, 1, (1, 2)) == [((2,), 1)]
+    assert basis.act(Kind.ANNIHILATOR, 2, (1, 2)) == []
+    assert basis.act(Kind.ANNIHILATOR, 0, VACUUM) == []
 
 
 def test_index_outside_window_rejected(basis):
     with pytest.raises(IndexError):
         basis.creator(7)
     with pytest.raises(IndexError):
-        basis.annihilate(-3, (0,))
+        basis.apply_word(word(annihilator(-3)), {(0,): 1.0})
 
 
 def test_creator_annihilator_mutually_adjoint(basis):
@@ -199,15 +225,43 @@ def test_infinity_window_reserves_probe(basis):
 
 
 def test_states_match_matrix_route(basis):
-    # The walker states against full matrix products at the same entries.
+    # The walker states against hand-built matrix products at the same entries.
     om = basis.vacuum_state()
     oo = basis.state_at_infinity()
     words = [f.word() for f in lambda_forms(range(0, 3), 2, 2)]
     words += list(diagonal_number_words(range(0, 3)))
+    vac, probe = basis.labels.index(VACUUM), basis.labels.index((4,))
     for w in words:
-        m = evaluate_word(basis, w)
-        assert om(w) == m.entry(VACUUM, VACUUM)
-        assert oo(w) == m.entry((4,), (4,))
+        m = hand_word_matrix(basis, [(l.kind, l.index) for l in w.letters])
+        assert om(w) == m[vac, vac]
+        assert oo(w) == m[probe, probe]
+
+
+def test_matrices_match_hand_built(basis):
+    for i in range(0, 5):
+        c, a = hand_matrices(basis, i)
+        assert np.array_equal(basis.creator(i).matrix, c)
+        assert np.array_equal(basis.annihilator(i).matrix, a)
+        assert np.array_equal(basis.position(i).matrix, c + a)
+
+
+@given(data=st.data())
+@settings(max_examples=100, deadline=None)
+def test_walker_matches_hand_built_product(basis, data):
+    label = data.draw(st.sampled_from(basis.labels))
+    letters = data.draw(
+        st.lists(
+            st.tuples(st.sampled_from([Kind.CREATOR, Kind.ANNIHILATOR, Kind.POSITION]),
+                      st.integers(0, 4)),
+            max_size=4,
+        )
+    )
+    w = Word(tuple(Letter(kind, i) for kind, i in letters))
+    got = np.zeros(basis.dim)
+    for image, coeff in basis.apply_word(w, {label: 1.0}).items():
+        got[basis.labels.index(image)] += coeff
+    expected = hand_word_matrix(basis, letters)[:, basis.labels.index(label)]
+    assert np.array_equal(got, expected)
 
 
 # ---------------------------------------------------------------------------

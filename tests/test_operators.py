@@ -58,6 +58,10 @@ def test_word_text_roundtrip():
         Word.from_text("z(0)")
 
 
+def test_word_text_accepts_q_aliases():
+    assert Word.from_text("ldag(1).l(2).s(0)") == Word.from_text("c(1).a(2).x(0)")
+
+
 # ---------------------------------------------------------------------------
 # Spaces, operators, metric adjoint
 
@@ -254,17 +258,6 @@ def test_out_of_window_relabelings_are_skipped_not_fatal():
     # theta(3) pushes index 3 to 4, outside; psi(3) keeps it at 2.
     assert report.skipped == 1
     assert report.samples == 1
-
-
-def test_parallel_aggregation_matches_serial():
-    basis = MonotoneBasis((-6, 7), 4)
-    words = [f.word() for f in lambda_forms(range(-2, 3), 2, 2)]
-    family = spreading_family(-1, 1, n_random=5, seed=9)
-    serial = check_symmetry(basis.vacuum_state(), words, family, tol=1e-12)
-    threaded = check_symmetry(
-        basis.vacuum_state(), words, family, tol=1e-12, parallel=True
-    )
-    assert serial.to_dict() == threaded.to_dict()
 
 
 def test_report_serialization_roundtrip():

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from spreadlab.operators import (
     Kind,
+    Letter,
     Word,
     annihilator,
     creator,
@@ -19,9 +20,7 @@ from spreadlab.operators import (
 )
 from spreadlab.qfock import (
     QBasis,
-    format_word,
     inversions,
-    parse_word,
     q_inner,
     q_inner_recursive,
     words_over,
@@ -34,6 +33,28 @@ from spreadlab.symmetry import (
 )
 
 Q_GRID = (-0.9, -0.5, 0.0, 0.5, 0.9)
+
+
+def hand_matrices(b, j):
+    """Creator and annihilator at j by the tuple rules, written out here so
+    the matrix route does not go through the model's label action."""
+    c = np.zeros((b.dim, b.dim))
+    a = np.zeros((b.dim, b.dim))
+    for col, t in enumerate(b.labels):
+        if len(t) < b.depth:
+            c[b.labels.index((j,) + t), col] = 1.0
+        for k, entry in enumerate(t):
+            if entry == j:
+                a[b.labels.index(t[:k] + t[k + 1 :]), col] += b.q**k
+    return c, a
+
+
+def hand_word_matrix(b, letters):
+    m = np.eye(b.dim)
+    for kind, j in letters:
+        c, a = hand_matrices(b, j)
+        m = m @ {Kind.CREATOR: c, Kind.ANNIHILATOR: a, Kind.POSITION: c + a}[kind]
+    return m
 
 
 def recursive_inner(u, v, q):
@@ -144,20 +165,20 @@ def test_label_count_and_order():
 
 def test_annihilator_slot_weights():
     basis = QBasis((1, 2), 2, 0.5)
-    assert basis.annihilate(1, (1, 2)) == [((2,), 1.0)]
-    assert basis.annihilate(1, (2, 1)) == [((2,), 0.5)]
-    assert basis.annihilate(1, ()) == []
+    assert basis.act(Kind.ANNIHILATOR, 1, (1, 2)) == [((2,), 1.0)]
+    assert basis.act(Kind.ANNIHILATOR, 1, (2, 1)) == [((2,), 0.5)]
+    assert basis.act(Kind.ANNIHILATOR, 1, ()) == []
 
 
 def test_creator_prepends_and_caps():
     basis = QBasis((1, 2), 2, 0.5)
-    assert basis.create(1, (2,)) == (1, 2)
-    assert basis.create(1, (1, 2)) is None
+    assert basis.act(Kind.CREATOR, 1, (2,)) == [((1, 2), 1)]
+    assert basis.act(Kind.CREATOR, 1, (1, 2)) == []
 
 
 def test_position_on_vacuum():
     basis = QBasis((0, 2), 2, 0.5)
-    out = basis.apply_letter(position(1), {(): 1.0})
+    out = basis.apply_word(word(position(1)), {(): 1.0})
     assert out == {(1,): 1.0}
 
 
@@ -198,14 +219,44 @@ def test_q_commutation_below_top_level(q):
 def test_walker_matches_matrix_route():
     basis = QBasis((0, 2), 3, 0.5)
     om = basis.vacuum_state()
-    zeta = basis.space.basis_vector(())
+    hand = {(kind, j): m for j in range(3)
+            for kind, m in zip((Kind.CREATOR, Kind.ANNIHILATOR), hand_matrices(basis, j))}
     for w in words_over([0, 1, 2], 3, (Kind.CREATOR, Kind.ANNIHILATOR)):
-        m = np.eye(basis.dim, dtype=complex)
+        m = np.eye(basis.dim)
         for letter in w.letters:
-            m = m @ (basis.creator(letter.index) if letter.kind is Kind.CREATOR
-                     else basis.annihilator(letter.index)).matrix
-        expected = (basis.gram @ (m @ zeta))[0]
+            m = m @ hand[letter.kind, letter.index]
+        expected = (basis.gram @ m)[0, 0]
         assert om(w) == pytest.approx(expected, abs=1e-12)
+
+
+@pytest.mark.parametrize("q", Q_GRID)
+def test_matrices_match_hand_built(q):
+    basis = QBasis((0, 2), 3, q)
+    for j in range(0, 3):
+        c, a = hand_matrices(basis, j)
+        assert np.array_equal(basis.creator(j).matrix, c)
+        assert np.array_equal(basis.annihilator(j).matrix, a)
+        assert np.array_equal(basis.position(j).matrix, c + a)
+
+
+@given(data=st.data(), q=st.sampled_from(Q_GRID))
+@settings(max_examples=100, deadline=None)
+def test_walker_matches_hand_built_product(data, q):
+    basis = QBasis((0, 2), 3, q)
+    label = data.draw(st.sampled_from(basis.labels))
+    letters = data.draw(
+        st.lists(
+            st.tuples(st.sampled_from([Kind.CREATOR, Kind.ANNIHILATOR, Kind.POSITION]),
+                      st.integers(0, 2)),
+            max_size=4,
+        )
+    )
+    w = Word(tuple(Letter(kind, j) for kind, j in letters))
+    got = np.zeros(basis.dim)
+    for image, coeff in basis.apply_word(w, {label: 1.0}).items():
+        got[basis.labels.index(image)] += coeff
+    expected = hand_word_matrix(basis, letters)[:, basis.labels.index(label)]
+    assert np.allclose(got, expected, rtol=0, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -256,10 +307,10 @@ def test_states_unital_and_conjugate_symmetric():
 
 
 def test_token_roundtrip():
+    # The ldag/l/s spellings are aliases in the one word parser.
     w = word(creator(0), annihilator(-1), position(2))
-    assert format_word(w) == "ldag(0).l(-1).s(2)"
-    assert parse_word(format_word(w)) == w
-    assert parse_word("1") == Word(())
-    assert format_word(Word(())) == "1"
+    assert Word.from_text("ldag(0).l(-1).s(2)") == w
+    assert Word.from_text(w.to_text()) == w
+    assert w.to_text() == "c(0).a(-1).x(2)"
     with pytest.raises(ValueError):
-        parse_word("ld(3)")
+        Word.from_text("ld(3)")
