@@ -29,6 +29,7 @@ from .operators import (
     TruncatedSpace,
     Word,
     annihilator_matrix,
+    check_space,
     creator_matrix,
     evaluate_word,
     label_state,
@@ -48,9 +49,7 @@ class BooleanSpace:
     window: tuple[int, int]
 
     def __post_init__(self) -> None:
-        lo, hi = self.window
-        if lo > hi:
-            raise ValueError(f"empty window [{lo}, {hi}]")
+        check_space(self.window)
 
     @cached_property
     def labels(self) -> tuple[Label, ...]:

@@ -28,10 +28,12 @@ from .operators import (
     Operator,
     TruncatedSpace,
     annihilator_matrix,
+    check_space,
     creator_matrix,
     position_matrix,
     walk,
 )
+from .reports import Deviations
 
 Label = tuple[int, ...]
 
@@ -41,9 +43,7 @@ class FermionChain:
     window: tuple[int, int]
 
     def __post_init__(self) -> None:
-        lo, hi = self.window
-        if lo > hi:
-            raise ValueError(f"empty window [{lo}, {hi}]")
+        check_space(self.window)
 
     @cached_property
     def labels(self) -> tuple[Label, ...]:
@@ -56,7 +56,8 @@ class FermionChain:
 
     @property
     def dim(self) -> int:
-        return len(self.labels)
+        lo, hi = self.window
+        return 2 ** (hi - lo + 1)
 
     # -- label action; walker and letter matrices are derived from it -------
 
@@ -106,13 +107,14 @@ class TwoPointFunction:
         return np.array([[self.value(m, n) for n in idx] for m in idx])
 
 
-def twopoint_stationarity(t: TwoPointFunction, lo: int, hi: int) -> float:
-    """Max |T(m+1, n+1) - T(m, n)| over the index square; exactly 0 here."""
-    dev = 0.0
+def twopoint_stationarity(t: TwoPointFunction, lo: int, hi: int) -> Deviations:
+    """|T(m+1, n+1) - T(m, n)| over the index square, one sample per pair;
+    the maximum is exactly 0 here."""
+    found = Deviations()
     for m in range(lo, hi + 1):
         for n in range(lo, hi + 1):
-            dev = max(dev, abs(t.value(m + 1, n + 1) - t.value(m, n)))
-    return dev
+            found.add(t.value(m + 1, n + 1) - t.value(m, n))
+    return found
 
 
 @dataclass(frozen=True)

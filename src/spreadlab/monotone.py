@@ -15,6 +15,7 @@ import re
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
+from math import comb
 from typing import Iterable, Iterator, Sequence
 
 from .operators import (
@@ -25,6 +26,7 @@ from .operators import (
     Word,
     annihilator as annihilator_letter,
     annihilator_matrix,
+    check_space,
     check_window,
     creator as creator_letter,
     creator_matrix,
@@ -43,9 +45,7 @@ class MonotoneBasis:
     depth: int
 
     def __post_init__(self) -> None:
-        lo, hi = self.window
-        if lo > hi:
-            raise ValueError(f"empty window [{lo}, {hi}]")
+        check_space(self.window)
         if self.depth < 1:
             raise ValueError("depth must be at least 1")
 
@@ -63,7 +63,8 @@ class MonotoneBasis:
 
     @property
     def dim(self) -> int:
-        return len(self.labels)
+        lo, hi = self.window
+        return sum(comb(hi - lo + 1, k) for k in range(self.depth + 1))
 
     # -- label action; walker and letter matrices are derived from it -------
 

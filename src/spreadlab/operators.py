@@ -12,7 +12,9 @@ the weighted basis labels that a creator or annihilator sends one basis
 label to, plus an inclusive index ``window`` and its ``labels``/``space``.
 Everything else is derived here once: the window check, position letters
 (creator images, then annihilator images), unit letters, the dict walker
-:func:`walk`, dense letter matrices and the vector states.
+:func:`walk`, dense letter matrices and the vector states.  Dense matrices are
+built only when the model's closed-form ``dim`` is within
+:data:`MAX_DENSE_DIM`.
 """
 
 from __future__ import annotations
@@ -246,6 +248,31 @@ _PARTS = {
 }
 
 
+# Largest dimension of a dense dim x dim matrix a model may allocate: a
+# fermionic chain of 12 sites.
+MAX_DENSE_DIM = 4096
+
+
+def check_space(window: tuple[int, int], dim: int | None = None) -> None:
+    """Reject an empty window and, given the dimension of a dense matrix about
+    to be allocated, one above :data:`MAX_DENSE_DIM`."""
+    lo, hi = window
+    if lo > hi:
+        raise ValueError(f"empty window [{lo}, {hi}]")
+    if dim is not None and dim > MAX_DENSE_DIM:
+        raise ValueError(
+            f"window [{lo}, {hi}] needs dense dimension {dim},"
+            f" above the budget of {MAX_DENSE_DIM}"
+        )
+
+
+def dense_space(model) -> TruncatedSpace:
+    """The model's labelled space, once its closed-form ``dim`` fits the
+    dense budget; no label is enumerated before that."""
+    check_space(model.window, model.dim)
+    return model.space
+
+
 def check_window(model, index: int) -> None:
     lo, hi = model.window
     if not lo <= index <= hi:
@@ -280,7 +307,7 @@ def walk(model, w: Word, vec: dict) -> dict:
 
 def letter_matrix(model, letter: Letter) -> Operator:
     """Dense matrix of one letter over ``model.space.labels``."""
-    space = model.space
+    space = dense_space(model)
     if letter.index is None:
         return space.identity()
     check_window(model, letter.index)
@@ -312,7 +339,7 @@ def evaluate_word(model, w: Word) -> Operator:
     matching the usual left-to-right operator strings.  The empty word is the
     identity.
     """
-    out = model.space.identity()
+    out = dense_space(model).identity()
     for letter in w.letters:
         out = out @ letter_matrix(model, letter)
     return out

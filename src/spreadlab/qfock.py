@@ -27,6 +27,7 @@ from .operators import (
     TruncatedSpace,
     Word,
     annihilator_matrix,
+    check_space,
     creator_matrix,
     label_state,
     position_matrix,
@@ -80,9 +81,7 @@ class QBasis:
     q: float
 
     def __post_init__(self) -> None:
-        lo, hi = self.window
-        if lo > hi:
-            raise ValueError(f"empty window [{lo}, {hi}]")
+        check_space(self.window)
         if self.depth < 1:
             raise ValueError("depth must be at least 1")
         if not abs(self.q) < 1:
@@ -99,6 +98,7 @@ class QBasis:
     @cached_property
     def gram(self) -> np.ndarray:
         """Blockwise-by-length Gram matrix; positive definite for |q| < 1."""
+        check_space(self.window, self.dim)
         labels = self.labels
         dim = len(labels)
         g = np.zeros((dim, dim))
@@ -121,7 +121,8 @@ class QBasis:
 
     @property
     def dim(self) -> int:
-        return len(self.labels)
+        lo, hi = self.window
+        return sum((hi - lo + 1) ** k for k in range(self.depth + 1))
 
     # -- label action; walker and letter matrices are derived from it -------
 

@@ -4,17 +4,25 @@ A suite run produces one :class:`SuiteReport`: the claim it verifies, the
 pass/fail verdict with the worst deviation seen, counts, witnesses, and the
 seed that reproduces it.  JSON output is key-sorted so identical runs are
 byte-identical except for the wall-time field.
+
+Every verdict follows one rule, kept by :class:`Deviations`: the worst
+deviation over the sampled cases is compared with a tolerance, and the first
+few cases beyond it are kept as witnesses.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, Callable
 
 import numpy as np
 
 SCHEMA = "report_v1"
+
+# A suite that evaluated fewer than this share of the cases it sampled (the
+# rest escaped the state window) has shown nothing and fails.
+COVERAGE_FLOOR = 0.5
 
 
 def jsonable(value: Any) -> Any:
@@ -87,7 +95,7 @@ class SuiteReport:
             rows.append((key, str(jsonable(value))))
         width = max(len(k) for k, _ in rows)
         lines = [f"{k:<{width}}  {v}" for k, v in rows]
-        for w in self.witnesses[:5]:
+        for w in self.witnesses:
             lines.append(f"  witness: {jsonable(w)}")
         return "\n".join(lines)
 
@@ -108,3 +116,94 @@ class SuiteReport:
 
 
 CSV_HEADER = "model,suite,verdict,samples,skipped,max_deviation,seed,wall_time_s"
+
+
+def _magnitude(deviation: Any) -> Any:
+    """Size of a deviation: ``abs`` of a scalar (exact for ints and
+    Fractions), the largest entry size of an array or list, the largest over a
+    tuple of such parts.  A NaN anywhere gives NaN."""
+    if isinstance(deviation, tuple):
+        return float(np.max([_magnitude(part) for part in deviation]))
+    if isinstance(deviation, (np.ndarray, list)):
+        return float(np.max(np.abs(deviation), initial=0.0))
+    return abs(deviation)
+
+
+class Deviations:
+    """The one verdict rule: the worst deviation over the sampled cases,
+    compared with ``tol``, with the first ``keep`` cases beyond it kept as
+    witnesses.
+
+    A NaN deviation is never within tolerance: it sticks as the maximum and
+    its case is kept.  A witness is built, by calling ``witness(size)``, only
+    for a kept case.  Sub-checks fold in with :meth:`merge`; a check that must
+    fail folds in with :meth:`merge_counterexample`.
+    """
+
+    def __init__(self, tol: float = 0.0, keep: int = 5) -> None:
+        self.tol = tol
+        self.keep = keep
+        self.samples = 0
+        self.skipped = 0
+        self.max_deviation: Any = 0.0
+        self.witnesses: list = []
+        self._merged_ok = True
+
+    @property
+    def passed(self) -> bool:
+        return self.max_deviation <= self.tol and self._merged_ok
+
+    def add(self, deviation: Any, witness: Callable[[Any], Any] | None = None) -> Any:
+        """One sampled case; returns the size of its deviation."""
+        self.samples += 1
+        return self.observe(deviation, witness)
+
+    def observe(self, deviation: Any, witness: Callable[[Any], Any] | None = None) -> Any:
+        """A deviation that is no sample of its own (part of a case, or a case
+        the caller counts); returns its size."""
+        size = _magnitude(deviation)
+        if size > self.max_deviation or size != size:
+            self.max_deviation = size
+        if not size <= self.tol and witness is not None and len(self.witnesses) < self.keep:
+            self.witnesses.append(witness(size))
+        return size
+
+    def merge(self, other: "Deviations") -> bool:
+        """Fold in a sub-check: its counts, its worst deviation, its verdict
+        and its witnesses up to this cap.  Returns whether it passed."""
+        self.samples += other.samples
+        self.skipped += other.skipped
+        self.observe(other.max_deviation)
+        self._merged_ok = self._merged_ok and other.passed
+        self.witnesses.extend(other.witnesses[: self.keep - len(self.witnesses)])
+        return other.passed
+
+    def merge_counterexample(self, other: "Deviations", keep: int) -> bool:
+        """Fold in a sub-check that must fail: its counts, and its first
+        ``keep`` witnesses as evidence.  Its deviations are expected and stay
+        out of this check's maximum.  Returns whether it failed with a
+        witness."""
+        self.samples += other.samples
+        self.skipped += other.skipped
+        self.witnesses.extend(other.witnesses[: min(keep, self.keep - len(self.witnesses))])
+        return not other.passed and bool(other.witnesses)
+
+    def report(self, model: str, suite: str, claim: str, seed: int,
+               extra_ok: bool = True, details: dict | None = None) -> SuiteReport:
+        """The suite verdict: within tolerance, ``extra_ok``, and not vacuous
+        (some samples, and coverage samples / (samples + skipped) at least
+        ``COVERAGE_FLOOR``)."""
+        details = dict(details or {})
+        seen = self.samples + self.skipped
+        if self.samples == 0:
+            details["failed_because"] = "zero samples"
+        elif self.samples / seen < COVERAGE_FLOOR:
+            details["failed_because"] = (
+                f"coverage {self.samples / seen:.3f} below the floor {COVERAGE_FLOOR}"
+            )
+        return SuiteReport(
+            model, suite, claim,
+            passed=self.passed and extra_ok and "failed_because" not in details,
+            seed=seed, samples=self.samples, skipped=self.skipped,
+            max_deviation=float(self.max_deviation), witnesses=self.witnesses, details=details,
+        )

@@ -38,9 +38,11 @@ from .monotone import (
     lambda_forms,
     lambda_matrix,
 )
-from .operators import Kind, annihilator, creator, evaluate_word, metric_adjoint, mixture, word
+from .operators import (
+    Kind, annihilator, check_space, creator, evaluate_word, metric_adjoint, mixture, word,
+)
 from .qfock import QBasis, q_inner, q_inner_recursive, words_over
-from .reports import SuiteReport
+from .reports import Deviations, SuiteReport
 from .symmetry import (
     check_symmetry,
     permutation_family,
@@ -108,27 +110,20 @@ def monoid_compose_oracle(config: RunConfig) -> SuiteReport:
     rng = np.random.default_rng(config.seed)
     n = config.samples or 1000
     lo, hi = config.window or (-50, 50)
-    worst = 0
-    witnesses = []
+    found = Deviations()
     for _ in range(n):
         f = random_increasing_map(rng)
         g = random_increasing_map(rng)
         fg = compose(f, g)
         for k in range(lo, hi + 1):
-            dev = abs(fg(k) - f(g(k)))
+            dev = fg(k) - f(g(k))
             if dev:
-                worst = max(worst, dev)
-                if len(witnesses) < 5:
-                    witnesses.append({"f": f.to_text(), "g": g.to_text(), "k": k})
-    return SuiteReport(
-        model="monoid",
-        suite="compose-oracle",
-        claim="canonical-form composition agrees pointwise with composing the evaluations",
-        passed=worst == 0,
-        seed=config.seed,
-        samples=n,
-        max_deviation=float(worst),
-        witnesses=witnesses,
+                found.observe(dev, lambda _: {"f": f.to_text(), "g": g.to_text(), "k": k})
+    found.samples = n  # one sample per map pair
+    return found.report(
+        "monoid", "compose-oracle",
+        "canonical-form composition agrees pointwise with composing the evaluations",
+        config.seed,
         details={"window": [lo, hi]},
     )
 
@@ -137,27 +132,22 @@ def monoid_compose_oracle(config: RunConfig) -> SuiteReport:
 def monoid_semidirect(config: RunConfig) -> SuiteReport:
     rng = np.random.default_rng(config.seed)
     n = config.samples or 500
-    worst = 0
-    witnesses = []
+    found = Deviations()
     for _ in range(n):
         f = random_increasing_map(rng)
         g = random_increasing_map(rng)
         prod = semidirect_multiply(decompose_semidirect(f), decompose_semidirect(g))
-        if realize_pair(prod) != compose(f, g):
-            worst = 1
-            if len(witnesses) < 5:
-                witnesses.append({"f": f.to_text(), "g": g.to_text()})
+        found.add(
+            int(realize_pair(prod) != compose(f, g)),
+            lambda _: {"f": f.to_text(), "g": g.to_text()},
+        )
     pivot_ok = decompose_semidirect(psi(0)) == (-1, theta(1))
-    return SuiteReport(
-        model="monoid",
-        suite="semidirect",
-        claim="the shift/offset-free pair product realizes composition, and the"
+    return found.report(
+        "monoid", "semidirect",
+        "the shift/offset-free pair product realizes composition, and the"
         " backward shift at 0 splits into shift -1 and the forward shift at 1",
-        passed=worst == 0 and pivot_ok,
-        seed=config.seed,
-        samples=n,
-        max_deviation=float(worst),
-        witnesses=witnesses,
+        config.seed,
+        extra_ok=pivot_ok,
         details={"psi0_decomposition_ok": pivot_ok},
     )
 
@@ -166,31 +156,23 @@ def monoid_semidirect(config: RunConfig) -> SuiteReport:
 def monoid_localize(config: RunConfig) -> SuiteReport:
     rng = np.random.default_rng(config.seed)
     n = config.samples or 200
-    worst = 0
-    witnesses = []
+    found = Deviations()
     for _ in range(n):
         f = random_increasing_map(rng)
         k = int(rng.integers(-10, 11))
         l = k + int(rng.integers(0, 8))
         r = localize({j: f(j) for j in range(k, l + 1)}, k, l)
         sigma = cycle_for_interval(k, l)
-        word_dev = max(abs(r(j) - f(j)) for j in range(k, l + 1))
-        cycle_dev = max(abs(sigma(j) - (j + 1)) for j in range(k, l + 1))
-        dev = max(word_dev, cycle_dev)
-        if dev:
-            worst = max(worst, dev)
-            if len(witnesses) < 5:
-                witnesses.append({"f": f.to_text(), "interval": [k, l]})
-    return SuiteReport(
-        model="monoid",
-        suite="localize",
-        claim="partial-shift words reproduce arbitrary increasing maps on windows,"
+        found.add(
+            [r(j) - f(j) for j in range(k, l + 1)]
+            + [sigma(j) - (j + 1) for j in range(k, l + 1)],
+            lambda _: {"f": f.to_text(), "interval": [k, l]},
+        )
+    return found.report(
+        "monoid", "localize",
+        "partial-shift words reproduce arbitrary increasing maps on windows,"
         " and interval cycles reproduce the one-step shift there",
-        passed=worst == 0,
-        seed=config.seed,
-        samples=n,
-        max_deviation=float(worst),
-        witnesses=witnesses,
+        config.seed,
     )
 
 
@@ -204,17 +186,14 @@ def monotone_relations(config: RunConfig) -> SuiteReport:
     depth = config.depth or 4
     basis = MonotoneBasis(window, depth)
     lo, hi = window
-    worst = 0.0
-    checks = 0
+    found = Deviations()
     for i in range(lo, hi + 1):
         for j in range(lo, hi + 1):
             if i >= j:
-                worst = max(worst, np.max(np.abs((basis.creator(i) @ basis.creator(j)).matrix)))
-                worst = max(worst, np.max(np.abs((basis.annihilator(j) @ basis.annihilator(i)).matrix)))
-                checks += 2
+                found.add((basis.creator(i) @ basis.creator(j)).matrix)
+                found.add((basis.annihilator(j) @ basis.annihilator(i)).matrix)
             if i != j:
-                worst = max(worst, np.max(np.abs((basis.annihilator(i) @ basis.creator(j)).matrix)))
-                checks += 1
+                found.add((basis.annihilator(i) @ basis.creator(j)).matrix)
     eye = np.eye(basis.dim)
     partial = np.zeros_like(eye)
     for i in range(lo, hi + 1):
@@ -223,18 +202,13 @@ def monotone_relations(config: RunConfig) -> SuiteReport:
         rhs = eye - partial
         excluded = {basis.space.index(t) for t in basis.truncation_columns(i)}
         keep = [c for c in range(basis.dim) if c not in excluded]
-        worst = max(worst, float(np.max(np.abs(lhs[:, keep] - rhs[:, keep]))))
-        checks += 1
-    return SuiteReport(
-        model="monotone",
-        suite="relations",
-        claim="double creations, reversed double annihilations and mismatched"
+        found.add(lhs[:, keep] - rhs[:, keep])
+    return found.report(
+        "monotone", "relations",
+        "double creations, reversed double annihilations and mismatched"
         " annihilator-creator products vanish; the number-sum commutation identity"
         " holds away from the depth-capped columns",
-        passed=worst == 0.0,
-        seed=config.seed,
-        samples=checks,
-        max_deviation=worst,
+        config.seed,
         details={"window": list(window), "depth": depth, "dimension": basis.dim},
     )
 
@@ -258,15 +232,14 @@ def monotone_hamel(config: RunConfig) -> SuiteReport:
         rows.append(evaluate_word(basis, w).matrix.ravel())
     rows.append(np.eye(basis.dim, dtype=complex).ravel())
     sigma_min = float(np.linalg.svd(np.array(rows), compute_uv=False)[-1])
-    return SuiteReport(
-        model="monotone",
-        suite="hamel",
-        claim="the normally-ordered words, the reversed number products and the"
+    found = Deviations()
+    found.samples = len(rows)  # one sample per family member; no deviations
+    return found.report(
+        "monotone", "hamel",
+        "the normally-ordered words, the reversed number products and the"
         " identity are jointly linearly independent at desk scale",
-        passed=sigma_min > 1e-8,
-        seed=config.seed,
-        samples=len(rows),
-        max_deviation=0.0,
+        config.seed,
+        extra_ok=sigma_min > 1e-8,
         details={"sigma_min": sigma_min, "threshold": 1e-8, "family_size": len(rows)},
     )
 
@@ -298,31 +271,20 @@ def monotone_simplex(config: RunConfig) -> SuiteReport:
     words = _simplex_words(config)
     family = spreading_family(-2, 2, n_random=20, seed=config.seed)
     tol = min(config.tol, 1e-12)
-    samples = skipped = 0
-    worst = 0.0
-    all_pass = True
+    found = Deviations(tol)
     per_weight = {}
     for x in (0.0, 0.25, 0.5, 1.0):
-        report = check_symmetry(mixture(infinity, vacuum, x), words, family, tol=tol)
-        samples += report.samples
-        skipped += report.skipped
-        worst = max(worst, report.max_deviation)
-        per_weight[f"x={x}"] = report.passed
-        all_pass = all_pass and report.passed
+        check = check_symmetry(mixture(infinity, vacuum, x), words, family, tol=tol)
+        per_weight[f"x={x}"] = found.merge(check)
     counter = check_symmetry(basis.vector_state((0,)), words, family, tol=tol)
-    witnesses = [w.to_dict() for w in counter.witnesses[:3]]
-    return SuiteReport(
-        model="monotone",
-        suite="simplex",
-        claim="every mixture of the vacuum with the state at infinity is invariant"
+    counter_ok = found.merge_counterexample(counter, keep=3)
+    return found.report(
+        "monotone", "simplex",
+        "every mixture of the vacuum with the state at infinity is invariant"
         " under spreading relabelings of normally-ordered words, while the"
         " one-particle vector state is not",
-        passed=all_pass and not counter.passed and bool(witnesses),
-        seed=config.seed,
-        samples=samples + counter.samples,
-        skipped=skipped + counter.skipped,
-        max_deviation=worst,
-        witnesses=witnesses,
+        config.seed,
+        extra_ok=counter_ok,
         details={
             "mixture_verdicts": per_weight,
             "counterexample_deviation": counter.max_deviation,
@@ -339,28 +301,21 @@ def monotone_simplex(config: RunConfig) -> SuiteReport:
 def qdeformed_inner(config: RunConfig) -> SuiteReport:
     exact_q = Fraction(config.q).limit_denominator(1000)
     alphabet = range(3)
-    samples = 0
-    worst = 0.0
-    exact_ok = True
+    found = Deviations(1e-12)
+    exact = Deviations()
     for n in range(5):
         for u in product(alphabet, repeat=n):
             for v in product(alphabet, repeat=n):
                 lhs = q_inner(u, v, exact_q)
-                rhs = q_inner_recursive(u, v, exact_q)
-                if lhs != rhs:
-                    exact_ok = False
-                worst = max(worst, abs(float(q_inner(u, v, config.q)) - float(lhs)))
-                samples += 1
-    return SuiteReport(
-        model="qdeformed",
-        suite="inner",
-        claim="the inversion-statistic inner product agrees exactly with the"
+                exact.observe(lhs - q_inner_recursive(u, v, exact_q))
+                found.add(float(q_inner(u, v, config.q)) - float(lhs))
+    exact_ok = found.merge(exact)
+    return found.report(
+        "qdeformed", "inner",
+        "the inversion-statistic inner product agrees exactly with the"
         " head-peeling recursion on every tuple pair, in exact rationals and"
         " in floating point",
-        passed=exact_ok and worst <= 1e-12,
-        seed=config.seed,
-        samples=samples,
-        max_deviation=worst,
+        config.seed,
         details={"q": config.q, "exact_q": str(exact_q), "exact_match": exact_ok},
     )
 
@@ -369,10 +324,9 @@ def qdeformed_inner(config: RunConfig) -> SuiteReport:
 def qdeformed_relations(config: RunConfig) -> SuiteReport:
     window = config.window or (0, 2)
     depth = config.depth or 3
-    worst_adjoint = 0.0
-    worst_comm = 0.0
+    adjoint = Deviations(1e-10)
+    commutation = Deviations(1e-10)
     min_eig = np.inf
-    samples = 0
     for q in (-0.9, -0.5, 0.0, 0.5, 0.9):
         basis = QBasis(window, depth, q)
         min_eig = min(min_eig, float(np.linalg.eigvalsh(basis.gram)[0]))
@@ -381,28 +335,25 @@ def qdeformed_relations(config: RunConfig) -> SuiteReport:
         lo, hi = window
         for i in range(lo, hi + 1):
             got = metric_adjoint(basis.annihilator(i))
-            worst_adjoint = max(
-                worst_adjoint, float(np.max(np.abs(got.matrix - basis.creator(i).matrix)))
-            )
+            adjoint.observe(got.matrix - basis.creator(i).matrix)
             for j in range(lo, hi + 1):
                 l_i = basis.annihilator(i).matrix
                 ld_j = basis.creator(j).matrix
                 defect = l_i @ ld_j - q * ld_j @ l_i - (1.0 if i == j else 0.0) * eye
-                worst_comm = max(worst_comm, float(np.max(np.abs(defect[:, low]))))
-                samples += 1
-    return SuiteReport(
-        model="qdeformed",
-        suite="relations",
-        claim="creation is the metric adjoint of annihilation, the deformed"
+                commutation.add(defect[:, low])
+    found = Deviations(1e-10)
+    found.merge(adjoint)
+    found.merge(commutation)
+    return found.report(
+        "qdeformed", "relations",
+        "creation is the metric adjoint of annihilation, the deformed"
         " commutation relation holds below the depth cap, and the deformed"
         " Gram matrix stays positive definite",
-        passed=worst_adjoint <= 1e-10 and worst_comm <= 1e-10 and min_eig > 0,
-        seed=config.seed,
-        samples=samples,
-        max_deviation=max(worst_adjoint, worst_comm),
+        config.seed,
+        extra_ok=min_eig > 0,
         details={
-            "adjoint_deviation": worst_adjoint,
-            "commutation_deviation": worst_comm,
+            "adjoint_deviation": adjoint.max_deviation,
+            "commutation_deviation": commutation.max_deviation,
             "gram_min_eigenvalue": min_eig,
         },
     )
@@ -420,34 +371,23 @@ def qdeformed_vacuum(config: RunConfig) -> SuiteReport:
         spreading_family(-2, 2, n_random=20, seed=config.seed),
     )
     tol = min(config.tol, 1e-12)
-    samples = skipped = 0
-    worst = 0.0
+    found = Deviations(tol)
     verdicts = {}
-    all_pass = True
     for words in (ladder, positions):
         for family in families:
-            report = check_symmetry(vacuum, words, family, tol=tol)
-            samples += report.samples
-            skipped += report.skipped
-            worst = max(worst, report.max_deviation)
             key = f"{family.name}/{'positions' if words is positions else 'ladder'}"
-            verdicts[key] = report.passed
-            all_pass = all_pass and report.passed
+            verdicts[key] = found.merge(check_symmetry(vacuum, words, family, tol=tol))
     counter = check_symmetry(
         basis.vector_state(1), [word(creator(1), annihilator(1))], shift_family(), tol=tol
     )
-    return SuiteReport(
-        model="qdeformed",
-        suite="vacuum",
-        claim="the deformed vacuum state is invariant under shifts, finite"
+    counter_ok = found.merge_counterexample(counter, keep=3)
+    return found.report(
+        "qdeformed", "vacuum",
+        "the deformed vacuum state is invariant under shifts, finite"
         " permutations and spreading relabelings of ladder and position words,"
         " while a one-particle vector state is not",
-        passed=all_pass and not counter.passed,
-        seed=config.seed,
-        samples=samples + counter.samples,
-        skipped=skipped + counter.skipped,
-        max_deviation=worst,
-        witnesses=[w.to_dict() for w in counter.witnesses[:3]],
+        config.seed,
+        extra_ok=counter_ok,
         details={"q": config.q, "verdicts": verdicts, "word_count": len(ladder) + len(positions)},
     )
 
@@ -460,37 +400,30 @@ def qdeformed_vacuum(config: RunConfig) -> SuiteReport:
 def boolean_relations(config: RunConfig) -> SuiteReport:
     space = bool_model.BooleanSpace(config.window or (-4, 4))
     lo, hi = space.window
+    check_space(space.window, space.dim)
     number_sum = space.zero()
     for k in range(lo, hi + 1):
         number_sum = number_sum + space.creator(k) * space.annihilator(k)
-    worst = 0.0
-    samples = 0
+    found = Deviations()
     for i in range(lo, hi + 1):
         for j in range(lo, hi + 1):
             delta = 1.0 if i == j else 0.0
             lhs = space.annihilator(i) * space.creator(j)
             rhs = delta * (space.identity() - number_sum)
-            worst = max(worst, float(np.max(np.abs(lhs.total_matrix() - rhs.total_matrix()))))
+            found.add(lhs.total_matrix() - rhs.total_matrix())
             unit = space.creator(i) * space.annihilator(j)
-            worst = max(
-                worst,
-                float(np.max(np.abs(unit.total_matrix() - space.matrix_unit(i, j).total_matrix()))),
-            )
-            samples += 2
-    return SuiteReport(
-        model="boolean",
-        suite="relations",
-        claim="annihilator-creator products equal the vacuum projection times the"
+            found.add(unit.total_matrix() - space.matrix_unit(i, j).total_matrix())
+    return found.report(
+        "boolean", "relations",
+        "annihilator-creator products equal the vacuum projection times the"
         " index match, and creator-annihilator products are the matrix units",
-        passed=worst == 0.0,
-        seed=config.seed,
-        samples=samples,
-        max_deviation=worst,
+        config.seed,
         details={"window": list(space.window)},
     )
 
 
 def _random_boolean_element(space, rng):
+    check_space(space.window, space.dim)
     k = rng.standard_normal((space.dim, space.dim)) + 1j * rng.standard_normal(
         (space.dim, space.dim)
     )
@@ -502,8 +435,7 @@ def boolean_morphism(config: RunConfig) -> SuiteReport:
     rng = np.random.default_rng(config.seed)
     base = bool_model.BooleanSpace(config.window or (-3, 3))
     n = config.samples or 200
-    worst = 0.0
-    witnesses = []
+    found = Deviations(1e-12)
     for _ in range(n):
         f = random_increasing_map(rng, (-2, 2), 3, (-6, 6))
         g = random_increasing_map(rng, (-2, 2), 3, (-6, 6))
@@ -514,32 +446,31 @@ def boolean_morphism(config: RunConfig) -> SuiteReport:
         rhs = bool_model.alpha(
             f, bool_model.alpha(g, x, bool_model.BooleanSpace(mid)), bool_model.BooleanSpace(final)
         )
-        dev = float(np.max(np.abs(lhs.total_matrix() - rhs.total_matrix())))
         out_space = bool_model.BooleanSpace(bool_model.image_window(f, base.window))
         fx = bool_model.alpha(f, x, out_space)
         fy = bool_model.alpha(f, y, out_space)
         fxy = bool_model.alpha(f, x * y, out_space)
-        dev = max(dev, float(np.max(np.abs(fxy.total_matrix() - (fx * fy).total_matrix()))))
         fxs = bool_model.alpha(f, x.adjoint(), out_space)
-        dev = max(dev, float(np.max(np.abs(fxs.total_matrix() - fx.adjoint().total_matrix()))))
         unital = bool_model.alpha(f, base.identity(), out_space)
-        dev = max(
-            dev, float(np.max(np.abs(unital.total_matrix() - out_space.identity().total_matrix())))
+        found.add(
+            (
+                lhs.total_matrix() - rhs.total_matrix(),
+                fxy.total_matrix() - (fx * fy).total_matrix(),
+                fxs.total_matrix() - fx.adjoint().total_matrix(),
+                unital.total_matrix() - out_space.identity().total_matrix(),
+            ),
+            lambda dev: {"f": f.to_text(), "g": g.to_text(), "deviation": dev},
         )
-        worst = max(worst, dev)
-        if dev > 1e-12 and len(witnesses) < 5:
-            witnesses.append({"f": f.to_text(), "g": g.to_text(), "deviation": dev})
-    return SuiteReport(
-        model="boolean",
-        suite="morphism",
-        claim="the relabeling action composes like the maps and is a unital"
+    return found.report(
+        "boolean", "morphism",
+        "the relabeling action composes like the maps and is a unital"
         " star-endomorphism on chained interval windows",
-        passed=worst <= 1e-12,
-        seed=config.seed,
-        samples=n,
-        max_deviation=worst,
-        witnesses=witnesses,
+        config.seed,
     )
+
+
+def _boolean_mixture(lam, x):
+    return lam * bool_model.omega_sharp(x) + (1 - lam) * bool_model.omega_infinity(x)
 
 
 @_timed
@@ -548,49 +479,37 @@ def boolean_simplex(config: RunConfig) -> SuiteReport:
     base = bool_model.BooleanSpace(config.window or (-3, 3))
     maps = [random_increasing_map(rng, (-2, 2), 3, (-6, 6)) for _ in range(20)]
     maps += [tau_pow(1), tau_pow(-1)]
-    perms = [random_permutation(rng, *base.window) for _ in range(10)]
-    tol = min(config.tol, 1e-12)
-    worst = 0.0
-    samples = 0
+    maps += [random_permutation(rng, *base.window) for _ in range(10)]
+    found = Deviations(min(config.tol, 1e-12))
     for lam in (0.0, 0.3, 1.0):
         for _ in range(config.samples or 20):
             x = _random_boolean_element(base, rng)
-            before = lam * bool_model.omega_sharp(x) + (1 - lam) * bool_model.omega_infinity(x)
+            before = _boolean_mixture(lam, x)
             for f in maps:
-                moved = bool_model.alpha(f, x)
-                after = lam * bool_model.omega_sharp(moved) + (1 - lam) * bool_model.omega_infinity(moved)
-                worst = max(worst, abs(after - before))
-                samples += 1
-            for p in perms:
-                moved = bool_model.alpha(p, x)
-                after = lam * bool_model.omega_sharp(moved) + (1 - lam) * bool_model.omega_infinity(moved)
-                worst = max(worst, abs(after - before))
-                samples += 1
+                found.add(_boolean_mixture(lam, bool_model.alpha(f, x)) - before)
     out_space = bool_model.BooleanSpace((base.window[0], base.window[1] + 1))
     moved_unit = bool_model.alpha(theta(0), base.matrix_unit(0, 0), out_space)
     witness_ok = moved_unit.allclose(out_space.matrix_unit(1, 1))
-    counter_dev = abs(
+    # The moved site vector is evidence, not a sample.
+    counter = Deviations(found.tol)
+    counter_dev = counter.observe(
         moved_unit.total_matrix()[out_space.index(0), out_space.index(0)]
-        - base.matrix_unit(0, 0).total_matrix()[base.index(0), base.index(0)]
+        - base.matrix_unit(0, 0).total_matrix()[base.index(0), base.index(0)],
+        lambda dev: {
+            "state": "site vector at 0",
+            "map": theta(0).to_text(),
+            "moved_unit_ok": witness_ok,
+            "deviation": float(dev),
+        },
     )
-    return SuiteReport(
-        model="boolean",
-        suite="simplex",
-        claim="mixtures of the vacuum-label state with the scalar-part state are"
+    counter_ok = found.merge_counterexample(counter, keep=1)
+    return found.report(
+        "boolean", "simplex",
+        "mixtures of the vacuum-label state with the scalar-part state are"
         " invariant under the relabeling action, permutations and shifts, while"
         " a site vector state is moved off its matrix unit",
-        passed=worst <= tol and witness_ok and counter_dev == 1.0,
-        seed=config.seed,
-        samples=samples,
-        max_deviation=worst,
-        witnesses=[
-            {
-                "state": "site vector at 0",
-                "map": theta(0).to_text(),
-                "moved_unit_ok": witness_ok,
-                "deviation": float(counter_dev),
-            }
-        ],
+        config.seed,
+        extra_ok=witness_ok and counter_ok and counter_dev == 1.0,
         details={"weights": [0.0, 0.3, 1.0]},
     )
 
@@ -604,33 +523,24 @@ def car_relations(config: RunConfig) -> SuiteReport:
     window = config.window or (0, 7)
     chain = car_model.FermionChain(window)
     lo, hi = window
+    check_space(window, chain.dim)
     eye = np.eye(chain.dim)
-    worst = 0.0
-    samples = 0
+    found = Deviations()
     for j in range(lo, hi + 1):
         for k in range(lo, hi + 1):
             mixed = car_model.anticommutator(chain.creator(j), chain.annihilator(k)).matrix
-            target = eye if j == k else 0 * eye
-            worst = max(worst, float(np.max(np.abs(mixed - target))))
-            worst = max(
-                worst,
-                float(np.max(np.abs(car_model.anticommutator(chain.annihilator(j), chain.annihilator(k)).matrix))),
-            )
+            found.add(mixed - eye if j == k else mixed)
+            found.add(car_model.anticommutator(chain.annihilator(j), chain.annihilator(k)).matrix)
             x_j, x_k = chain.position(j), chain.position(k)
             if j == k:
-                worst = max(worst, float(np.max(np.abs((x_j @ x_j).matrix - eye))))
+                found.add((x_j @ x_j).matrix - eye)
             else:
-                worst = max(worst, float(np.max(np.abs(car_model.anticommutator(x_j, x_k).matrix))))
-            samples += 3
-    return SuiteReport(
-        model="car",
-        suite="relations",
-        claim="the chain operators satisfy the anticommutation relations and the"
+                found.add(car_model.anticommutator(x_j, x_k).matrix)
+    return found.report(
+        "car", "relations",
+        "the chain operators satisfy the anticommutation relations and the"
         " position operators square to the identity and anticommute",
-        passed=worst == 0.0,
-        seed=config.seed,
-        samples=samples,
-        max_deviation=worst,
+        config.seed,
         details={"sites": hi - lo + 1, "dimension": chain.dim},
     )
 
@@ -639,15 +549,10 @@ def car_relations(config: RunConfig) -> SuiteReport:
 def car_stationary(config: RunConfig) -> SuiteReport:
     t = car_model.TwoPointFunction(config.coupling, config.diagonal)
     lo, hi = config.window or (-20, 20)
-    dev = car_model.twopoint_stationarity(t, lo, hi)
-    return SuiteReport(
-        model="car",
-        suite="stationary",
-        claim="the two-point kernel is invariant under shifting both arguments",
-        passed=dev == 0.0,
-        seed=config.seed,
-        samples=(hi - lo + 1) ** 2,
-        max_deviation=dev,
+    return car_model.twopoint_stationarity(t, lo, hi).report(
+        "car", "stationary",
+        "the two-point kernel is invariant under shifting both arguments",
+        config.seed,
         details={"window": [lo, hi], "coupling": config.coupling},
     )
 
@@ -657,16 +562,16 @@ def car_witness(config: RunConfig) -> SuiteReport:
     t = car_model.TwoPointFunction(config.coupling, config.diagonal)
     w = car_model.spreadability_witness(t)
     ratio = abs(w.lhs) / abs(w.rhs) if w.rhs != 0 else np.inf
-    return SuiteReport(
-        model="car",
-        suite="witness",
-        claim="a forward partial shift straddling an index pair changes the"
+    counter = Deviations()
+    counter.add(w.lhs - w.rhs, lambda _: w.to_dict())
+    found = Deviations()
+    counter_ok = found.merge_counterexample(counter, keep=1)
+    return found.report(
+        "car", "witness",
+        "a forward partial shift straddling an index pair changes the"
         " two-point value, so the kernel is stationary but not spreadable",
-        passed=w.deviation > 0 and ratio >= 2.0,
-        seed=config.seed,
-        samples=1,
-        max_deviation=0.0,
-        witnesses=[w.to_dict()],
+        config.seed,
+        extra_ok=counter_ok and ratio >= 2.0,
         details={"value_ratio": float(ratio)},
     )
 
@@ -675,17 +580,14 @@ def car_witness(config: RunConfig) -> SuiteReport:
 def car_positivity(config: RunConfig) -> SuiteReport:
     t = car_model.TwoPointFunction(config.coupling, config.diagonal)
     lo, hi = config.window or (-5, 5)
-    report = car_model.positivity_probe(t, lo, hi)
-    return SuiteReport(
-        model="car",
-        suite="positivity",
-        claim="spectrum probe of the kernel section against the unit interval"
+    found = Deviations()
+    found.samples = hi - lo + 1  # one sample per site; advisory, no deviations
+    return found.report(
+        "car", "positivity",
+        "spectrum probe of the kernel section against the unit interval"
         " (advisory: out-of-range eigenvalues are reported, never fatal)",
-        passed=True,
-        seed=config.seed,
-        samples=hi - lo + 1,
-        max_deviation=0.0,
-        details=report.to_dict(),
+        config.seed,
+        details=car_model.positivity_probe(t, lo, hi).to_dict(),
     )
 
 

@@ -4,12 +4,11 @@ A symmetry family is a finite sampled set of index maps (shifts, finite
 permutations, or increasing maps).  ``check_symmetry`` compares a state on
 each word against the state on each relabeled word; relabelings that escape
 the state's index window are skipped and counted, never fatal.  Sampling is
-deterministic from the seed recorded in every report.
+deterministic from the seed each family records.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -26,6 +25,7 @@ from .monoid import (
     theta,
 )
 from .operators import StateFunctional, Word, relabel
+from .reports import Deviations
 
 SHIFT = "shift"
 PERMUTATIONS = "permutations"
@@ -90,84 +90,21 @@ def describe_map(g) -> str:
     return repr(g)
 
 
-@dataclass(frozen=True)
-class SymmetryWitness:
-    word: str
-    map: str
-    lhs: complex
-    rhs: complex
-    deviation: float
-
-    def to_dict(self) -> dict:
-        return {
-            "word": self.word,
-            "map": self.map,
-            "lhs": [self.lhs.real, self.lhs.imag],
-            "rhs": [self.rhs.real, self.rhs.imag],
-            "deviation": self.deviation,
-        }
-
-
-@dataclass(frozen=True)
-class SymmetryReport:
-    family: str
-    samples: int
-    skipped: int
-    max_deviation: float
-    witnesses: tuple[SymmetryWitness, ...]
-    seed: int
-    tol: float
-
-    @property
-    def passed(self) -> bool:
-        return self.max_deviation <= self.tol
-
-    def to_dict(self) -> dict:
-        return {
-            "family": self.family,
-            "samples": self.samples,
-            "skipped": self.skipped,
-            "max_deviation": self.max_deviation,
-            "witnesses": [w.to_dict() for w in self.witnesses],
-            "seed": self.seed,
-            "tol": self.tol,
-            "passed": self.passed,
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
-
-    def to_text(self) -> str:
-        lines = [
-            f"family        {self.family}",
-            f"samples       {self.samples}",
-            f"skipped       {self.skipped}",
-            f"max deviation {self.max_deviation:.3e}",
-            f"tolerance     {self.tol:.3e}",
-            f"seed          {self.seed}",
-            f"verdict       {'pass' if self.passed else 'FAIL'}",
-        ]
-        for w in self.witnesses:
-            lines.append(f"  witness: word {w.word} under {w.map}: "
-                         f"{w.lhs:.6g} vs {w.rhs:.6g}")
-        return "\n".join(lines)
-
-
 def check_symmetry(
     state: StateFunctional,
     words: Iterable[Word],
     family: SymmetryFamily,
     tol: float = 1e-10,
     max_witnesses: int = 10,
-) -> SymmetryReport:
+) -> Deviations:
     """Max deviation |phi(w) - phi(w∘g)| over all words and family maps.
 
     Each (word, map) pair whose relabeled indices leave the state window is
-    counted as skipped.
+    counted as skipped.  Only nonzero deviations (NaN included) reach the
+    accumulator: an exact zero moves neither the maximum nor the verdict.
     """
+    found = Deviations(tol, max_witnesses)
     samples = skipped = 0
-    max_dev = 0.0
-    witnesses: list[SymmetryWitness] = []
     for w in words:
         if not state.admits(w):
             skipped += len(family.maps)
@@ -181,18 +118,17 @@ def check_symmetry(
             samples += 1
             value = state(wg)
             dev = abs(base - value)
-            if dev > max_dev:
-                max_dev = dev
-            if dev > tol and len(witnesses) < max_witnesses:
-                witnesses.append(
-                    SymmetryWitness(w.to_text(), describe_map(g), base, value, dev)
+            if dev:
+                found.observe(
+                    dev,
+                    lambda size: {
+                        "word": w.to_text(),
+                        "map": describe_map(g),
+                        "lhs": [base.real, base.imag],
+                        "rhs": [value.real, value.imag],
+                        "deviation": size,
+                    },
                 )
-    return SymmetryReport(
-        family=family.name,
-        samples=samples,
-        skipped=skipped,
-        max_deviation=max_dev,
-        witnesses=tuple(witnesses),
-        seed=family.seed,
-        tol=tol,
-    )
+    found.samples = samples
+    found.skipped = skipped
+    return found

@@ -132,7 +132,8 @@ def test_kernel_validation():
 
 def test_stationarity_on_range():
     t = TwoPointFunction(1.0, 0.5)
-    assert twopoint_stationarity(t, -20, 20) == 0.0
+    check = twopoint_stationarity(t, -20, 20)
+    assert check.max_deviation == 0.0 and check.samples == 41**2
     # shifted diagonal and Hermitian consistency
     assert t.value(4, 4) == t.value(3, 3)
     assert t.value(0, 2) == t.value(3, 1).conjugate()

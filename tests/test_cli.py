@@ -73,6 +73,37 @@ def test_parallel_config_key_is_unknown(tmp_path, capsys):
     assert "unknown config key 'parallel'" in capsys.readouterr().err
 
 
+def test_exit_one_on_vacuous_simplex(tmp_path, capsys):
+    # The 0..1 window admits 210 of 220,500 sampled relabelings.
+    assert main(["monotone", "--check", "simplex", "--window", "0..1",
+                 "--format", "json", "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().err == "FAILED: monotone/simplex\n"
+    data = json.loads((tmp_path / "monotone_simplex.json").read_text())
+    assert data["samples"] == 210 and data["skipped"] == 220290
+    assert data["details"]["failed_because"] == "coverage 0.001 below the floor 0.5"
+
+
+def test_exit_one_on_nan_kernel(capsys):
+    assert main(["car", "--check", "stationary", "--C", "nan"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "FAILED: car/stationary\n"
+    assert "max deviation  nan" in captured.out
+
+
+@pytest.mark.parametrize("model, window", [("car", "0..20"), ("boolean", "0..5000")])
+def test_exit_two_on_dense_budget(model, window, capsys):
+    assert main([model, "--check", "relations", "--window", window]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {model}/relations: window")
+    assert "above the budget of 4096" in err and err.count("\n") == 1
+
+
+def test_default_reports_name_no_failure_reason(tmp_path):
+    assert main(["monoid", "--samples", "20", "--format", "json", "--out", str(tmp_path)]) == 0
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    assert all("failed_because" not in r["details"] for r in summary["suites"])
+
+
 def test_suites_keep_their_names():
     assert SUITES["monotone"]["simplex"].__name__ == "monotone_simplex"
 

@@ -299,7 +299,7 @@ def test_mixtures_pass_spreading_check():
     family = spreading_family(-2, 2, n_random=20, seed=11)
     for x in (0.0, 0.25, 0.5, 1.0):
         report = check_symmetry(mixture(oo, om, x), words, family, tol=1e-12)
-        assert report.passed, f"x={x}: {report.to_text()}"
+        assert report.passed, f"x={x}: {report.witnesses}"
         assert report.max_deviation == 0.0
 
 

@@ -1,12 +1,18 @@
 """Space/operator scaffolding, word evaluation, and the symmetry checker."""
 
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spreadlab.boolean import BooleanSpace
+from spreadlab.car import FermionChain
 from spreadlab.monoid import psi, theta, tau_pow, cycle_for_interval, localize
 from spreadlab.monotone import MonotoneBasis, lambda_forms
 from spreadlab.operators import (
+    MAX_DENSE_DIM,
     GramError,
     Kind,
     Letter,
@@ -16,6 +22,7 @@ from spreadlab.operators import (
     annihilator,
     creator,
     evaluate_word,
+    letter_matrix,
     metric_adjoint,
     mixture,
     position,
@@ -246,7 +253,7 @@ def test_boolean_vector_state_fails_shift_with_witness():
     report = check_symmetry(phi, [w], shift_family(), tol=1e-12)
     assert not report.passed
     assert report.witnesses
-    assert report.witnesses[0].word == "c(0).a(0)"
+    assert report.witnesses[0]["word"] == "c(0).a(0)"
     assert report.max_deviation == 1.0
 
 
@@ -262,17 +269,19 @@ def test_out_of_window_relabelings_are_skipped_not_fatal():
 
 def test_report_serialization_roundtrip():
     basis = MonotoneBasis((0, 4), 3)
-    report = check_symmetry(
+    check = check_symmetry(
         basis.vector_state((0,)),
         [word(creator(0), annihilator(0))],
         shift_family(),
         tol=1e-12,
     )
-    data = report.to_dict()
-    assert data["family"] == "shift"
+    report = check.report("monotone", "probe", "claim", seed=0)
+    data = json.loads(report.to_json())
     assert not data["passed"]
-    assert isinstance(report.to_json(), str)
-    assert "witness" in report.to_text()
+    assert data["witnesses"][0]["word"] == "c(0).a(0)"
+    assert data["witnesses"][0]["map"] == check.witnesses[0]["map"]
+    assert data["witnesses"][0]["deviation"] == 1.0
+    assert "witness: {'word': 'c(0).a(0)'" in report.to_text()
 
 
 # ---------------------------------------------------------------------------
@@ -318,3 +327,54 @@ def test_spreading_maps_factor_through_localized_words(rng):
             k, l = min(w.indices()), max(w.indices())
             r = localize({j: g(j) for j in range(k, l + 1)}, k, l)
             assert relabel(w, g) == relabel(w, r)
+
+
+# ---------------------------------------------------------------------------
+# Window validation and the dense size budget
+
+
+MODELS = {
+    "monotone": lambda window, depth: MonotoneBasis(window, depth),
+    "qdeformed": lambda window, depth: QBasis(window, depth, 0.5),
+    "boolean": lambda window, depth: BooleanSpace(window),
+    "car": lambda window, depth: FermionChain(window),
+}
+
+
+@pytest.mark.parametrize("name", MODELS)
+def test_empty_window_rejected_by_every_model(name):
+    with pytest.raises(ValueError, match=r"empty window \[3, 1\]"):
+        MODELS[name]((3, 1), 2)
+
+
+@given(
+    name=st.sampled_from(sorted(MODELS)),
+    lo=st.integers(-3, 3),
+    width=st.integers(1, 5),
+    depth=st.integers(1, 3),
+)
+@settings(max_examples=100, deadline=None)
+def test_closed_form_dim_counts_the_labels(name, lo, width, depth):
+    model = MODELS[name]((lo, lo + width - 1), depth)
+    assert model.dim == len(model.labels)
+
+
+@pytest.mark.parametrize(
+    "model",
+    [FermionChain((0, 20)), MonotoneBasis((0, 40), 4), QBasis((0, 15), 3, 0.5)],
+    ids=["car", "monotone", "qdeformed"],
+)
+def test_dense_budget_rejects_before_enumerating(model):
+    assert model.dim > MAX_DENSE_DIM
+    with pytest.raises(ValueError, match="above the budget of 4096"):
+        letter_matrix(model, creator(0))
+    with pytest.raises(ValueError, match="above the budget"):
+        evaluate_word(model, word())
+    assert "labels" not in vars(model)  # no label was enumerated
+
+
+def test_gram_checks_the_budget_first():
+    basis = QBasis((0, 15), 3, 0.5)
+    with pytest.raises(ValueError, match="dense dimension 4369"):
+        basis.gram
+    assert "labels" not in vars(basis)

@@ -281,7 +281,7 @@ def test_vacuum_invariance_all_families():
     for words in (ladder, pos):
         for family in families:
             report = check_symmetry(om, words, family, tol=1e-12)
-            assert report.passed, report.to_text()
+            assert report.passed, report.witnesses
 
 
 def test_vector_state_fails_shift_with_witness():
@@ -291,7 +291,7 @@ def test_vector_state_fails_shift_with_witness():
     report = check_symmetry(phi, [w], shift_family(), tol=1e-12)
     assert not report.passed
     assert report.witnesses
-    assert report.witnesses[0].deviation == 1.0
+    assert report.witnesses[0]["deviation"] == 1.0
 
 
 def test_states_unital_and_conjugate_symmetric():
