@@ -122,16 +122,16 @@ class BooleanSpace:
     # -- word-level states ---------------------------------------------------------
 
     def sharp_state(self) -> StateFunctional:
-        return label_state(self, SHARP, "sharp")
+        return label_state(self, SHARP)
 
     def infinity_state(self) -> StateFunctional:
         def rule(w: Word) -> complex:
             return omega_infinity(self.word_element(w))
 
-        return StateFunctional("at-infinity", self.window, rule, label="at-infinity")
+        return StateFunctional(self.window, rule)
 
     def vector_state(self, label: Label) -> StateFunctional:
-        return label_state(self, label, f"e{label}")
+        return label_state(self, label)
 
 
 @dataclass(frozen=True, eq=False)

@@ -90,8 +90,8 @@ class TwoPointFunction:
     diagonal: float = 0.5
 
     def __post_init__(self) -> None:
-        if self.coupling < 0:
-            raise ValueError("coupling must be nonnegative")
+        if not 0 <= self.coupling < math.inf:
+            raise ValueError("coupling must be finite and nonnegative")
         if not 0.0 <= self.diagonal <= 1.0:
             raise ValueError("diagonal value must lie in [0, 1]")
 

@@ -20,7 +20,6 @@ from typing import Iterable, Iterator, Sequence
 
 from .operators import (
     Kind,
-    Operator,
     StateFunctional,
     TruncatedSpace,
     Word,
@@ -94,7 +93,7 @@ class MonotoneBasis:
     # -- states ----------------------------------------------------------------
 
     def vacuum_state(self) -> StateFunctional:
-        return label_state(self, VACUUM, "vacuum")
+        return label_state(self, VACUUM)
 
     def probe_value(self, w: Word, probe: int) -> complex:
         """Diagonal value of the word at the single-entry label (probe,)."""
@@ -116,10 +115,10 @@ class MonotoneBasis:
         def rule(w: Word) -> complex:
             return self.probe_value(w, hi)
 
-        return StateFunctional("at-infinity", (lo, hi - 1), rule, label="at-infinity")
+        return StateFunctional((lo, hi - 1), rule)
 
     def vector_state(self, label: Label) -> StateFunctional:
-        return label_state(self, label, f"e{label}")
+        return label_state(self, label)
 
 
 # ---------------------------------------------------------------------------
@@ -170,16 +169,6 @@ class LambdaForm:
 
     def __str__(self) -> str:
         return self.to_text()
-
-
-def lambda_matrix(basis: MonotoneBasis, form: LambdaForm) -> Operator:
-    """Matrix of the ordered product: creators first, then annihilators."""
-    out = basis.space.identity()
-    for i in form.creators:
-        out = out @ basis.creator(i)
-    for j in form.annihilators:
-        out = out @ basis.annihilator(j)
-    return out
 
 
 def lambda_forms(

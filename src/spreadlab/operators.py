@@ -345,7 +345,7 @@ def evaluate_word(model, w: Word) -> Operator:
     return out
 
 
-def label_state(model, label: Hashable, name: str) -> StateFunctional:
+def label_state(model, label: Hashable) -> StateFunctional:
     """Vector state w -> <e_label, w e_label> on an orthonormal basis, read
     off the model's walker."""
     if label not in set(model.labels):
@@ -354,7 +354,7 @@ def label_state(model, label: Hashable, name: str) -> StateFunctional:
     def rule(w: Word) -> complex:
         return model.apply_word(w, {label: 1.0}).get(label, 0.0)
 
-    return StateFunctional("vector", model.window, rule, label=name)
+    return StateFunctional(model.window, rule)
 
 
 # ---------------------------------------------------------------------------
@@ -369,10 +369,8 @@ class StateFunctional:
     escaping it are skipped by the symmetry checker rather than evaluated.
     """
 
-    kind: str
     window: tuple[int, int]
     rule: Callable[[Word], complex]
-    label: str = ""
 
     def __call__(self, w: Word) -> complex:
         lo, hi = self.window
@@ -392,9 +390,4 @@ def mixture(phi1: StateFunctional, phi2: StateFunctional, x: float) -> StateFunc
         raise ValueError(f"mixture weight must lie in [0, 1], got {x}")
     lo = max(phi1.window[0], phi2.window[0])
     hi = min(phi1.window[1], phi2.window[1])
-    return StateFunctional(
-        kind="mixture",
-        window=(lo, hi),
-        rule=lambda w: (1.0 - x) * phi1.rule(w) + x * phi2.rule(w),
-        label=f"(1-{x})*{phi1.label or phi1.kind} + {x}*{phi2.label or phi2.kind}",
-    )
+    return StateFunctional((lo, hi), lambda w: (1.0 - x) * phi1.rule(w) + x * phi2.rule(w))

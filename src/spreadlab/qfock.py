@@ -160,7 +160,7 @@ class QBasis:
     def vacuum_state(self) -> StateFunctional:
         # The vacuum has norm 1 and is orthogonal to every other label, so its
         # coordinate is the deformed inner product.
-        return label_state(self, VACUUM, "vacuum")
+        return label_state(self, VACUUM)
 
     def vector_state(self, label: Label | int) -> StateFunctional:
         base: Label = (label,) if isinstance(label, int) else tuple(label)
@@ -170,7 +170,7 @@ class QBasis:
         def rule(w: Word) -> complex:
             return self.inner(self.apply_word(w, {base: 1.0}), base)
 
-        return StateFunctional("vector", self.window, rule, label=f"e{base}")
+        return StateFunctional(self.window, rule)
 
 
 def words_over(

@@ -137,7 +137,8 @@ class Deviations:
     A NaN deviation is never within tolerance: it sticks as the maximum and
     its case is kept.  A witness is built, by calling ``witness(size)``, only
     for a kept case.  Sub-checks fold in with :meth:`merge`; a check that must
-    fail folds in with :meth:`merge_counterexample`.
+    fail folds in with :meth:`merge_counterexample`; a condition that is no
+    deviation folds in with :meth:`require`.
     """
 
     def __init__(self, tol: float = 0.0, keep: int = 5) -> None:
@@ -147,11 +148,11 @@ class Deviations:
         self.skipped = 0
         self.max_deviation: Any = 0.0
         self.witnesses: list = []
-        self._merged_ok = True
+        self._ok = True
 
     @property
     def passed(self) -> bool:
-        return self.max_deviation <= self.tol and self._merged_ok
+        return self.max_deviation <= self.tol and self._ok
 
     def add(self, deviation: Any, witness: Callable[[Any], Any] | None = None) -> Any:
         """One sampled case; returns the size of its deviation."""
@@ -174,7 +175,7 @@ class Deviations:
         self.samples += other.samples
         self.skipped += other.skipped
         self.observe(other.max_deviation)
-        self._merged_ok = self._merged_ok and other.passed
+        self.require(other.passed)
         self.witnesses.extend(other.witnesses[: self.keep - len(self.witnesses)])
         return other.passed
 
@@ -188,11 +189,15 @@ class Deviations:
         self.witnesses.extend(other.witnesses[: min(keep, self.keep - len(self.witnesses))])
         return not other.passed and bool(other.witnesses)
 
+    def require(self, ok: bool) -> None:
+        """Fold in an extra condition of the verdict."""
+        self._ok = self._ok and bool(ok)
+
     def report(self, model: str, suite: str, claim: str, seed: int,
-               extra_ok: bool = True, details: dict | None = None) -> SuiteReport:
-        """The suite verdict: within tolerance, ``extra_ok``, and not vacuous
-        (some samples, and coverage samples / (samples + skipped) at least
-        ``COVERAGE_FLOOR``)."""
+               details: dict | None = None) -> SuiteReport:
+        """The suite verdict: within tolerance, every required condition, and
+        not vacuous (some samples, and coverage samples / (samples + skipped)
+        at least ``COVERAGE_FLOOR``)."""
         details = dict(details or {})
         seen = self.samples + self.skipped
         if self.samples == 0:
@@ -203,7 +208,7 @@ class Deviations:
             )
         return SuiteReport(
             model, suite, claim,
-            passed=self.passed and extra_ok and "failed_because" not in details,
+            passed=self.passed and "failed_because" not in details,
             seed=seed, samples=self.samples, skipped=self.skipped,
             max_deviation=float(self.max_deviation), witnesses=self.witnesses, details=details,
         )

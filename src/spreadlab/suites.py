@@ -1,7 +1,8 @@
 """Runnable check suites, one per verifiable claim.
 
-Each suite takes a :class:`RunConfig` and returns a :class:`SuiteReport`.
-Defaults reproduce the full desk-scale verification; the CLI narrows or
+Each suite is registered once, with its model, name and claim, by the
+:func:`suite` decorator into :data:`SUITES`; it takes a :class:`RunConfig` and
+returns a :class:`SuiteReport`.  Defaults reproduce the full desk-scale verification; the CLI narrows or
 widens them through flags.  All sampling is seeded through numpy Generators
 created from the config seed, so identical configs give identical reports.
 """
@@ -9,10 +10,12 @@ created from the config seed, so identical configs give identical reports.
 from __future__ import annotations
 
 import functools
+import math
 import time
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import product
+from typing import Callable
 
 import numpy as np
 
@@ -36,10 +39,10 @@ from .monotone import (
     LambdaForm,
     diagonal_number_words,
     lambda_forms,
-    lambda_matrix,
 )
 from .operators import (
-    Kind, annihilator, check_space, creator, evaluate_word, metric_adjoint, mixture, word,
+    MAX_DENSE_DIM, Kind, annihilator, check_space, creator, evaluate_word, metric_adjoint,
+    mixture, word,
 )
 from .qfock import QBasis, q_inner, q_inner_recursive, words_over
 from .reports import Deviations, SuiteReport
@@ -84,29 +87,49 @@ class RunConfig:
             raise ConfigError(f"sample count must be positive, got {self.samples}")
         if self.fmt not in ("json", "text", "csv"):
             raise ConfigError(f"unknown format {self.fmt!r}")
-        if self.coupling < 0:
-            raise ConfigError(f"coupling must be nonnegative, got {self.coupling}")
+        if not 0 <= self.coupling < math.inf:
+            raise ConfigError(f"coupling must be finite and nonnegative, got {self.coupling}")
         if not 0 <= self.diagonal <= 1:
             raise ConfigError(f"diagonal must lie in [0, 1], got {self.diagonal}")
 
 
-def _timed(fn):
-    @functools.wraps(fn)
-    def wrapper(config: RunConfig) -> SuiteReport:
-        start = time.perf_counter()
-        report = fn(config)
-        report.wall_time_s = time.perf_counter() - start
-        return report
+# model -> suite name -> suite, in definition order, which is the run order.
+SUITES: dict[str, dict[str, Callable[[RunConfig], SuiteReport]]] = {}
 
-    return wrapper
+
+def suite(model: str, name: str, claim: str):
+    """Register a check suite as ``SUITES[model][name]``.
+
+    The body takes the config and returns its :class:`Deviations` and its
+    details.  The registered suite times the whole body into ``wall_time_s``
+    and builds the report with this model, name and claim and the config
+    seed.
+    """
+
+    def register(body):
+        @functools.wraps(body)
+        def run(config: RunConfig) -> SuiteReport:
+            start = time.perf_counter()
+            found, details = body(config)
+            report = found.report(model, name, claim, config.seed, details=details)
+            report.wall_time_s = time.perf_counter() - start
+            return report
+
+        SUITES.setdefault(model, {})[name] = run
+        return run
+
+    return register
 
 
 # ---------------------------------------------------------------------------
 # Monoid suites
 
 
-@_timed
-def monoid_compose_oracle(config: RunConfig) -> SuiteReport:
+@suite(
+    "monoid", "compose-oracle",
+    "canonical-form composition agrees pointwise with composing the evaluations"
+)
+def monoid_compose_oracle(config: RunConfig) -> tuple[Deviations, dict]:
     rng = np.random.default_rng(config.seed)
     n = config.samples or 1000
     lo, hi = config.window or (-50, 50)
@@ -120,16 +143,15 @@ def monoid_compose_oracle(config: RunConfig) -> SuiteReport:
             if dev:
                 found.observe(dev, lambda _: {"f": f.to_text(), "g": g.to_text(), "k": k})
     found.samples = n  # one sample per map pair
-    return found.report(
-        "monoid", "compose-oracle",
-        "canonical-form composition agrees pointwise with composing the evaluations",
-        config.seed,
-        details={"window": [lo, hi]},
-    )
+    return found, {"window": [lo, hi]}
 
 
-@_timed
-def monoid_semidirect(config: RunConfig) -> SuiteReport:
+@suite(
+    "monoid", "semidirect",
+    "the shift/offset-free pair product realizes composition, and the"
+    " backward shift at 0 splits into shift -1 and the forward shift at 1"
+)
+def monoid_semidirect(config: RunConfig) -> tuple[Deviations, dict]:
     rng = np.random.default_rng(config.seed)
     n = config.samples or 500
     found = Deviations()
@@ -142,18 +164,16 @@ def monoid_semidirect(config: RunConfig) -> SuiteReport:
             lambda _: {"f": f.to_text(), "g": g.to_text()},
         )
     pivot_ok = decompose_semidirect(psi(0)) == (-1, theta(1))
-    return found.report(
-        "monoid", "semidirect",
-        "the shift/offset-free pair product realizes composition, and the"
-        " backward shift at 0 splits into shift -1 and the forward shift at 1",
-        config.seed,
-        extra_ok=pivot_ok,
-        details={"psi0_decomposition_ok": pivot_ok},
-    )
+    found.require(pivot_ok)
+    return found, {"psi0_decomposition_ok": pivot_ok}
 
 
-@_timed
-def monoid_localize(config: RunConfig) -> SuiteReport:
+@suite(
+    "monoid", "localize",
+    "partial-shift words reproduce arbitrary increasing maps on windows,"
+    " and interval cycles reproduce the one-step shift there"
+)
+def monoid_localize(config: RunConfig) -> tuple[Deviations, dict]:
     rng = np.random.default_rng(config.seed)
     n = config.samples or 200
     found = Deviations()
@@ -168,20 +188,20 @@ def monoid_localize(config: RunConfig) -> SuiteReport:
             + [sigma(j) - (j + 1) for j in range(k, l + 1)],
             lambda _: {"f": f.to_text(), "interval": [k, l]},
         )
-    return found.report(
-        "monoid", "localize",
-        "partial-shift words reproduce arbitrary increasing maps on windows,"
-        " and interval cycles reproduce the one-step shift there",
-        config.seed,
-    )
+    return found, {}
 
 
 # ---------------------------------------------------------------------------
 # Monotone suites
 
 
-@_timed
-def monotone_relations(config: RunConfig) -> SuiteReport:
+@suite(
+    "monotone", "relations",
+    "double creations, reversed double annihilations and mismatched"
+    " annihilator-creator products vanish; the number-sum commutation identity"
+    " holds away from the depth-capped columns"
+)
+def monotone_relations(config: RunConfig) -> tuple[Deviations, dict]:
     window = config.window or (0, 7)
     depth = config.depth or 4
     basis = MonotoneBasis(window, depth)
@@ -203,22 +223,28 @@ def monotone_relations(config: RunConfig) -> SuiteReport:
         excluded = {basis.space.index(t) for t in basis.truncation_columns(i)}
         keep = [c for c in range(basis.dim) if c not in excluded]
         found.add(lhs[:, keep] - rhs[:, keep])
-    return found.report(
-        "monotone", "relations",
-        "double creations, reversed double annihilations and mismatched"
-        " annihilator-creator products vanish; the number-sum commutation identity"
-        " holds away from the depth-capped columns",
-        config.seed,
-        details={"window": list(window), "depth": depth, "dimension": basis.dim},
-    )
+    return found, {"window": list(window), "depth": depth, "dimension": basis.dim}
 
 
-@_timed
-def monotone_hamel(config: RunConfig) -> SuiteReport:
+@suite(
+    "monotone", "hamel",
+    "the normally-ordered words, the reversed number products and the"
+    " identity are jointly linearly independent at desk scale"
+)
+def monotone_hamel(config: RunConfig) -> tuple[Deviations, dict]:
     window = config.window or (0, 4)
     depth = config.depth or 4
     basis = MonotoneBasis(window, depth)
     lo, hi = window
+    # Up to two creators times up to two annihilators; the diagonal pairs are
+    # swapped for the reversed products and the empty pair is the identity.
+    width = hi - lo + 1
+    family_size = (1 + width + math.comb(width, 2)) ** 2
+    if family_size * basis.dim**2 > MAX_DENSE_DIM**2:
+        raise ValueError(
+            f"window [{lo}, {hi}] needs a row matrix of {family_size} x {basis.dim}^2"
+            f" entries, above the budget of {MAX_DENSE_DIM}^2"
+        )
     rows = []
     for form in lambda_forms(range(lo, hi + 1), 2, 2):
         if (
@@ -227,21 +253,15 @@ def monotone_hamel(config: RunConfig) -> SuiteReport:
             and form.creators == form.annihilators
         ):
             continue  # diagonal pairs enter through the reversed product instead
-        rows.append(lambda_matrix(basis, form).matrix.ravel())
+        rows.append(evaluate_word(basis, form.word()).matrix.ravel())
     for w in diagonal_number_words(range(lo, hi + 1)):
         rows.append(evaluate_word(basis, w).matrix.ravel())
     rows.append(np.eye(basis.dim, dtype=complex).ravel())
     sigma_min = float(np.linalg.svd(np.array(rows), compute_uv=False)[-1])
     found = Deviations()
     found.samples = len(rows)  # one sample per family member; no deviations
-    return found.report(
-        "monotone", "hamel",
-        "the normally-ordered words, the reversed number products and the"
-        " identity are jointly linearly independent at desk scale",
-        config.seed,
-        extra_ok=sigma_min > 1e-8,
-        details={"sigma_min": sigma_min, "threshold": 1e-8, "family_size": len(rows)},
-    )
+    found.require(sigma_min > 1e-8)
+    return found, {"sigma_min": sigma_min, "threshold": 1e-8, "family_size": len(rows)}
 
 
 def _simplex_words(config: RunConfig):
@@ -263,8 +283,13 @@ def _simplex_words(config: RunConfig):
     return [f.word() for f in lambda_forms(range(-3, 4), 4, 4, max_length=4)]
 
 
-@_timed
-def monotone_simplex(config: RunConfig) -> SuiteReport:
+@suite(
+    "monotone", "simplex",
+    "every mixture of the vacuum with the state at infinity is invariant"
+    " under spreading relabelings of normally-ordered words, while the"
+    " one-particle vector state is not"
+)
+def monotone_simplex(config: RunConfig) -> tuple[Deviations, dict]:
     basis = MonotoneBasis(config.window or (-6, 9), config.depth or 4)
     vacuum = basis.vacuum_state()
     infinity = basis.state_at_infinity()
@@ -278,27 +303,25 @@ def monotone_simplex(config: RunConfig) -> SuiteReport:
         per_weight[f"x={x}"] = found.merge(check)
     counter = check_symmetry(basis.vector_state((0,)), words, family, tol=tol)
     counter_ok = found.merge_counterexample(counter, keep=3)
-    return found.report(
-        "monotone", "simplex",
-        "every mixture of the vacuum with the state at infinity is invariant"
-        " under spreading relabelings of normally-ordered words, while the"
-        " one-particle vector state is not",
-        config.seed,
-        extra_ok=counter_ok,
-        details={
-            "mixture_verdicts": per_weight,
-            "counterexample_deviation": counter.max_deviation,
-            "word_count": len(words),
-        },
-    )
+    found.require(counter_ok)
+    return found, {
+        "mixture_verdicts": per_weight,
+        "counterexample_deviation": counter.max_deviation,
+        "word_count": len(words),
+    }
 
 
 # ---------------------------------------------------------------------------
 # Deformed suites
 
 
-@_timed
-def qdeformed_inner(config: RunConfig) -> SuiteReport:
+@suite(
+    "qdeformed", "inner",
+    "the inversion-statistic inner product agrees exactly with the"
+    " head-peeling recursion on every tuple pair, in exact rationals and"
+    " in floating point"
+)
+def qdeformed_inner(config: RunConfig) -> tuple[Deviations, dict]:
     exact_q = Fraction(config.q).limit_denominator(1000)
     alphabet = range(3)
     found = Deviations(1e-12)
@@ -310,18 +333,16 @@ def qdeformed_inner(config: RunConfig) -> SuiteReport:
                 exact.observe(lhs - q_inner_recursive(u, v, exact_q))
                 found.add(float(q_inner(u, v, config.q)) - float(lhs))
     exact_ok = found.merge(exact)
-    return found.report(
-        "qdeformed", "inner",
-        "the inversion-statistic inner product agrees exactly with the"
-        " head-peeling recursion on every tuple pair, in exact rationals and"
-        " in floating point",
-        config.seed,
-        details={"q": config.q, "exact_q": str(exact_q), "exact_match": exact_ok},
-    )
+    return found, {"q": config.q, "exact_q": str(exact_q), "exact_match": exact_ok}
 
 
-@_timed
-def qdeformed_relations(config: RunConfig) -> SuiteReport:
+@suite(
+    "qdeformed", "relations",
+    "creation is the metric adjoint of annihilation, the deformed"
+    " commutation relation holds below the depth cap, and the deformed"
+    " Gram matrix stays positive definite"
+)
+def qdeformed_relations(config: RunConfig) -> tuple[Deviations, dict]:
     window = config.window or (0, 2)
     depth = config.depth or 3
     adjoint = Deviations(1e-10)
@@ -344,23 +365,21 @@ def qdeformed_relations(config: RunConfig) -> SuiteReport:
     found = Deviations(1e-10)
     found.merge(adjoint)
     found.merge(commutation)
-    return found.report(
-        "qdeformed", "relations",
-        "creation is the metric adjoint of annihilation, the deformed"
-        " commutation relation holds below the depth cap, and the deformed"
-        " Gram matrix stays positive definite",
-        config.seed,
-        extra_ok=min_eig > 0,
-        details={
-            "adjoint_deviation": adjoint.max_deviation,
-            "commutation_deviation": commutation.max_deviation,
-            "gram_min_eigenvalue": min_eig,
-        },
-    )
+    found.require(min_eig > 0)
+    return found, {
+        "adjoint_deviation": adjoint.max_deviation,
+        "commutation_deviation": commutation.max_deviation,
+        "gram_min_eigenvalue": min_eig,
+    }
 
 
-@_timed
-def qdeformed_vacuum(config: RunConfig) -> SuiteReport:
+@suite(
+    "qdeformed", "vacuum",
+    "the deformed vacuum state is invariant under shifts, finite"
+    " permutations and spreading relabelings of ladder and position words,"
+    " while a one-particle vector state is not"
+)
+def qdeformed_vacuum(config: RunConfig) -> tuple[Deviations, dict]:
     basis = QBasis(config.window or (-8, 8), config.depth or 3, config.q)
     vacuum = basis.vacuum_state()
     ladder = list(words_over([-2, -1, 0, 1, 2], 4, (Kind.CREATOR, Kind.ANNIHILATOR)))
@@ -381,23 +400,20 @@ def qdeformed_vacuum(config: RunConfig) -> SuiteReport:
         basis.vector_state(1), [word(creator(1), annihilator(1))], shift_family(), tol=tol
     )
     counter_ok = found.merge_counterexample(counter, keep=3)
-    return found.report(
-        "qdeformed", "vacuum",
-        "the deformed vacuum state is invariant under shifts, finite"
-        " permutations and spreading relabelings of ladder and position words,"
-        " while a one-particle vector state is not",
-        config.seed,
-        extra_ok=counter_ok,
-        details={"q": config.q, "verdicts": verdicts, "word_count": len(ladder) + len(positions)},
-    )
+    found.require(counter_ok)
+    return found, {"q": config.q, "verdicts": verdicts, "word_count": len(ladder) + len(positions)}
 
 
 # ---------------------------------------------------------------------------
 # Boolean suites
 
 
-@_timed
-def boolean_relations(config: RunConfig) -> SuiteReport:
+@suite(
+    "boolean", "relations",
+    "annihilator-creator products equal the vacuum projection times the"
+    " index match, and creator-annihilator products are the matrix units"
+)
+def boolean_relations(config: RunConfig) -> tuple[Deviations, dict]:
     space = bool_model.BooleanSpace(config.window or (-4, 4))
     lo, hi = space.window
     check_space(space.window, space.dim)
@@ -413,13 +429,7 @@ def boolean_relations(config: RunConfig) -> SuiteReport:
             found.add(lhs.total_matrix() - rhs.total_matrix())
             unit = space.creator(i) * space.annihilator(j)
             found.add(unit.total_matrix() - space.matrix_unit(i, j).total_matrix())
-    return found.report(
-        "boolean", "relations",
-        "annihilator-creator products equal the vacuum projection times the"
-        " index match, and creator-annihilator products are the matrix units",
-        config.seed,
-        details={"window": list(space.window)},
-    )
+    return found, {"window": list(space.window)}
 
 
 def _random_boolean_element(space, rng):
@@ -430,8 +440,12 @@ def _random_boolean_element(space, rng):
     return space.element(k, complex(rng.standard_normal(), rng.standard_normal()))
 
 
-@_timed
-def boolean_morphism(config: RunConfig) -> SuiteReport:
+@suite(
+    "boolean", "morphism",
+    "the relabeling action composes like the maps and is a unital"
+    " star-endomorphism on chained interval windows"
+)
+def boolean_morphism(config: RunConfig) -> tuple[Deviations, dict]:
     rng = np.random.default_rng(config.seed)
     base = bool_model.BooleanSpace(config.window or (-3, 3))
     n = config.samples or 200
@@ -461,20 +475,20 @@ def boolean_morphism(config: RunConfig) -> SuiteReport:
             ),
             lambda dev: {"f": f.to_text(), "g": g.to_text(), "deviation": dev},
         )
-    return found.report(
-        "boolean", "morphism",
-        "the relabeling action composes like the maps and is a unital"
-        " star-endomorphism on chained interval windows",
-        config.seed,
-    )
+    return found, {}
 
 
 def _boolean_mixture(lam, x):
     return lam * bool_model.omega_sharp(x) + (1 - lam) * bool_model.omega_infinity(x)
 
 
-@_timed
-def boolean_simplex(config: RunConfig) -> SuiteReport:
+@suite(
+    "boolean", "simplex",
+    "mixtures of the vacuum-label state with the scalar-part state are"
+    " invariant under the relabeling action, permutations and shifts, while"
+    " a site vector state is moved off its matrix unit"
+)
+def boolean_simplex(config: RunConfig) -> tuple[Deviations, dict]:
     rng = np.random.default_rng(config.seed)
     base = bool_model.BooleanSpace(config.window or (-3, 3))
     maps = [random_increasing_map(rng, (-2, 2), 3, (-6, 6)) for _ in range(20)]
@@ -503,23 +517,20 @@ def boolean_simplex(config: RunConfig) -> SuiteReport:
         },
     )
     counter_ok = found.merge_counterexample(counter, keep=1)
-    return found.report(
-        "boolean", "simplex",
-        "mixtures of the vacuum-label state with the scalar-part state are"
-        " invariant under the relabeling action, permutations and shifts, while"
-        " a site vector state is moved off its matrix unit",
-        config.seed,
-        extra_ok=witness_ok and counter_ok and counter_dev == 1.0,
-        details={"weights": [0.0, 0.3, 1.0]},
-    )
+    found.require(witness_ok and counter_ok and counter_dev == 1.0)
+    return found, {"weights": [0.0, 0.3, 1.0]}
 
 
 # ---------------------------------------------------------------------------
 # Fermionic suites
 
 
-@_timed
-def car_relations(config: RunConfig) -> SuiteReport:
+@suite(
+    "car", "relations",
+    "the chain operators satisfy the anticommutation relations and the"
+    " position operators square to the identity and anticommute"
+)
+def car_relations(config: RunConfig) -> tuple[Deviations, dict]:
     window = config.window or (0, 7)
     chain = car_model.FermionChain(window)
     lo, hi = window
@@ -536,29 +547,23 @@ def car_relations(config: RunConfig) -> SuiteReport:
                 found.add((x_j @ x_j).matrix - eye)
             else:
                 found.add(car_model.anticommutator(x_j, x_k).matrix)
-    return found.report(
-        "car", "relations",
-        "the chain operators satisfy the anticommutation relations and the"
-        " position operators square to the identity and anticommute",
-        config.seed,
-        details={"sites": hi - lo + 1, "dimension": chain.dim},
-    )
+    return found, {"sites": hi - lo + 1, "dimension": chain.dim}
 
 
-@_timed
-def car_stationary(config: RunConfig) -> SuiteReport:
+@suite("car", "stationary", "the two-point kernel is invariant under shifting both arguments")
+def car_stationary(config: RunConfig) -> tuple[Deviations, dict]:
     t = car_model.TwoPointFunction(config.coupling, config.diagonal)
     lo, hi = config.window or (-20, 20)
-    return car_model.twopoint_stationarity(t, lo, hi).report(
-        "car", "stationary",
-        "the two-point kernel is invariant under shifting both arguments",
-        config.seed,
-        details={"window": [lo, hi], "coupling": config.coupling},
-    )
+    found = car_model.twopoint_stationarity(t, lo, hi)
+    return found, {"window": [lo, hi], "coupling": config.coupling}
 
 
-@_timed
-def car_witness(config: RunConfig) -> SuiteReport:
+@suite(
+    "car", "witness",
+    "a forward partial shift straddling an index pair changes the"
+    " two-point value, so the kernel is stationary but not spreadable"
+)
+def car_witness(config: RunConfig) -> tuple[Deviations, dict]:
     t = car_model.TwoPointFunction(config.coupling, config.diagonal)
     w = car_model.spreadability_witness(t)
     ratio = abs(w.lhs) / abs(w.rhs) if w.rhs != 0 else np.inf
@@ -566,63 +571,21 @@ def car_witness(config: RunConfig) -> SuiteReport:
     counter.add(w.lhs - w.rhs, lambda _: w.to_dict())
     found = Deviations()
     counter_ok = found.merge_counterexample(counter, keep=1)
-    return found.report(
-        "car", "witness",
-        "a forward partial shift straddling an index pair changes the"
-        " two-point value, so the kernel is stationary but not spreadable",
-        config.seed,
-        extra_ok=counter_ok and ratio >= 2.0,
-        details={"value_ratio": float(ratio)},
-    )
+    found.require(counter_ok and ratio >= 2.0)
+    return found, {"value_ratio": float(ratio)}
 
 
-@_timed
-def car_positivity(config: RunConfig) -> SuiteReport:
+@suite(
+    "car", "positivity",
+    "spectrum probe of the kernel section against the unit interval"
+    " (advisory: out-of-range eigenvalues are reported, never fatal)"
+)
+def car_positivity(config: RunConfig) -> tuple[Deviations, dict]:
     t = car_model.TwoPointFunction(config.coupling, config.diagonal)
     lo, hi = config.window or (-5, 5)
     found = Deviations()
     found.samples = hi - lo + 1  # one sample per site; advisory, no deviations
-    return found.report(
-        "car", "positivity",
-        "spectrum probe of the kernel section against the unit interval"
-        " (advisory: out-of-range eigenvalues are reported, never fatal)",
-        config.seed,
-        details=car_model.positivity_probe(t, lo, hi).to_dict(),
-    )
-
-
-# ---------------------------------------------------------------------------
-# Registry
-
-
-SUITES = {
-    "monoid": {
-        "compose-oracle": monoid_compose_oracle,
-        "semidirect": monoid_semidirect,
-        "localize": monoid_localize,
-    },
-    "monotone": {
-        "relations": monotone_relations,
-        "hamel": monotone_hamel,
-        "simplex": monotone_simplex,
-    },
-    "qdeformed": {
-        "inner": qdeformed_inner,
-        "relations": qdeformed_relations,
-        "vacuum": qdeformed_vacuum,
-    },
-    "boolean": {
-        "relations": boolean_relations,
-        "morphism": boolean_morphism,
-        "simplex": boolean_simplex,
-    },
-    "car": {
-        "relations": car_relations,
-        "stationary": car_stationary,
-        "witness": car_witness,
-        "positivity": car_positivity,
-    },
-}
+    return found, car_model.positivity_probe(t, lo, hi).to_dict()
 
 
 def run_suites(config: RunConfig) -> list[SuiteReport]:

@@ -124,8 +124,9 @@ def test_kernel_values():
 
 
 def test_kernel_validation():
-    with pytest.raises(ValueError):
-        TwoPointFunction(coupling=-1.0)
+    for coupling in (-1.0, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            TwoPointFunction(coupling=coupling)
     with pytest.raises(ValueError):
         TwoPointFunction(diagonal=1.5)
 

@@ -6,6 +6,7 @@ import pytest
 
 from spreadlab.cli import build_config, build_parser, main, parse_window, read_config_file
 from spreadlab.reports import SuiteReport
+from spreadlab import suites
 from spreadlab.suites import SUITES, ConfigError, RunConfig, run_suites
 
 
@@ -83,11 +84,11 @@ def test_exit_one_on_vacuous_simplex(tmp_path, capsys):
     assert data["details"]["failed_because"] == "coverage 0.001 below the floor 0.5"
 
 
-def test_exit_one_on_nan_kernel(capsys):
-    assert main(["car", "--check", "stationary", "--C", "nan"]) == 1
-    captured = capsys.readouterr()
-    assert captured.err == "FAILED: car/stationary\n"
-    assert "max deviation  nan" in captured.out
+@pytest.mark.parametrize("coupling", ["nan", "inf"])
+def test_exit_two_on_nonfinite_coupling(coupling, capsys):
+    assert main(["car", "--check", "stationary", "--C", coupling]) == 2
+    err = capsys.readouterr().err
+    assert err == f"config error: coupling must be finite and nonnegative, got {coupling}\n"
 
 
 @pytest.mark.parametrize("model, window", [("car", "0..20"), ("boolean", "0..5000")])
@@ -98,6 +99,27 @@ def test_exit_two_on_dense_budget(model, window, capsys):
     assert "above the budget of 4096" in err and err.count("\n") == 1
 
 
+class _RowBuilt(Exception):
+    pass
+
+
+@pytest.mark.parametrize("window, admitted", [("0..6", True), ("0..7", False)])
+def test_hamel_budget_checked_before_allocating(window, admitted, monkeypatch, capsys):
+    def build_row(*args):
+        raise _RowBuilt
+
+    monkeypatch.setattr(suites, "evaluate_word", build_row)
+    argv = ["monotone", "--check", "hamel", "--window", window]
+    if admitted:  # 841 x 99^2 entries, within 4096^2
+        with pytest.raises(_RowBuilt):
+            main(argv)
+        return
+    assert main(argv) == 2  # 1369 x 163^2 entries
+    err = capsys.readouterr().err
+    assert err.startswith("config error: monotone/hamel: window [0, 7] needs a row matrix")
+    assert err.count("\n") == 1
+
+
 def test_default_reports_name_no_failure_reason(tmp_path):
     assert main(["monoid", "--samples", "20", "--format", "json", "--out", str(tmp_path)]) == 0
     summary = json.loads((tmp_path / "summary.json").read_text())
@@ -106,6 +128,15 @@ def test_default_reports_name_no_failure_reason(tmp_path):
 
 def test_suites_keep_their_names():
     assert SUITES["monotone"]["simplex"].__name__ == "monotone_simplex"
+    # The table keeps definition order, which is the run order.
+    assert {model: list(table) for model, table in SUITES.items()} == {
+        "monoid": ["compose-oracle", "semidirect", "localize"],
+        "monotone": ["relations", "hamel", "simplex"],
+        "qdeformed": ["inner", "relations", "vacuum"],
+        "boolean": ["relations", "morphism", "simplex"],
+        "car": ["relations", "stationary", "witness", "positivity"],
+    }
+    assert list(SUITES) == ["monoid", "monotone", "qdeformed", "boolean", "car"]
 
 
 def test_exit_one_on_suite_failure(monkeypatch, capsys):

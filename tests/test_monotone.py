@@ -1,6 +1,8 @@
 """Monotone Fock truncation: relations, normally ordered words, and the
 segment of spreading-invariant states."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,7 +14,6 @@ from spreadlab.monotone import (
     MonotoneBasis,
     diagonal_number_words,
     lambda_forms,
-    lambda_matrix,
 )
 from spreadlab.operators import (
     Kind,
@@ -24,6 +25,7 @@ from spreadlab.operators import (
     mixture,
     word,
 )
+from spreadlab.suites import SUITES, RunConfig
 from spreadlab.symmetry import check_symmetry, spreading_family
 
 
@@ -155,11 +157,11 @@ def test_lambda_form_validation():
 def test_identity_form(basis):
     form = LambdaForm()
     assert form.length == 0
-    assert np.array_equal(lambda_matrix(basis, form).matrix, np.eye(basis.dim))
+    assert np.array_equal(evaluate_word(basis, form.word()).matrix, np.eye(basis.dim))
 
 
 def test_number_form_is_diagonal_on_head(basis):
-    m = lambda_matrix(basis, LambdaForm((0,), (0,))).matrix
+    m = evaluate_word(basis, LambdaForm((0,), (0,)).word()).matrix
     expected = np.zeros_like(m)
     for t in basis.labels:
         if t and t[0] == 0:
@@ -170,15 +172,8 @@ def test_number_form_is_diagonal_on_head(basis):
 
 def test_two_creator_form_on_vacuum():
     b = MonotoneBasis((0, 3), 2)
-    out = lambda_matrix(b, LambdaForm((0, 1), ())).matrix @ b.space.basis_vector(VACUUM)
+    out = evaluate_word(b, LambdaForm((0, 1), ()).word()).matrix @ b.space.basis_vector(VACUUM)
     assert np.array_equal(out, b.space.basis_vector((0, 1)))
-
-
-def test_lambda_matrix_agrees_with_word_evaluation(basis):
-    for form in lambda_forms(range(0, 5), 2, 2):
-        direct = lambda_matrix(basis, form).matrix
-        via_word = evaluate_word(basis, form.word()).matrix
-        assert np.array_equal(direct, via_word)
 
 
 def test_lambda_text_roundtrip():
@@ -274,13 +269,19 @@ def test_hamel_family_independent_at_desk_scale():
     for form in lambda_forms(range(0, 5), 2, 2):
         if form.creators == form.annihilators and form.length == 2:
             continue  # the diagonal pairs enter through the reversed product
-        rows.append(lambda_matrix(b, form).matrix.ravel())
+        rows.append(evaluate_word(b, form.word()).matrix.ravel())
     for w in diagonal_number_words(range(0, 5)):
         rows.append(evaluate_word(b, w).matrix.ravel())
     rows.append(np.eye(b.dim, dtype=complex).ravel())
     sigma = np.linalg.svd(np.array(rows), compute_uv=False)
     assert len(rows) == 256
     assert sigma[-1] > 1e-8
+
+
+@pytest.mark.parametrize("width", [1, 2, 3, 5])
+def test_hamel_family_size_closed_form(width):
+    report = SUITES["monotone"]["hamel"](RunConfig(window=(0, width - 1), depth=2))
+    assert report.details["family_size"] == (1 + width + math.comb(width, 2)) ** 2
 
 
 # ---------------------------------------------------------------------------

@@ -57,7 +57,7 @@ def test_check_symmetry_matches_list_reference(data, tol):
     # values[i] with values[i+1].
     values = data.draw(deviation_lists(tol).filter(lambda v: len(v) >= 2))
     n = len(values) - 1
-    state = StateFunctional("table", (0, n), lambda w: values[w.indices()[0]])
+    state = StateFunctional((0, n), lambda w: values[w.indices()[0]])
     words = [word(creator(i)) for i in range(n)]
     check = check_symmetry(state, words, SymmetryFamily("shift", (tau_pow(1),)), tol, 3)
     sizes = [abs(complex(values[i]) - complex(values[i + 1])) for i in range(n)]
@@ -69,7 +69,7 @@ def test_check_symmetry_matches_list_reference(data, tol):
 
 
 def test_nan_state_fails_with_witness():
-    state = StateFunctional("broken", (-5, 5), lambda w: math.nan)
+    state = StateFunctional((-5, 5), lambda w: math.nan)
     check = check_symmetry(state, [word(creator(0))], SymmetryFamily("shift", (tau_pow(1),)))
     assert not check.passed
     assert math.isnan(check.max_deviation)
@@ -144,6 +144,7 @@ def test_report_extra_condition_and_fields():
     found = Deviations(1e-12)
     found.add(np.array([1e-13, -2e-13]))
     assert found.report("m", "s", "c", 7).passed
-    report = found.report("m", "s", "c", 7, extra_ok=False)
+    found.require(False)
+    report = found.report("m", "s", "c", 7)
     assert not report.passed and "failed_because" not in report.details
     assert (report.samples, report.max_deviation, report.seed) == (1, 2e-13, 7)
