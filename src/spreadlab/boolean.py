@@ -60,6 +60,11 @@ class BooleanSpace:
     def space(self) -> TruncatedSpace:
         return TruncatedSpace(self.labels)
 
+    def has_label(self, label) -> bool:
+        """The vacuum label # or a window index."""
+        lo, hi = self.window
+        return label == SHARP or (isinstance(label, (int, np.integer)) and lo <= label <= hi)
+
     @property
     def dim(self) -> int:
         lo, hi = self.window

@@ -12,9 +12,10 @@ import json
 import re
 import sys
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 from .reports import CSV_HEADER, SuiteReport
-from .suites import SUITES, ConfigError, RunConfig, run_suites
+from .suites import ONE_MODEL_FIELDS, SUITES, ConfigError, RunConfig, all_rejects, run_suites
 
 _WINDOW_RE = re.compile(r"(-?\d+)\.\.(-?\d+)")
 
@@ -24,6 +25,46 @@ def parse_window(text: str) -> tuple[int, int]:
     if m is None:
         raise ConfigError(f"window must look like 'lo..hi', got {text!r}")
     return int(m.group(1)), int(m.group(2))
+
+
+class Option(NamedTuple):
+    """A :class:`RunConfig` field, its flag and config-key spellings and the one
+    parser both go through (a repeated flag's values are joined with commas)."""
+
+    field: str
+    flags: tuple[str, ...]
+    keys: tuple[str, ...]
+    parse: Callable[[str], object]
+    help: str | None = None
+    metavar: str | None = None
+    repeatable: bool = False
+
+    def read(self, raw: str):
+        try:
+            return self.parse(raw)
+        except ValueError as exc:
+            raise ConfigError(f"bad value for {self.field!r}: {exc}") from exc
+
+
+OPTIONS = (
+    Option("suites", ("--suite", "--check"), ("suites", "suite", "check"),
+           lambda v: tuple(s.strip() for s in v.split(",") if s.strip()),
+           "suite to run (repeatable); default runs all suites of the model", "NAME", True),
+    Option("window", ("--window",), ("window",), parse_window, metavar="LO..HI"),
+    Option("depth", ("--depth",), ("depth",), int),
+    Option("q", ("--q",), ("q",), float, "deformation in (-1, 1)"),
+    Option("tol", ("--tol",), ("tol",), float),
+    Option("samples", ("--samples",), ("samples",), int),
+    Option("seed", ("--seed",), ("seed",), int),
+    Option("fmt", ("--format",), ("fmt", "format"), str, metavar="{json,text,csv}"),
+    Option("out", ("--out",), ("out",), str, metavar="DIR"),
+    Option("coupling", ("--C",), ("coupling", "C"), float, "kernel coupling"),
+    Option("diagonal", ("--diag",), ("diagonal", "diag"), float),
+    Option("words_file", ("--words-file",), ("words_file",), str,
+           "fixture of normally-ordered words, one D[..]A[..] per line", "FILE"),
+)
+
+_BY_KEY = {key: option for option in OPTIONS for key in option.keys}
 
 
 def read_config_file(path: str) -> dict[str, str]:
@@ -44,92 +85,53 @@ def read_config_file(path: str) -> dict[str, str]:
     return values
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message: str):  # an unknown flag or a missing value
+        raise ConfigError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="spreadlab",
         description="Run invariance and relation check suites for the operator models.",
     )
     sub = parser.add_subparsers(dest="model", required=True)
-    for model in list(SUITES) + ["all"]:
+    for model in [*SUITES, "all"]:
         p = sub.add_parser(model, help=f"suites: {', '.join(SUITES.get(model, ['everything']))}")
-        p.add_argument(
-            "--suite",
-            "--check",
-            dest="suites",
-            action="append",
-            default=None,
-            metavar="NAME",
-            help="suite to run (repeatable); default runs all suites of the model",
-        )
-        p.add_argument("--window", default=None, metavar="LO..HI")
-        p.add_argument("--depth", type=int, default=None)
-        p.add_argument("--q", type=float, default=None, help="deformation in (-1, 1)")
-        p.add_argument("--tol", type=float, default=None)
-        p.add_argument("--samples", type=int, default=None)
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--format", dest="fmt", choices=("json", "text", "csv"), default=None)
-        p.add_argument("--out", default=None, metavar="DIR")
-        p.add_argument("--config", default=None, metavar="FILE", help="key=value defaults")
-        p.add_argument("--C", dest="coupling", type=float, default=None, help="kernel coupling")
-        p.add_argument("--diag", dest="diagonal", type=float, default=None)
-        p.add_argument("--words-file", default=None, metavar="FILE",
-                       help="fixture of normally-ordered words, one D[..]A[..] per line")
+        for option in OPTIONS:
+            p.add_argument(
+                *option.flags, dest=option.field, metavar=option.metavar, help=option.help,
+                action="append" if option.repeatable else "store",
+            )
+        p.add_argument("--config", metavar="FILE", help="key=value defaults")
     return parser
 
 
-_CONFIG_PARSERS = {
-    "window": parse_window,
-    "depth": int,
-    "q": float,
-    "tol": float,
-    "samples": int,
-    "seed": int,
-    "fmt": str,
-    "format": str,
-    "out": str,
-    "coupling": float,
-    "C": float,
-    "diag": float,
-    "diagonal": float,
-    "suites": lambda v: tuple(s.strip() for s in v.split(",") if s.strip()),
-    "suite": lambda v: tuple(s.strip() for s in v.split(",") if s.strip()),
-    "check": lambda v: tuple(s.strip() for s in v.split(",") if s.strip()),
-    "words_file": str,
-}
-
-_CONFIG_ALIASES = {"format": "fmt", "C": "coupling", "diag": "diagonal",
-                   "suite": "suites", "check": "suites"}
-
-
 def build_config(args: argparse.Namespace) -> RunConfig:
-    config = RunConfig(model=args.model)
+    values = {}
     if args.config:
         for key, raw in read_config_file(args.config).items():
-            if key not in _CONFIG_PARSERS:
+            if key not in _BY_KEY:
                 raise ConfigError(f"unknown config key {key!r}")
-            try:
-                value = _CONFIG_PARSERS[key](raw)
-            except (ValueError, ConfigError) as exc:
-                raise ConfigError(f"bad value for {key!r}: {exc}") from exc
-            setattr(config, _CONFIG_ALIASES.get(key, key), value)
-    # Explicit flags override file values.
-    for key in ("depth", "q", "tol", "samples", "seed", "fmt", "out",
-                "coupling", "diagonal", "words_file"):
-        value = getattr(args, key)
-        if value is not None:
-            setattr(config, key, value)
-    if args.window is not None:
-        config.window = parse_window(args.window)
-    if args.suites is not None:
-        config.suites = tuple(args.suites)
+            option = _BY_KEY[key]
+            value = option.read(raw)
+            # ``all`` skips the keys a shared file sets for single-model runs.
+            if args.model != "all" or option.field not in ONE_MODEL_FIELDS:
+                values[option.field] = value
+    for option in OPTIONS:  # explicit flags win
+        raw = getattr(args, option.field)
+        if raw is None:
+            continue
+        if args.model == "all" and option.field in ONE_MODEL_FIELDS:
+            raise all_rejects(option.field)
+        values[option.field] = option.read(",".join(raw) if option.repeatable else raw)
+    config = RunConfig(model=args.model, **values)
     config.validate()
     return config
 
 
 def emit(reports: list[SuiteReport], config: RunConfig) -> None:
-    out_dir = Path(config.out) if config.out else None
-    if out_dir:
-        out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = Path(config.out) if config.out else None  # made by main
     csv_lines = [CSV_HEADER]
     for report in reports:
         name = f"{report.model}_{report.suite}"
@@ -179,10 +181,15 @@ def _merge_window_values(argv: list[str]) -> list[str]:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(_merge_window_values(argv if argv is not None else sys.argv[1:]))
+    argv = _merge_window_values(argv if argv is not None else sys.argv[1:])
     try:
+        args = build_parser().parse_args(argv)
         config = build_config(args)
+        if config.out:  # made before any suite runs
+            try:
+                Path(config.out).mkdir(parents=True, exist_ok=True)
+            except OSError as exc:
+                raise ConfigError(f"cannot create output directory: {exc}") from exc
         reports = run_suites(config)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

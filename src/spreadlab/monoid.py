@@ -27,7 +27,6 @@ below 2**60 in absolute value.
 from __future__ import annotations
 
 import re
-from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Mapping, Sequence, Union
 
@@ -100,17 +99,15 @@ def evaluate(f: IncreasingMap, k: int) -> int:
 
     f is the unique increasing bijection from Z onto Z minus the gap set
     whose rank function x -> x - #{gaps below x} satisfies rank(f(k)) =
-    k + offset.  The solution lies in [t, t + #gaps] for t = k + offset.
+    k + offset.  Starting from x = k + offset, one sweep over the sorted gaps
+    steps x past every gap at or below it.
     """
-    gaps = f.gaps
-    target = k + f.offset
-    for x in range(target, target + len(gaps) + 1):
-        i = bisect_left(gaps, x)
-        if i < len(gaps) and gaps[i] == x:
-            continue
-        if x - i == target:
-            return x
-    raise AssertionError("canonical form violated its own rank equation")
+    x = k + f.offset
+    for gap in f.gaps:
+        if gap > x:
+            break
+        x += 1
+    return x
 
 
 def compose(f: IncreasingMap, g: IncreasingMap) -> IncreasingMap:

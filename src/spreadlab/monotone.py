@@ -60,6 +60,16 @@ class MonotoneBasis:
     def space(self) -> TruncatedSpace:
         return TruncatedSpace(self.labels)
 
+    def has_label(self, label) -> bool:
+        """A strictly increasing tuple of window indices, at most depth long."""
+        lo, hi = self.window
+        return (
+            isinstance(label, tuple)
+            and len(label) <= self.depth
+            and all(lo <= i <= hi for i in label)
+            and all(a < b for a, b in zip(label, label[1:]))
+        )
+
     @property
     def dim(self) -> int:
         lo, hi = self.window

@@ -9,7 +9,9 @@ right, leftmost factor applied last.
 
 Every model implements one label action, ``act(kind, index, label)``, giving
 the weighted basis labels that a creator or annihilator sends one basis
-label to, plus an inclusive index ``window`` and its ``labels``/``space``.
+label to, plus an inclusive index ``window`` and its ``labels``/``space``;
+a model with vector states also tests label membership in closed form
+(``has_label``), without enumerating its labels.
 Everything else is derived here once: the window check, position letters
 (creator images, then annihilator images), unit letters, the dict walker
 :func:`walk`, dense letter matrices and the vector states.  Dense matrices are
@@ -348,7 +350,7 @@ def evaluate_word(model, w: Word) -> Operator:
 def label_state(model, label: Hashable) -> StateFunctional:
     """Vector state w -> <e_label, w e_label> on an orthonormal basis, read
     off the model's walker."""
-    if label not in set(model.labels):
+    if not model.has_label(label):
         raise ValueError(f"{label!r} is not a basis label")
 
     def rule(w: Word) -> complex:

@@ -119,6 +119,15 @@ class QBasis:
     def space(self) -> TruncatedSpace:
         return TruncatedSpace(self.labels, self.gram)
 
+    def has_label(self, label) -> bool:
+        """A tuple of window indices, at most depth long."""
+        lo, hi = self.window
+        return (
+            isinstance(label, tuple)
+            and len(label) <= self.depth
+            and all(lo <= i <= hi for i in label)
+        )
+
     @property
     def dim(self) -> int:
         lo, hi = self.window
@@ -164,7 +173,7 @@ class QBasis:
 
     def vector_state(self, label: Label | int) -> StateFunctional:
         base: Label = (label,) if isinstance(label, int) else tuple(label)
-        if base not in set(self.labels):
+        if not self.has_label(base):
             raise ValueError(f"{base!r} is not a basis label")
 
         def rule(w: Word) -> complex:

@@ -12,7 +12,7 @@ from __future__ import annotations
 import functools
 import math
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from typing import Callable
@@ -58,6 +58,17 @@ class ConfigError(ValueError):
     """Invalid run configuration (reported with exit code 2)."""
 
 
+# RunConfig fields that select and size the suites of one model; ``all`` runs
+# every suite at its own defaults and rejects them.
+ONE_MODEL_FIELDS = ("suites", "window", "depth", "samples")
+
+
+def all_rejects(field: str) -> ConfigError:
+    return ConfigError(
+        f"'all' runs every suite at its own defaults; {field!r} applies to one model"
+    )
+
+
 @dataclass
 class RunConfig:
     model: str = "all"
@@ -75,6 +86,10 @@ class RunConfig:
     words_file: str | None = None
 
     def validate(self) -> None:
+        if self.model == "all":
+            for field in ONE_MODEL_FIELDS:
+                if getattr(self, field) not in (None, ()):
+                    raise all_rejects(field)
         if self.window is not None and self.window[0] > self.window[1]:
             raise ConfigError(f"empty window {self.window}")
         if not 0 < self.tol < 1:
@@ -245,19 +260,20 @@ def monotone_hamel(config: RunConfig) -> tuple[Deviations, dict]:
             f"window [{lo}, {hi}] needs a row matrix of {family_size} x {basis.dim}^2"
             f" entries, above the budget of {MAX_DENSE_DIM}^2"
         )
-    rows = []
-    for form in lambda_forms(range(lo, hi + 1), 2, 2):
-        if (
-            len(form.creators) == 1
-            and len(form.annihilators) == 1
-            and form.creators == form.annihilators
-        ):
-            continue  # diagonal pairs enter through the reversed product instead
-        rows.append(evaluate_word(basis, form.word()).matrix.ravel())
-    for w in diagonal_number_words(range(lo, hi + 1)):
-        rows.append(evaluate_word(basis, w).matrix.ravel())
-    rows.append(np.eye(basis.dim, dtype=complex).ravel())
-    sigma_min = float(np.linalg.svd(np.array(rows), compute_uv=False)[-1])
+    words = [
+        form.word()
+        for form in lambda_forms(range(lo, hi + 1), 2, 2)
+        # diagonal pairs enter through the reversed product instead
+        if not (len(form.creators) == len(form.annihilators) == 1
+                and form.creators == form.annihilators)
+    ]
+    words += diagonal_number_words(range(lo, hi + 1))
+    # One row per family member, filled in place; the last is the identity.
+    rows = np.empty((len(words) + 1, basis.dim**2), dtype=complex)
+    for r, w in enumerate(words):
+        rows[r] = evaluate_word(basis, w).matrix.ravel()
+    rows[-1] = np.eye(basis.dim, dtype=complex).ravel()
+    sigma_min = float(np.linalg.svd(rows, compute_uv=False)[-1])
     found = Deviations()
     found.samples = len(rows)  # one sample per family member; no deviations
     found.require(sigma_min > 1e-8)
@@ -589,32 +605,24 @@ def car_positivity(config: RunConfig) -> tuple[Deviations, dict]:
 
 
 def run_suites(config: RunConfig) -> list[SuiteReport]:
-    """Run the selected suites; unknown names raise :class:`ConfigError`."""
+    """Run the selected suites; a bad model or suite name is a ConfigError first."""
     config.validate()
-    models = list(SUITES) if config.model == "all" else [config.model]
-    if config.model not in list(SUITES) + ["all"]:
+    if config.model not in [*SUITES, "all"]:
         raise ConfigError(f"unknown model {config.model!r}")
+    models = list(SUITES) if config.model == "all" else [config.model]
+    selected = [(model, name) for model in models for name in config.suites or SUITES[model]]
+    for model, name in selected:
+        if name not in SUITES[model]:
+            raise ConfigError(
+                f"unknown suite {name!r} for model {model!r};"
+                f" available: {', '.join(SUITES[model])}"
+            )
     reports = []
-    for model in models:
-        table = SUITES[model]
-        # Suite selection applies to a single model; "all" runs everything at
-        # the per-suite default windows and sample counts.
-        if config.model == "all":
-            names = tuple(table)
-            suite_config = replace(config, window=None, depth=None, samples=None)
-        else:
-            names = config.suites or tuple(table)
-            suite_config = config
-        for name in names:
-            if name not in table:
-                raise ConfigError(
-                    f"unknown suite {name!r} for model {model!r};"
-                    f" available: {', '.join(table)}"
-                )
-            try:
-                reports.append(table[name](suite_config))
-            except ValueError as exc:
-                # Models and states reject windows, depths and labels that
-                # do not fit together; that is bad configuration too.
-                raise ConfigError(f"{model}/{name}: {exc}") from exc
+    for model, name in selected:
+        try:
+            reports.append(SUITES[model][name](config))
+        except ValueError as exc:
+            # Models and states reject windows, depths and labels that
+            # do not fit together; that is bad configuration too.
+            raise ConfigError(f"{model}/{name}: {exc}") from exc
     return reports

@@ -4,7 +4,9 @@ import json
 
 import pytest
 
-from spreadlab.cli import build_config, build_parser, main, parse_window, read_config_file
+from spreadlab.cli import (
+    OPTIONS, build_config, build_parser, main, parse_window, read_config_file,
+)
 from spreadlab.reports import SuiteReport
 from spreadlab import suites
 from spreadlab.suites import SUITES, ConfigError, RunConfig, run_suites
@@ -148,6 +150,131 @@ def test_exit_one_on_suite_failure(monkeypatch, capsys):
     monkeypatch.setitem(SUITES["car"], "witness", failing)
     assert main(["car", "--check", "witness"]) == 1
     assert "FAILED: car/witness" in capsys.readouterr().err
+
+
+def test_option_spellings_are_kept():
+    assert sorted(flag for o in OPTIONS for flag in o.flags) == sorted([
+        "--suite", "--check", "--window", "--depth", "--q", "--tol", "--samples",
+        "--seed", "--format", "--out", "--C", "--diag", "--words-file",
+    ])
+    assert sorted(key for o in OPTIONS for key in o.keys) == sorted([
+        "window", "depth", "q", "tol", "samples", "seed", "fmt", "format", "out",
+        "coupling", "C", "diag", "diagonal", "suites", "suite", "check", "words_file",
+    ])
+    assert {o.field for o in OPTIONS} == set(RunConfig.__dataclass_fields__) - {"model"}
+
+
+# field -> (the arguments before the option, a good value, a bad value).
+OPTION_CASES = {
+    "suites": (["monoid"], "semidirect,localize", "nonsense"),
+    "window": (["monoid"], "1..3", "a..b"),
+    "depth": (["monotone"], "3", "abc"),
+    "q": (["qdeformed"], "-0.5", "1.5"),
+    "tol": (["monoid"], "1e-9", "2"),
+    "samples": (["monoid"], "20", "0"),
+    "seed": (["monoid"], "9", "1.5"),
+    "fmt": (["monoid"], "json", "xml"),
+    "out": (["monoid"], "reports", "{file}/reports"),
+    "coupling": (["car"], "0.5", "nan"),
+    "diagonal": (["car"], "0.25", "2"),
+    "words_file": (["monotone", "--check", "simplex"], "words.txt", "{tmp}/missing.txt"),
+}
+
+
+def _from_flags(argv):
+    return build_config(build_parser().parse_args(argv))
+
+
+@pytest.mark.parametrize("option", OPTIONS, ids=lambda o: o.field)
+def test_flags_and_config_keys_cannot_drift(option, tmp_path, capsys):
+    assert set(OPTION_CASES) == {o.field for o in OPTIONS}
+    prefix, good, bad = OPTION_CASES[option.field]
+    (tmp_path / "file").write_text("")
+    bad = bad.format(file=tmp_path / "file", tmp=tmp_path)
+    cfg = tmp_path / "run.cfg"
+
+    configs = [_from_flags([*prefix, flag, good]) for flag in option.flags]
+    for key in option.keys:
+        cfg.write_text(f"{key}={good}\n")
+        configs.append(_from_flags([*prefix, "--config", str(cfg)]))
+    if option.repeatable:
+        repeated = [arg for name in good.split(",") for arg in (option.flags[0], name)]
+        configs.append(_from_flags([*prefix, *repeated]))
+    assert configs[0] != _from_flags(prefix)
+    assert all(config == configs[0] for config in configs)
+
+    errors = set()
+    for flag in option.flags:
+        assert main([*prefix, flag, bad]) == 2
+        errors.add(capsys.readouterr().err)
+    for key in option.keys:
+        cfg.write_text(f"{key}={bad}\n")
+        assert main([*prefix, "--config", str(cfg)]) == 2
+        errors.add(capsys.readouterr().err)
+    (err,) = errors
+    assert err.startswith("config error: ") and err.count("\n") == 1
+
+
+@pytest.fixture
+def suites_run(monkeypatch):
+    """Replace every suite by a stub that records that it ran."""
+    ran = []
+    for model, table in SUITES.items():
+        for name in table:
+            monkeypatch.setitem(table, name, lambda config, name=name: ran.append(name))
+    return ran
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["monoid", "--depth", "abc"], "bad value for 'depth'"),
+    (["monoid", "--seed", "1.5"], "bad value for 'seed'"),
+    (["monoid", "--format", "xml"], "unknown format 'xml'"),
+    (["monoid", "--bogus"], "unrecognized arguments: --bogus"),
+    (["monoid", "--depth"], "argument --depth: expected one argument"),
+    (["monoid", "--out", "{file}/reports"], "cannot create output directory"),
+    (["all", "--window", "0..3"], "'all' runs every suite at its own defaults"),
+    (["all", "--check", "simplex"], "'all' runs every suite at its own defaults"),
+    (["all", "--depth", "2"], "'all' runs every suite at its own defaults"),
+    (["all", "--samples", "5"], "'all' runs every suite at its own defaults"),
+    (["all", "--check", ","], "'all' runs every suite at its own defaults"),
+    (["monoid", "--check", "localize", "--check", "nonsense"], "unknown suite 'nonsense'"),
+    ([], "the following arguments are required: model"),
+])
+def test_bad_input_is_one_config_error_line(argv, message, tmp_path, suites_run, capsys):
+    (tmp_path / "file").write_text("")
+    argv = [arg.format(file=tmp_path / "file") for arg in argv]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"config error: {message}")
+    assert captured.err.count("\n") == 1 and captured.out == ""
+    assert suites_run == []
+
+
+def test_all_skips_one_model_keys_from_a_shared_config_file(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("seed=7\nwindow=0..3\ndepth=2\nsamples=5\ncheck=simplex\n")
+    assert _from_flags(["all", "--config", str(cfg)]) == RunConfig(model="all", seed=7)
+    assert _from_flags(["monotone", "--config", str(cfg)]) == RunConfig(
+        model="monotone", seed=7, window=(0, 3), depth=2, samples=5, suites=("simplex",)
+    )
+    cfg.write_text("depth=abc\n")  # a bad value is still bad under 'all'
+    with pytest.raises(ConfigError, match="bad value for 'depth'"):
+        _from_flags(["all", "--config", str(cfg)])
+
+
+def test_all_rejects_one_model_fields_in_run_config():
+    for field, value in [("suites", ("simplex",)), ("window", (0, 3)), ("depth", 2),
+                         ("samples", 5)]:
+        with pytest.raises(ConfigError, match=f"{field!r} applies to one model"):
+            run_suites(RunConfig(model="all", **{field: value}))
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["monoid", "--help"]])
+def test_help_exits_zero(argv, capsys):
+    with pytest.raises(SystemExit) as exit_:
+        main(argv)
+    assert exit_.value.code == 0
+    assert "usage: spreadlab" in capsys.readouterr().out
 
 
 def test_config_file_defaults_and_flag_override(tmp_path):

@@ -129,6 +129,27 @@ def test_compose_associative(f, g, h):
     assert compose(compose(f, g), h) == compose(f, compose(g, h))
 
 
+def rank_equation_value(f, k):
+    """f(k) by its definition: the x outside the gaps whose rank
+    x - #{gaps below x} is k + offset, searched in [t, t + #gaps]."""
+    target = k + f.offset
+    for x in range(target, target + len(f.gaps) + 1):
+        if x not in f.gaps and x - sum(g < x for g in f.gaps) == target:
+            return x
+    raise AssertionError("no solution of the rank equation")
+
+
+@given(
+    offset=st.integers(-40, 40),
+    gaps=st.sets(st.integers(-60, 60), max_size=15).map(lambda s: tuple(sorted(s))),
+    k=st.integers(-100, 100),
+)
+@settings(max_examples=300)
+def test_evaluate_matches_rank_equation(offset, gaps, k):
+    f = IncreasingMap(offset, gaps)
+    assert evaluate(f, k) == rank_equation_value(f, k)
+
+
 @given(f=increasing_maps)
 @settings(max_examples=60)
 def test_evaluate_strictly_increasing(f):

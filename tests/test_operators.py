@@ -359,6 +359,43 @@ def test_closed_form_dim_counts_the_labels(name, lo, width, depth):
     assert model.dim == len(model.labels)
 
 
+LABEL_MODELS = ("monotone", "qdeformed", "boolean")
+
+
+@given(
+    name=st.sampled_from(LABEL_MODELS),
+    lo=st.integers(-3, 3),
+    width=st.integers(1, 4),
+    depth=st.integers(1, 3),
+    candidates=st.lists(st.lists(st.integers(-5, 5), max_size=4), max_size=10),
+)
+@settings(max_examples=100, deadline=None)
+def test_has_label_matches_the_enumeration(name, lo, width, depth, candidates):
+    model = MODELS[name]((lo, lo + width - 1), depth)
+    labels = set(model.labels)
+    assert all(model.has_label(label) for label in labels)
+    for entries in candidates:
+        label = entries[0] if name == "boolean" and entries else tuple(entries)
+        assert model.has_label(label) == (label in labels)
+
+
+def _no_enumeration(self):
+    raise AssertionError("the labels were enumerated")
+
+
+@pytest.mark.parametrize("name", ["monotone", "qdeformed"])
+def test_vector_states_check_labels_without_enumerating(name, monkeypatch):
+    cls = {"monotone": MonotoneBasis, "qdeformed": QBasis}[name]
+    monkeypatch.setattr(cls, "labels", property(_no_enumeration))
+    # 17**40 labels: enumerating them cannot finish.
+    model = MODELS[name]((-8, 8), 40)
+    assert model.vacuum_state()(word(annihilator(0), creator(0))) == 1
+    assert model.vector_state((1,))(word(creator(1), annihilator(1))) == 1
+    for label in [(9,), (1, 0) if name == "monotone" else (0,) * 41]:
+        with pytest.raises(ValueError, match="is not a basis label"):
+            model.vector_state(label)
+
+
 @pytest.mark.parametrize(
     "model",
     [FermionChain((0, 20)), MonotoneBasis((0, 40), 4), QBasis((0, 15), 3, 0.5)],
