@@ -27,11 +27,9 @@ from .operators import (
     Kind,
     StateFunctional,
     TruncatedSpace,
-    Word,
     annihilator_matrix,
     check_space,
     creator_matrix,
-    evaluate_word,
     label_state,
     walk,
 )
@@ -117,23 +115,15 @@ class BooleanSpace:
 
     apply_word = walk
 
-    def word_element(self, w: Word) -> "BooleanElement":
-        """Products of generators are compact; a word of unit letters only is
-        the identity."""
-        if not w.indices():
-            return self.identity()
-        return self.element(evaluate_word(self, w).matrix)
-
     # -- word-level states ---------------------------------------------------------
 
     def sharp_state(self) -> StateFunctional:
         return label_state(self, SHARP)
 
     def infinity_state(self) -> StateFunctional:
-        def rule(w: Word) -> complex:
-            return omega_infinity(self.word_element(w))
-
-        return StateFunctional(self.window, rule)
+        """The scalar part of a word: products of generators are compact, and
+        a word of unit letters only is the identity."""
+        return StateFunctional(self.window, lambda w: 0 if w.indices() else 1)
 
     def vector_state(self, label: Label) -> StateFunctional:
         return label_state(self, label)

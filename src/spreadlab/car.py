@@ -25,9 +25,9 @@ import numpy as np
 from .monoid import IncreasingMap, theta
 from .operators import (
     Kind,
-    Operator,
     TruncatedSpace,
     annihilator_matrix,
+    budget_count,
     check_space,
     creator_matrix,
     position_matrix,
@@ -56,8 +56,8 @@ class FermionChain:
 
     @property
     def dim(self) -> int:
-        lo, hi = self.window
-        return 2 ** (hi - lo + 1)
+        sites = self.window[1] - self.window[0] + 1  # 2**sites, in bounded work
+        return budget_count(math.comb(sites, k) for k in range(sites + 1))
 
     # -- label action; walker and letter matrices are derived from it -------
 
@@ -75,10 +75,6 @@ class FermionChain:
     creator = creator_matrix
     annihilator = annihilator_matrix
     position = position_matrix
-
-
-def anticommutator(a: Operator, b: Operator) -> Operator:
-    return a @ b + b @ a
 
 
 @dataclass(frozen=True)

@@ -25,6 +25,7 @@ from .operators import (
     Word,
     annihilator as annihilator_letter,
     annihilator_matrix,
+    budget_count,
     check_space,
     check_window,
     creator as creator_letter,
@@ -52,7 +53,7 @@ class MonotoneBasis:
     def labels(self) -> tuple[Label, ...]:
         lo, hi = self.window
         out: list[Label] = []
-        for k in range(self.depth + 1):
+        for k in range(min(self.depth, hi - lo + 1) + 1):  # no label outgrows the window
             out.extend(combinations(range(lo, hi + 1), k))
         return tuple(out)
 
@@ -73,7 +74,7 @@ class MonotoneBasis:
     @property
     def dim(self) -> int:
         lo, hi = self.window
-        return sum(comb(hi - lo + 1, k) for k in range(self.depth + 1))
+        return budget_count(comb(hi - lo + 1, k) for k in range(min(self.depth, hi - lo + 1) + 1))
 
     # -- label action; walker and letter matrices are derived from it -------
 
@@ -186,16 +187,16 @@ def lambda_forms(
     max_creators: int,
     max_annihilators: int,
     max_length: int | None = None,
-    include_identity: bool = False,
 ) -> Iterator[LambdaForm]:
-    """All normally ordered words over the index set within the size bounds."""
+    """All normally ordered words over the index set within the size bounds,
+    the identity excluded."""
     idx = sorted(indices)
     for m in range(max_creators + 1):
         for cs in combinations(idx, m):
             for n in range(max_annihilators + 1):
                 if max_length is not None and m + n > max_length:
                     continue
-                if m == n == 0 and not include_identity:
+                if m == n == 0:
                     continue
                 for asc in combinations(idx, n):
                     yield LambdaForm(cs, tuple(reversed(asc)))

@@ -14,17 +14,19 @@ a model with vector states also tests label membership in closed form
 (``has_label``), without enumerating its labels.
 Everything else is derived here once: the window check, position letters
 (creator images, then annihilator images), unit letters, the dict walker
-:func:`walk`, dense letter matrices and the vector states.  Dense matrices are
-built only when the model's closed-form ``dim`` is within
+:func:`walk` and its label maps :func:`sparse_map` (the route by which suites
+apply words), dense letter matrices (oracles) and the vector states.  Labels
+and dense matrices are built only when the model's ``dim`` is within
 :data:`MAX_DENSE_DIM`.
 """
 
 from __future__ import annotations
 
 import re
+from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Hashable, Iterator
+from typing import Callable, Hashable, Iterable, Iterator
 
 import numpy as np
 
@@ -213,20 +215,8 @@ class Operator:
             raise ValueError("operators act on different spaces")
         return Operator(self.space, self.matrix @ other.matrix)
 
-    def __add__(self, other: "Operator") -> "Operator":
-        return Operator(self.space, self.matrix + other.matrix)
-
-    def __sub__(self, other: "Operator") -> "Operator":
-        return Operator(self.space, self.matrix - other.matrix)
-
-    def __rmul__(self, scalar: complex) -> "Operator":
-        return Operator(self.space, complex(scalar) * self.matrix)
-
     def is_zero(self) -> bool:
         return not self.matrix.any()
-
-    def entry(self, row_label, col_label) -> complex:
-        return complex(self.matrix[self.space.index(row_label), self.space.index(col_label)])
 
 
 def metric_adjoint(a: Operator) -> Operator:
@@ -255,24 +245,28 @@ _PARTS = {
 MAX_DENSE_DIM = 4096
 
 
+def budget_count(counts: Iterable[int]) -> int:
+    """Sum of label counts, stopped once above :data:`MAX_DENSE_DIM`: exact
+    within the budget, a lower bound above it, in bounded work."""
+    total = 0
+    for count in counts:
+        total += count
+        if total > MAX_DENSE_DIM:
+            break
+    return total
+
+
 def check_space(window: tuple[int, int], dim: int | None = None) -> None:
-    """Reject an empty window and, given the dimension of a dense matrix about
-    to be allocated, one above :data:`MAX_DENSE_DIM`."""
+    """Reject an empty window and, given the dimension of a dense matrix or
+    label list about to be built, one above :data:`MAX_DENSE_DIM`."""
     lo, hi = window
     if lo > hi:
         raise ValueError(f"empty window [{lo}, {hi}]")
     if dim is not None and dim > MAX_DENSE_DIM:
         raise ValueError(
-            f"window [{lo}, {hi}] needs dense dimension {dim},"
+            f"window [{lo}, {hi}] needs dense dimension {dim} or more,"
             f" above the budget of {MAX_DENSE_DIM}"
         )
-
-
-def dense_space(model) -> TruncatedSpace:
-    """The model's labelled space, once its closed-form ``dim`` fits the
-    dense budget; no label is enumerated before that."""
-    check_space(model.window, model.dim)
-    return model.space
 
 
 def check_window(model, index: int) -> None:
@@ -302,14 +296,32 @@ def walk(model, w: Word, vec: dict) -> dict:
                 for image, weight in act(kind, index, label):
                     c = weight * coeff
                     if c != 0:
-                        out[image] = out.get(image, 0.0) + c
+                        out[image] = out.get(image, 0) + c
         vec = out
     return vec
 
 
+def sparse_map(model, combination: list[tuple[complex, Word]]) -> dict:
+    """Label -> image (label -> weight) of the combination sum(c * w) of
+    (c, w) pairs, walked one basis label at a time; zero weights and labels
+    with a zero image are dropped.  The empty word is the unit."""
+    check_space(model.window, model.dim)
+    out = {}
+    for label in model.labels:
+        image: Counter = Counter()
+        for coeff, w in combination:
+            image.update(walk(model, w, {label: coeff}))
+        nonzero = {target: weight for target, weight in image.items() if weight != 0}
+        if nonzero:
+            out[label] = nonzero
+    return out
+
+
 def letter_matrix(model, letter: Letter) -> Operator:
-    """Dense matrix of one letter over ``model.space.labels``."""
-    space = dense_space(model)
+    """Dense matrix of one letter over ``model.space.labels``, once the
+    model's ``dim`` fits the budget; no label is enumerated before that."""
+    check_space(model.window, model.dim)
+    space = model.space
     if letter.index is None:
         return space.identity()
     check_window(model, letter.index)
@@ -341,7 +353,7 @@ def evaluate_word(model, w: Word) -> Operator:
     matching the usual left-to-right operator strings.  The empty word is the
     identity.
     """
-    out = dense_space(model).identity()
+    out = letter_matrix(model, Letter(Kind.UNIT))
     for letter in w.letters:
         out = out @ letter_matrix(model, letter)
     return out

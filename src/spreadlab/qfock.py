@@ -27,6 +27,7 @@ from .operators import (
     TruncatedSpace,
     Word,
     annihilator_matrix,
+    budget_count,
     check_space,
     creator_matrix,
     label_state,
@@ -131,7 +132,7 @@ class QBasis:
     @property
     def dim(self) -> int:
         lo, hi = self.window
-        return sum((hi - lo + 1) ** k for k in range(self.depth + 1))
+        return budget_count((hi - lo + 1) ** k for k in range(self.depth + 1))
 
     # -- label action; walker and letter matrices are derived from it -------
 

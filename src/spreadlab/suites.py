@@ -41,8 +41,8 @@ from .monotone import (
     lambda_forms,
 )
 from .operators import (
-    MAX_DENSE_DIM, Kind, annihilator, check_space, creator, evaluate_word, metric_adjoint,
-    mixture, word,
+    MAX_DENSE_DIM, Kind, annihilator, check_space, creator, metric_adjoint, mixture, position,
+    sparse_map, word,
 )
 from .qfock import QBasis, q_inner, q_inner_recursive, words_over
 from .reports import Deviations, SuiteReport
@@ -225,19 +225,17 @@ def monotone_relations(config: RunConfig) -> tuple[Deviations, dict]:
     for i in range(lo, hi + 1):
         for j in range(lo, hi + 1):
             if i >= j:
-                found.add((basis.creator(i) @ basis.creator(j)).matrix)
-                found.add((basis.annihilator(j) @ basis.annihilator(i)).matrix)
+                found.add(sparse_map(basis, [(1, word(creator(i), creator(j)))]))
+                found.add(sparse_map(basis, [(1, word(annihilator(j), annihilator(i)))]))
             if i != j:
-                found.add((basis.annihilator(i) @ basis.creator(j)).matrix)
-    eye = np.eye(basis.dim)
-    partial = np.zeros_like(eye)
+                found.add(sparse_map(basis, [(1, word(annihilator(i), creator(j)))]))
+    # a(i) c(i) = 1 - sum over k <= i of c(k) a(k), off the depth-capped labels
+    numbers = []
     for i in range(lo, hi + 1):
-        partial = partial + (basis.creator(i) @ basis.annihilator(i)).matrix
-        lhs = (basis.annihilator(i) @ basis.creator(i)).matrix
-        rhs = eye - partial
-        excluded = {basis.space.index(t) for t in basis.truncation_columns(i)}
-        keep = [c for c in range(basis.dim) if c not in excluded]
-        found.add(lhs[:, keep] - rhs[:, keep])
+        numbers.append((1, word(creator(i), annihilator(i))))
+        defect = sparse_map(basis, [(1, word(annihilator(i), creator(i))), (-1, word()), *numbers])
+        capped = set(basis.truncation_columns(i))
+        found.add({t: image for t, image in defect.items() if t not in capped})
     return found, {"window": list(window), "depth": depth, "dimension": basis.dim}
 
 
@@ -251,13 +249,15 @@ def monotone_hamel(config: RunConfig) -> tuple[Deviations, dict]:
     depth = config.depth or 4
     basis = MonotoneBasis(window, depth)
     lo, hi = window
+    dim = basis.dim
+    check_space(window, dim)  # within the budget, dim is exact
     # Up to two creators times up to two annihilators; the diagonal pairs are
     # swapped for the reversed products and the empty pair is the identity.
     width = hi - lo + 1
     family_size = (1 + width + math.comb(width, 2)) ** 2
-    if family_size * basis.dim**2 > MAX_DENSE_DIM**2:
+    if family_size * dim**2 > MAX_DENSE_DIM**2:
         raise ValueError(
-            f"window [{lo}, {hi}] needs a row matrix of {family_size} x {basis.dim}^2"
+            f"window [{lo}, {hi}] needs a row matrix of {family_size} x {dim}^2"
             f" entries, above the budget of {MAX_DENSE_DIM}^2"
         )
     words = [
@@ -268,11 +268,13 @@ def monotone_hamel(config: RunConfig) -> tuple[Deviations, dict]:
                 and form.creators == form.annihilators)
     ]
     words += diagonal_number_words(range(lo, hi + 1))
-    # One row per family member, filled in place; the last is the identity.
-    rows = np.empty((len(words) + 1, basis.dim**2), dtype=complex)
-    for r, w in enumerate(words):
-        rows[r] = evaluate_word(basis, w).matrix.ravel()
-    rows[-1] = np.eye(basis.dim, dtype=complex).ravel()
+    # Row r is the row-major matrix of word r, from its walked columns.
+    index = basis.space.index
+    rows = np.zeros((len(words) + 1, dim**2), dtype=complex)
+    for r, w in enumerate([*words, word()]):
+        for label, image in sparse_map(basis, [(1, w)]).items():
+            for target, weight in image.items():
+                rows[r, index(target) * dim + index(label)] = weight
     sigma_min = float(np.linalg.svd(rows, compute_uv=False)[-1])
     found = Deviations()
     found.samples = len(rows)  # one sample per family member; no deviations
@@ -432,19 +434,15 @@ def qdeformed_vacuum(config: RunConfig) -> tuple[Deviations, dict]:
 def boolean_relations(config: RunConfig) -> tuple[Deviations, dict]:
     space = bool_model.BooleanSpace(config.window or (-4, 4))
     lo, hi = space.window
-    check_space(space.window, space.dim)
-    number_sum = space.zero()
-    for k in range(lo, hi + 1):
-        number_sum = number_sum + space.creator(k) * space.annihilator(k)
+    # a(i) c(j) = delta(i, j) times the vacuum projection 1 - sum over k of c(k) a(k)
+    vacuum = [(-1, word()), *((1, word(creator(k), annihilator(k))) for k in range(lo, hi + 1))]
     found = Deviations()
     for i in range(lo, hi + 1):
         for j in range(lo, hi + 1):
-            delta = 1.0 if i == j else 0.0
-            lhs = space.annihilator(i) * space.creator(j)
-            rhs = delta * (space.identity() - number_sum)
-            found.add(lhs.total_matrix() - rhs.total_matrix())
-            unit = space.creator(i) * space.annihilator(j)
-            found.add(unit.total_matrix() - space.matrix_unit(i, j).total_matrix())
+            match = vacuum if i == j else []
+            found.add(sparse_map(space, [(1, word(annihilator(i), creator(j))), *match]))
+            unit = sparse_map(space, [(1, word(creator(i), annihilator(j)))])
+            found.add(int(unit != {j: {i: 1}}))  # the matrix unit E_ij
     return found, {"window": list(space.window)}
 
 
@@ -550,19 +548,15 @@ def car_relations(config: RunConfig) -> tuple[Deviations, dict]:
     window = config.window or (0, 7)
     chain = car_model.FermionChain(window)
     lo, hi = window
-    check_space(window, chain.dim)
-    eye = np.eye(chain.dim)
     found = Deviations()
+    # {c(j), a(k)} = delta(j, k), {a(j), a(k)} = 0 and {x(j), x(k)} = 2 delta(j, k)
+    relations = ((creator, annihilator, 1), (annihilator, annihilator, 0), (position, position, 2))
     for j in range(lo, hi + 1):
         for k in range(lo, hi + 1):
-            mixed = car_model.anticommutator(chain.creator(j), chain.annihilator(k)).matrix
-            found.add(mixed - eye if j == k else mixed)
-            found.add(car_model.anticommutator(chain.annihilator(j), chain.annihilator(k)).matrix)
-            x_j, x_k = chain.position(j), chain.position(k)
-            if j == k:
-                found.add((x_j @ x_j).matrix - eye)
-            else:
-                found.add(car_model.anticommutator(x_j, x_k).matrix)
+            for left, right, unit in relations:
+                a, b = left(j), right(k)
+                rhs = unit if j == k else 0
+                found.add(sparse_map(chain, [(1, word(a, b)), (1, word(b, a)), (-rhs, word())]))
     return found, {"sites": hi - lo + 1, "dimension": chain.dim}
 
 

@@ -10,13 +10,16 @@ from hypothesis import strategies as st
 from spreadlab.car import (
     FermionChain,
     TwoPointFunction,
-    anticommutator,
     positivity_probe,
     spreadability_witness,
     twopoint_stationarity,
 )
 from spreadlab.monoid import tau_pow, theta
-from spreadlab.operators import Kind, Letter, Word
+from spreadlab.operators import Kind, Letter, Operator, Word
+
+def anticommutator(a, b):
+    return Operator(a.space, a.matrix @ b.matrix + b.matrix @ a.matrix)
+
 
 # Reference chain construction, independent of the label action: a sign
 # string over the sites before j and a lowering factor at site j.

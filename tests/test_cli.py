@@ -101,6 +101,23 @@ def test_exit_two_on_dense_budget(model, window, capsys):
     assert "above the budget of 4096" in err and err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "argv, window",
+    [
+        (["qdeformed", "--check", "relations", "--depth", "20000"], "[0, 2]"),
+        (["car", "--check", "relations", "--window", "0..100000000"], "[0, 100000000]"),
+    ],
+    ids=["qdeformed-depth", "car-window"],
+)
+def test_huge_sizes_are_one_short_budget_line(argv, window, capsys):
+    # The dimension is counted only up to the budget, never in full.
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {argv[0]}/relations: window {window} needs")
+    assert err.endswith("above the budget of 4096\n")
+    assert err.count("\n") == 1 and len(err) < 200
+
+
 class _RowBuilt(Exception):
     pass
 
@@ -110,7 +127,7 @@ def test_hamel_budget_checked_before_allocating(window, admitted, monkeypatch, c
     def build_row(*args):
         raise _RowBuilt
 
-    monkeypatch.setattr(suites, "evaluate_word", build_row)
+    monkeypatch.setattr(suites, "sparse_map", build_row)
     argv = ["monotone", "--check", "hamel", "--window", window]
     if admitted:  # 841 x 99^2 entries, within 4096^2
         with pytest.raises(_RowBuilt):

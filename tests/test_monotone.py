@@ -102,6 +102,28 @@ def test_label_count(basis):
     assert lengths == sorted(lengths)
 
 
+def test_depth_beyond_the_window_costs_bounded_work(monkeypatch):
+    from spreadlab import monotone
+
+    calls = []
+
+    def counted(real):
+        def call(*args):
+            calls.append(args)
+            if len(calls) > 20:  # one per label length: at most 9 each
+                raise AssertionError("the loop runs to the depth, not the window")
+            return real(*args)
+
+        return call
+
+    monkeypatch.setattr(monotone, "comb", counted(math.comb))
+    monkeypatch.setattr(monotone, "combinations", counted(monotone.combinations))
+    # No strictly increasing tuple over 8 indices is longer than 8.
+    basis = MonotoneBasis((0, 7), 10**6)
+    assert basis.dim == 256
+    assert len(basis.labels) == 256
+
+
 # ---------------------------------------------------------------------------
 # Algebra relations
 

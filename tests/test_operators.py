@@ -27,6 +27,7 @@ from spreadlab.operators import (
     mixture,
     position,
     relabel,
+    sparse_map,
     word,
 )
 from spreadlab.qfock import QBasis
@@ -415,3 +416,47 @@ def test_gram_checks_the_budget_first():
     with pytest.raises(ValueError, match="dense dimension 4369"):
         basis.gram
     assert "labels" not in vars(basis)
+
+
+# ---------------------------------------------------------------------------
+# The walker's label maps against the dense products
+
+
+@given(
+    name=st.sampled_from(sorted(MODELS)),
+    lo=st.integers(-2, 2),
+    width=st.integers(1, 4),
+    depth=st.integers(1, 3),
+    data=st.data(),
+)
+@settings(max_examples=150, deadline=None)
+def test_sparse_map_matches_dense_products(name, lo, width, depth, data):
+    model = MODELS[name]((lo, lo + width - 1), depth)
+    first, last = model.window
+    letters = st.builds(
+        Letter, st.sampled_from([Kind.CREATOR, Kind.ANNIHILATOR, Kind.POSITION]),
+        st.integers(first, last),
+    )
+    words = st.lists(letters, max_size=3).map(lambda ls: Word(tuple(ls)))
+    combination = data.draw(st.lists(st.tuples(st.integers(-3, 3), words), max_size=4))
+    got = sparse_map(model, combination)
+    dense = np.zeros((model.dim, model.dim), dtype=complex)
+    for coeff, w in combination:
+        dense += coeff * evaluate_word(model, w).matrix
+    walked = np.zeros_like(dense)
+    index = model.space.index
+    for label, image in got.items():
+        for target, weight in image.items():
+            assert weight != 0
+            walked[index(target), index(label)] = weight
+    if name == "qdeformed":  # float weights q**k, summed in another order
+        assert np.allclose(walked, dense, rtol=0, atol=1e-12)
+    else:  # integer weights stay integers, and agree exactly
+        assert np.array_equal(walked, dense)
+        assert all(type(weight) is int for image in got.values() for weight in image.values())
+
+
+def test_sparse_map_of_the_unit_is_the_identity():
+    basis = MonotoneBasis((0, 2), 2)
+    assert sparse_map(basis, [(1, word())]) == {t: {t: 1} for t in basis.labels}
+    assert sparse_map(basis, [(1, word()), (-1, word())]) == {}

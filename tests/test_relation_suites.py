@@ -1,0 +1,36 @@
+"""The relation suites and the Hamel rows apply words through the walker only.
+
+The pinned reports are the texts these suites gave when they still multiplied
+dense letter matrices; the walker must reproduce them byte for byte.
+"""
+
+import json
+from pathlib import Path
+
+import pytest
+
+from spreadlab import operators
+from spreadlab.suites import RunConfig, run_suites
+
+SEED = 20230526
+PINNED = json.loads((Path(__file__).parent / "pinned_reports.json").read_text())
+WALKED = ["monotone/relations", "monotone/hamel", "car/relations", "boolean/relations"]
+
+
+def _run(key):
+    model, name = key.split("/")
+    return run_suites(RunConfig(model=model, suites=(name,), seed=SEED))[0]
+
+
+@pytest.mark.parametrize("key", WALKED)
+def test_report_is_pinned(key):
+    assert _run(key).to_json(include_wall_time=False) == PINNED[key]
+
+
+@pytest.mark.parametrize("key", WALKED)
+def test_suite_builds_no_dense_letter_matrix(key, monkeypatch):
+    def no_dense(*args):
+        raise AssertionError("a dense letter matrix was built")
+
+    monkeypatch.setattr(operators, "letter_matrix", no_dense)
+    assert _run(key).passed
