@@ -140,6 +140,11 @@ def suite(model: str, name: str, claim: str):
 # Monoid suites
 
 
+# Most window points the compose oracle walks for each sampled map pair; the
+# default window has 101.
+MAX_ORACLE_POINTS = 10_000
+
+
 @suite(
     "monoid", "compose-oracle",
     "canonical-form composition agrees pointwise with composing the evaluations"
@@ -148,6 +153,11 @@ def monoid_compose_oracle(config: RunConfig) -> tuple[Deviations, dict]:
     rng = np.random.default_rng(config.seed)
     n = config.samples or 1000
     lo, hi = config.window or (-50, 50)
+    if hi - lo + 1 > MAX_ORACLE_POINTS:
+        raise ValueError(
+            f"window [{lo}, {hi}] has {hi - lo + 1} points, above the budget of"
+            f" {MAX_ORACLE_POINTS}"
+        )
     found = Deviations()
     for _ in range(n):
         f = random_increasing_map(rng)
@@ -239,6 +249,46 @@ def monotone_relations(config: RunConfig) -> tuple[Deviations, dict]:
     return found, {"window": list(window), "depth": depth, "dimension": basis.dim}
 
 
+def smallest_singular_value(rows: list[dict[int, complex]]) -> float:
+    """Least of the ``len(rows)`` singular values of the matrix whose row r
+    has the entries ``rows[r]`` (column -> value) and zeros elsewhere.
+
+    Rows that share no column with each other fall into separate blocks, and
+    the singular values are those of the blocks; a block with more rows than
+    columns adds zeros.  So this is the least over the blocks, each a small
+    dense SVD.  The Hamel rows of the default window give blocks of at most
+    16 x 31, far below the size at which BLAS splits a product over threads,
+    so their value does not depend on the BLAS thread count.
+    """
+    parent = list(range(len(rows)))
+
+    def root(r: int) -> int:
+        while parent[r] != r:
+            parent[r] = parent[parent[r]]
+            r = parent[r]
+        return r
+
+    owner: dict[int, int] = {}  # column -> first row that has it
+    for r, row in enumerate(rows):
+        for c in row:
+            parent[root(owner.setdefault(c, r))] = root(r)
+    blocks: dict[int, list[int]] = {}
+    for r in range(len(rows)):
+        blocks.setdefault(root(r), []).append(r)
+    least = math.inf
+    for members in blocks.values():
+        columns = sorted({c for r in members for c in rows[r]})
+        if len(columns) < len(members):
+            return 0.0
+        at = {c: j for j, c in enumerate(columns)}
+        block = np.zeros((len(members), len(columns)), dtype=complex)
+        for i, r in enumerate(members):
+            for c, value in rows[r].items():
+                block[i, at[c]] = value
+        least = min(least, float(np.linalg.svd(block, compute_uv=False)[-1]))
+    return least
+
+
 @suite(
     "monotone", "hamel",
     "the normally-ordered words, the reversed number products and the"
@@ -270,12 +320,13 @@ def monotone_hamel(config: RunConfig) -> tuple[Deviations, dict]:
     words += diagonal_number_words(range(lo, hi + 1))
     # Row r is the row-major matrix of word r, from its walked columns.
     index = basis.space.index
-    rows = np.zeros((len(words) + 1, dim**2), dtype=complex)
-    for r, w in enumerate([*words, word()]):
-        for label, image in sparse_map(basis, [(1, w)]).items():
-            for target, weight in image.items():
-                rows[r, index(target) * dim + index(label)] = weight
-    sigma_min = float(np.linalg.svd(rows, compute_uv=False)[-1])
+    rows = [
+        {index(target) * dim + index(label): weight
+         for label, image in sparse_map(basis, [(1, w)]).items()
+         for target, weight in image.items()}
+        for w in [*words, word()]
+    ]
+    sigma_min = smallest_singular_value(rows)
     found = Deviations()
     found.samples = len(rows)  # one sample per family member; no deviations
     found.require(sigma_min > 1e-8)

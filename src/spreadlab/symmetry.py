@@ -90,6 +90,22 @@ def describe_map(g) -> str:
     return repr(g)
 
 
+def _kinds(w: Word) -> tuple[str, ...]:
+    return tuple(letter.kind.value for letter in w.letters)
+
+
+class _Relabeling(dict):
+    """Index -> int image under one map, filled on first use."""
+
+    def __init__(self, g) -> None:
+        super().__init__()
+        self.g = g
+
+    def __missing__(self, index: int) -> int:
+        image = self[index] = int(self.g(index))
+        return image
+
+
 def check_symmetry(
     state: StateFunctional,
     words: Iterable[Word],
@@ -102,21 +118,48 @@ def check_symmetry(
     counted as skipped.  Only nonzero deviations (NaN included) reach the
     accumulator: an exact zero moves neither the maximum nor the verdict.  The
     first 10 cases beyond ``tol`` are kept as witnesses.
+
+    Words are carried as their kind values and their int indices, and each
+    map relabels the indices through its own :class:`_Relabeling` table.
+    Values are cached by the exact relabeled word, never by its pattern:
+    every admitted input word keeps its value for the whole check, and any
+    other relabeled word keeps it only while its source word is checked, so
+    the caches stay bounded by the word list.  Both hold admitted words
+    only, so a hit needs no window test.  ``words`` is read into a list
+    first, since it is walked twice.
     """
+    words = list(words)
+    lo, hi = state.window
+    # kind values -> indices -> value: one entry per admitted input word.
+    values: dict[tuple, dict[tuple, complex]] = {}
+    for w in words:
+        if state.admits(w):
+            known = values.setdefault(_kinds(w), {})
+            indices = w.indices()
+            if indices not in known:
+                known[indices] = state(w)
+    tables = [(g, _Relabeling(g)) for g in family.maps]
     found = Deviations(tol, 10)
     samples = skipped = 0
     for w in words:
         if not state.admits(w):
             skipped += len(family.maps)
             continue
-        base = state(w)
-        for g in family.maps:
-            wg = relabel(w, g)
-            if not state.admits(wg):
-                skipped += 1
-                continue
+        known = values[_kinds(w)]
+        indices = w.indices()
+        base = known[indices]
+        local = {}  # relabelings of w outside the word list
+        for g, table in tables:
+            image = tuple(map(table.__getitem__, indices))
+            value = known.get(image)
+            if value is None:
+                value = local.get(image)
+            if value is None:
+                if not all(lo <= i <= hi for i in image):
+                    skipped += 1
+                    continue
+                value = local[image] = state(relabel(w, table.__getitem__))
             samples += 1
-            value = state(wg)
             dev = abs(base - value)
             if dev:
                 found.observe(

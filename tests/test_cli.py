@@ -139,6 +139,22 @@ def test_hamel_budget_checked_before_allocating(window, admitted, monkeypatch, c
     assert err.count("\n") == 1
 
 
+def test_compose_oracle_window_budget_checked_before_sampling(capsys):
+    # Without the budget this walks 10^11 points before giving any answer.
+    assert main(["monoid", "--check", "compose-oracle", "--window", "0..100000000000",
+                 "--samples", "1"]) == 2
+    err = capsys.readouterr().err
+    assert err == (
+        "config error: monoid/compose-oracle: window [0, 100000000000] has 100000000001"
+        f" points, above the budget of {suites.MAX_ORACLE_POINTS}\n"
+    )
+    top = suites.MAX_ORACLE_POINTS - 1
+    assert main(["monoid", "--check", "compose-oracle", "--window", f"0..{top}",
+                 "--samples", "1"]) == 0
+    assert main(["monoid", "--check", "compose-oracle", "--window", f"0..{top + 1}",
+                 "--samples", "1"]) == 2
+
+
 def test_default_reports_name_no_failure_reason(tmp_path):
     assert main(["monoid", "--samples", "20", "--format", "json", "--out", str(tmp_path)]) == 0
     summary = json.loads((tmp_path / "summary.json").read_text())

@@ -25,7 +25,7 @@ from spreadlab.operators import (
     mixture,
     word,
 )
-from spreadlab.suites import SUITES, RunConfig
+from spreadlab.suites import SUITES, RunConfig, smallest_singular_value
 from spreadlab.symmetry import check_symmetry, spreading_family
 
 
@@ -298,6 +298,25 @@ def test_hamel_family_independent_at_desk_scale():
     sigma = np.linalg.svd(np.array(rows), compute_uv=False)
     assert len(rows) == 256
     assert sigma[-1] > 1e-8
+    # the suite finds the same value blockwise, from walked rows
+    report = SUITES["monotone"]["hamel"](RunConfig())
+    assert report.details["sigma_min"] == pytest.approx(sigma[-1], rel=1e-12)
+
+
+_ENTRY = st.complex_numbers(max_magnitude=4, allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(st.dictionaries(st.integers(0, 9), _ENTRY, max_size=3), min_size=1, max_size=8))
+def test_smallest_singular_value_matches_dense_svd(rows):
+    # Up to 8 rows over 10 columns: empty rows, rows sharing columns and
+    # blocks with more rows than columns all occur.
+    dense = np.zeros((len(rows), 10), dtype=complex)
+    for r, row in enumerate(rows):
+        for c, value in row.items():
+            dense[r, c] = value
+    expected = np.linalg.svd(dense, compute_uv=False)[-1]
+    assert smallest_singular_value(rows) == pytest.approx(expected, abs=1e-9)
 
 
 @pytest.mark.parametrize("width", [1, 2, 3, 5])

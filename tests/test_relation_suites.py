@@ -1,7 +1,16 @@
-"""The relation suites and the Hamel rows apply words through the walker only.
+"""Pinned report texts of the walked relation suites and the harness suites.
 
-The pinned reports are the texts these suites gave when they still multiplied
-dense letter matrices; the walker must reproduce them byte for byte.
+The relation suites and the Hamel rows apply words through the walker only;
+their pinned reports are the texts these suites gave when they still
+multiplied dense letter matrices, and the walker must reproduce them byte for
+byte.  The one exception is the Hamel ``sigma_min``: it is now the least
+singular value over the row blocks, the value one BLAS thread gives for the
+whole row matrix, where the dense two-thread SVD it was pinned from gave one
+unit in the last place more.  ``monotone/simplex`` and ``qdeformed/vacuum`` spend their time in the
+symmetry harness; their pinned reports are the texts the harness gave when it
+still relabeled ``Word`` objects one map at a time and evaluated every
+relabeled word afresh, and the table-driven harness must reproduce them byte
+for byte too.
 """
 
 import json
@@ -15,6 +24,7 @@ from spreadlab.suites import RunConfig, run_suites
 SEED = 20230526
 PINNED = json.loads((Path(__file__).parent / "pinned_reports.json").read_text())
 WALKED = ["monotone/relations", "monotone/hamel", "car/relations", "boolean/relations"]
+HARNESS = ["monotone/simplex", "qdeformed/vacuum"]
 
 
 def _run(key):
@@ -22,7 +32,7 @@ def _run(key):
     return run_suites(RunConfig(model=model, suites=(name,), seed=SEED))[0]
 
 
-@pytest.mark.parametrize("key", WALKED)
+@pytest.mark.parametrize("key", WALKED + HARNESS)
 def test_report_is_pinned(key):
     assert _run(key).to_json(include_wall_time=False) == PINNED[key]
 
