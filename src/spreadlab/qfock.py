@@ -13,6 +13,7 @@ arithmetic is generic, so exact rational cross-checks cost nothing.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import permutations, product
@@ -21,6 +22,7 @@ from typing import Iterator
 import numpy as np
 
 from .operators import (
+    MAX_GRAM_PERMUTATIONS,
     Kind,
     Letter,
     StateFunctional,
@@ -96,10 +98,25 @@ class QBasis:
             out.extend(product(range(lo, hi + 1), repeat=k))
         return tuple(out)
 
+    def check_gram(self) -> None:
+        """Reject a Gram matrix above the dense budget, or one whose label
+        pairs enumerate more than :data:`MAX_GRAM_PERMUTATIONS` permutations
+        (n! for each unordered pair of labels of length n)."""
+        check_space(self.window, self.dim)
+        lo, hi = self.window
+        count = 0
+        for n in range(self.depth + 1):  # within the dense budget, depth < 4096
+            count += math.comb((hi - lo + 1) ** n + 1, 2) * math.factorial(n)
+            if count > MAX_GRAM_PERMUTATIONS:
+                raise ValueError(
+                    f"window [{lo}, {hi}] at depth {self.depth} needs {count} or more"
+                    f" Gram permutations, above the budget of {MAX_GRAM_PERMUTATIONS}"
+                )
+
     @cached_property
     def gram(self) -> np.ndarray:
         """Blockwise-by-length Gram matrix; positive definite for |q| < 1."""
-        check_space(self.window, self.dim)
+        self.check_gram()
         labels = self.labels
         dim = len(labels)
         g = np.zeros((dim, dim))

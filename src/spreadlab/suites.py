@@ -110,15 +110,19 @@ class RunConfig:
 
 # model -> suite name -> suite, in definition order, which is the run order.
 SUITES: dict[str, dict[str, Callable[[RunConfig], SuiteReport]]] = {}
+# (model, suite name) -> the suite's closed-form size checks.
+SIZE_CHECKS: dict[tuple[str, str], Callable[[RunConfig], object]] = {}
 
 
-def suite(model: str, name: str, claim: str):
+def suite(model: str, name: str, claim: str, sizes: Callable[[RunConfig], object] | None = None):
     """Register a check suite as ``SUITES[model][name]``.
 
     The body takes the config and returns its :class:`Deviations` and its
     details.  The registered suite times the whole body into ``wall_time_s``
     and builds the report with this model, name and claim and the config
-    seed.
+    seed.  ``sizes`` checks the suite's closed-form sizes against their
+    budgets, raising ``ValueError``; :func:`run_suites` calls it for every
+    selected suite before the first one runs, and the body calls it too.
     """
 
     def register(body):
@@ -131,6 +135,8 @@ def suite(model: str, name: str, claim: str):
             return report
 
         SUITES.setdefault(model, {})[name] = run
+        if sizes is not None:
+            SIZE_CHECKS[model, name] = sizes
         return run
 
     return register
@@ -145,19 +151,25 @@ def suite(model: str, name: str, claim: str):
 MAX_ORACLE_POINTS = 10_000
 
 
-@suite(
-    "monoid", "compose-oracle",
-    "canonical-form composition agrees pointwise with composing the evaluations"
-)
-def monoid_compose_oracle(config: RunConfig) -> tuple[Deviations, dict]:
-    rng = np.random.default_rng(config.seed)
-    n = config.samples or 1000
+def _oracle_window(config: RunConfig) -> tuple[int, int]:
     lo, hi = config.window or (-50, 50)
     if hi - lo + 1 > MAX_ORACLE_POINTS:
         raise ValueError(
             f"window [{lo}, {hi}] has {hi - lo + 1} points, above the budget of"
             f" {MAX_ORACLE_POINTS}"
         )
+    return lo, hi
+
+
+@suite(
+    "monoid", "compose-oracle",
+    "canonical-form composition agrees pointwise with composing the evaluations",
+    sizes=_oracle_window,
+)
+def monoid_compose_oracle(config: RunConfig) -> tuple[Deviations, dict]:
+    rng = np.random.default_rng(config.seed)
+    n = config.samples or 1000
+    lo, hi = _oracle_window(config)
     found = Deviations()
     for _ in range(n):
         f = random_increasing_map(rng)
@@ -220,16 +232,22 @@ def monoid_localize(config: RunConfig) -> tuple[Deviations, dict]:
 # Monotone suites
 
 
+def _relations_basis(config: RunConfig) -> MonotoneBasis:
+    basis = MonotoneBasis(config.window or (0, 7), config.depth or 4)
+    check_space(basis.window, basis.dim)
+    return basis
+
+
 @suite(
     "monotone", "relations",
     "double creations, reversed double annihilations and mismatched"
     " annihilator-creator products vanish; the number-sum commutation identity"
-    " holds away from the depth-capped columns"
+    " holds away from the depth-capped columns",
+    sizes=_relations_basis,
 )
 def monotone_relations(config: RunConfig) -> tuple[Deviations, dict]:
-    window = config.window or (0, 7)
-    depth = config.depth or 4
-    basis = MonotoneBasis(window, depth)
+    basis = _relations_basis(config)
+    window, depth = basis.window, basis.depth
     lo, hi = window
     found = Deviations()
     for i in range(lo, hi + 1):
@@ -289,18 +307,11 @@ def smallest_singular_value(rows: list[dict[int, complex]]) -> float:
     return least
 
 
-@suite(
-    "monotone", "hamel",
-    "the normally-ordered words, the reversed number products and the"
-    " identity are jointly linearly independent at desk scale"
-)
-def monotone_hamel(config: RunConfig) -> tuple[Deviations, dict]:
-    window = config.window or (0, 4)
-    depth = config.depth or 4
-    basis = MonotoneBasis(window, depth)
-    lo, hi = window
+def _hamel_basis(config: RunConfig) -> MonotoneBasis:
+    basis = MonotoneBasis(config.window or (0, 4), config.depth or 4)
+    lo, hi = basis.window
     dim = basis.dim
-    check_space(window, dim)  # within the budget, dim is exact
+    check_space(basis.window, dim)  # within the budget, dim is exact
     # Up to two creators times up to two annihilators; the diagonal pairs are
     # swapped for the reversed products and the empty pair is the identity.
     width = hi - lo + 1
@@ -310,6 +321,19 @@ def monotone_hamel(config: RunConfig) -> tuple[Deviations, dict]:
             f"window [{lo}, {hi}] needs a row matrix of {family_size} x {dim}^2"
             f" entries, above the budget of {MAX_DENSE_DIM}^2"
         )
+    return basis
+
+
+@suite(
+    "monotone", "hamel",
+    "the normally-ordered words, the reversed number products and the"
+    " identity are jointly linearly independent at desk scale",
+    sizes=_hamel_basis,
+)
+def monotone_hamel(config: RunConfig) -> tuple[Deviations, dict]:
+    basis = _hamel_basis(config)
+    lo, hi = basis.window
+    dim = basis.dim
     words = [
         form.word()
         for form in lambda_forms(range(lo, hi + 1), 2, 2)
@@ -405,24 +429,29 @@ def qdeformed_inner(config: RunConfig) -> tuple[Deviations, dict]:
     return found, {"q": config.q, "exact_q": str(exact_q), "exact_match": exact_ok}
 
 
+def _gram_basis(config: RunConfig, q: float = 0.0) -> QBasis:
+    basis = QBasis(config.window or (0, 2), config.depth or 3, q)
+    basis.check_gram()
+    return basis
+
+
 @suite(
     "qdeformed", "relations",
     "creation is the metric adjoint of annihilation, the deformed"
     " commutation relation holds below the depth cap, and the deformed"
-    " Gram matrix stays positive definite"
+    " Gram matrix stays positive definite",
+    sizes=_gram_basis,
 )
 def qdeformed_relations(config: RunConfig) -> tuple[Deviations, dict]:
-    window = config.window or (0, 2)
-    depth = config.depth or 3
     adjoint = Deviations(1e-10)
     commutation = Deviations(1e-10)
     min_eig = np.inf
     for q in (-0.9, -0.5, 0.0, 0.5, 0.9):
-        basis = QBasis(window, depth, q)
+        basis = _gram_basis(config, q)
         min_eig = min(min_eig, float(np.linalg.eigvalsh(basis.gram)[0]))
         eye = np.eye(basis.dim)
-        low = [c for c, t in enumerate(basis.labels) if len(t) <= depth - 1]
-        lo, hi = window
+        low = [c for c, t in enumerate(basis.labels) if len(t) <= basis.depth - 1]
+        lo, hi = basis.window
         for i in range(lo, hi + 1):
             got = metric_adjoint(basis.annihilator(i))
             adjoint.observe(got.matrix - basis.creator(i).matrix)
@@ -477,13 +506,27 @@ def qdeformed_vacuum(config: RunConfig) -> tuple[Deviations, dict]:
 # Boolean suites
 
 
+def _boolean_space(default: tuple[int, int]) -> Callable[[RunConfig], bool_model.BooleanSpace]:
+    def space(config: RunConfig) -> bool_model.BooleanSpace:
+        out = bool_model.BooleanSpace(config.window or default)
+        check_space(out.window, out.dim)
+        return out
+
+    return space
+
+
+_relations_space = _boolean_space((-4, 4))
+_element_space = _boolean_space((-3, 3))
+
+
 @suite(
     "boolean", "relations",
     "annihilator-creator products equal the vacuum projection times the"
-    " index match, and creator-annihilator products are the matrix units"
+    " index match, and creator-annihilator products are the matrix units",
+    sizes=_relations_space,
 )
 def boolean_relations(config: RunConfig) -> tuple[Deviations, dict]:
-    space = bool_model.BooleanSpace(config.window or (-4, 4))
+    space = _relations_space(config)
     lo, hi = space.window
     # a(i) c(j) = delta(i, j) times the vacuum projection 1 - sum over k of c(k) a(k)
     vacuum = [(-1, word()), *((1, word(creator(k), annihilator(k))) for k in range(lo, hi + 1))]
@@ -508,11 +551,12 @@ def _random_boolean_element(space, rng):
 @suite(
     "boolean", "morphism",
     "the relabeling action composes like the maps and is a unital"
-    " star-endomorphism on chained interval windows"
+    " star-endomorphism on chained interval windows",
+    sizes=_element_space,
 )
 def boolean_morphism(config: RunConfig) -> tuple[Deviations, dict]:
     rng = np.random.default_rng(config.seed)
-    base = bool_model.BooleanSpace(config.window or (-3, 3))
+    base = _element_space(config)
     n = config.samples or 200
     found = Deviations(1e-12)
     for _ in range(n):
@@ -551,11 +595,12 @@ def _boolean_mixture(lam, x):
     "boolean", "simplex",
     "mixtures of the vacuum-label state with the scalar-part state are"
     " invariant under the relabeling action, permutations and shifts, while"
-    " a site vector state is moved off its matrix unit"
+    " a site vector state is moved off its matrix unit",
+    sizes=_element_space,
 )
 def boolean_simplex(config: RunConfig) -> tuple[Deviations, dict]:
     rng = np.random.default_rng(config.seed)
-    base = bool_model.BooleanSpace(config.window or (-3, 3))
+    base = _element_space(config)
     maps = [random_increasing_map(rng, (-2, 2), 3, (-6, 6)) for _ in range(20)]
     maps += [tau_pow(1), tau_pow(-1)]
     maps += [random_permutation(rng, *base.window) for _ in range(10)]
@@ -590,15 +635,21 @@ def boolean_simplex(config: RunConfig) -> tuple[Deviations, dict]:
 # Fermionic suites
 
 
+def _chain(config: RunConfig) -> car_model.FermionChain:
+    chain = car_model.FermionChain(config.window or (0, 7))
+    check_space(chain.window, chain.dim)
+    return chain
+
+
 @suite(
     "car", "relations",
     "the chain operators satisfy the anticommutation relations and the"
-    " position operators square to the identity and anticommute"
+    " position operators square to the identity and anticommute",
+    sizes=_chain,
 )
 def car_relations(config: RunConfig) -> tuple[Deviations, dict]:
-    window = config.window or (0, 7)
-    chain = car_model.FermionChain(window)
-    lo, hi = window
+    chain = _chain(config)
+    lo, hi = chain.window
     found = Deviations()
     # {c(j), a(k)} = delta(j, k), {a(j), a(k)} = 0 and {x(j), x(k)} = 2 delta(j, k)
     relations = ((creator, annihilator, 1), (annihilator, annihilator, 0), (position, position, 2))
@@ -662,12 +713,16 @@ def run_suites(config: RunConfig) -> list[SuiteReport]:
                 f"unknown suite {name!r} for model {model!r};"
                 f" available: {', '.join(SUITES[model])}"
             )
-    reports = []
-    for model, name in selected:
+
+    def step(model: str, name: str, body: Callable[[RunConfig], object]):
         try:
-            reports.append(SUITES[model][name](config))
+            return body(config)
         except ValueError as exc:
             # Models and states reject windows, depths and labels that
             # do not fit together; that is bad configuration too.
             raise ConfigError(f"{model}/{name}: {exc}") from exc
-    return reports
+
+    for model, name in selected:  # every size budget before the first suite runs
+        if (model, name) in SIZE_CHECKS:
+            step(model, name, SIZE_CHECKS[model, name])
+    return [step(model, name, SUITES[model][name]) for model, name in selected]

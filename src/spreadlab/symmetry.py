@@ -94,16 +94,15 @@ def _kinds(w: Word) -> tuple[str, ...]:
     return tuple(letter.kind.value for letter in w.letters)
 
 
-class _Relabeling(dict):
-    """Index -> int image under one map, filled on first use."""
-
-    def __init__(self, g) -> None:
-        super().__init__()
-        self.g = g
-
-    def __missing__(self, index: int) -> int:
-        image = self[index] = int(self.g(index))
-        return image
+def _codes(digits: np.ndarray, base: int) -> np.ndarray:
+    """Exact integer code of each row of ``digits`` (each below ``base``):
+    int64 while ``base ** width`` fits, Python ints otherwise, so a code never
+    overflows."""
+    dtype = np.int64 if base ** digits.shape[1] < 2**63 else object
+    code = np.zeros(len(digits), dtype)
+    for column in digits.T.astype(dtype):
+        code = code * base + column
+    return code
 
 
 def check_symmetry(
@@ -117,61 +116,81 @@ def check_symmetry(
     Each (word, map) pair whose relabeled indices leave the state window is
     counted as skipped.  Only nonzero deviations (NaN included) reach the
     accumulator: an exact zero moves neither the maximum nor the verdict.  The
-    first 10 cases beyond ``tol`` are kept as witnesses.
+    first 10 cases beyond ``tol``, in (word, map) order, are kept as
+    witnesses.
 
-    Words are carried as their kind values and their int indices, and each
-    map relabels the indices through its own :class:`_Relabeling` table.
-    Values are cached by the exact relabeled word, never by its pattern:
-    every admitted input word keeps its value for the whole check, and any
-    other relabeled word keeps it only while its source word is checked, so
-    the caches stay bounded by the word list.  Both hold admitted words
-    only, so a hit needs no window test.  ``words`` is read into a list
-    first, since it is walked twice.
+    Admitted words are grouped by their kind values.  A group's indices are
+    stacked as digits (ranks among every index its words and their images
+    take) and relabeled one map at a time through the map's table over the
+    group's distinct indices.  Each row then has an exact integer code, so
+    one code is one word: values are looked up by code, never by a word's
+    pattern, and each distinct word, in the list or not, is evaluated once
+    per check, on a real ``Word``.  ``words`` is read into a list first,
+    since it is walked twice.
     """
     words = list(words)
     lo, hi = state.window
-    # kind values -> indices -> value: one entry per admitted input word.
-    values: dict[tuple, dict[tuple, complex]] = {}
-    for w in words:
-        if state.admits(w):
-            known = values.setdefault(_kinds(w), {})
-            indices = w.indices()
-            if indices not in known:
-                known[indices] = state(w)
-    tables = [(g, _Relabeling(g)) for g in family.maps]
+    maps = family.maps
     found = Deviations(tol, 10)
-    samples = skipped = 0
-    for w in words:
-        if not state.admits(w):
-            skipped += len(family.maps)
-            continue
-        known = values[_kinds(w)]
-        indices = w.indices()
-        base = known[indices]
-        local = {}  # relabelings of w outside the word list
-        for g, table in tables:
-            image = tuple(map(table.__getitem__, indices))
-            value = known.get(image)
-            if value is None:
-                value = local.get(image)
-            if value is None:
-                if not all(lo <= i <= hi for i in image):
-                    skipped += 1
-                    continue
-                value = local[image] = state(relabel(w, table.__getitem__))
-            samples += 1
-            dev = abs(base - value)
-            if dev:
-                found.observe(
-                    dev,
-                    lambda size: {
-                        "word": w.to_text(),
-                        "map": describe_map(g),
-                        "lhs": [base.real, base.imag],
-                        "rhs": [value.real, value.imag],
-                        "deviation": size,
-                    },
-                )
-    found.samples = samples
-    found.skipped = skipped
+    groups: dict[tuple, list[int]] = {}  # kind values -> input positions
+    for pos, w in enumerate(words):
+        if state.admits(w):
+            groups.setdefault(_kinds(w), []).append(pos)
+        else:
+            found.skipped += len(maps)
+    kept = []  # the first cases beyond tol: (position, map, lhs, rhs)
+    for positions in groups.values():
+        rows = [words[pos].indices() for pos in positions]
+        uniq = sorted(set().union(*rows))
+        at_uniq = {i: r for r, i in enumerate(uniq)}
+        digits = np.array([[at_uniq[i] for i in row] for row in rows], np.int64)
+        images = [[int(g(i)) for i in uniq] for g in maps]
+        every = {i: r for r, i in enumerate(sorted(set(uniq).union(*images)))}
+        base = len(every)
+        codes = _codes(np.array([every[i] for i in uniq], np.int64)[digits], base)
+        known, first, inverse = np.unique(codes, return_index=True, return_inverse=True)
+        values = np.array([state(words[positions[r]]) for r in first], complex)
+        before = values[inverse]  # the value of each row's own word
+        for m, (g, image) in enumerate(zip(maps, images)):
+            inside = np.flatnonzero(
+                np.array([lo <= j <= hi for j in image], bool)[digits].all(axis=1)
+            )
+            found.samples += len(inside)
+            found.skipped += len(rows) - len(inside)
+            code = _codes(np.array([every[j] for j in image], np.int64)[digits[inside]], base)
+            at = np.searchsorted(known, code)
+            miss = np.flatnonzero(known[np.minimum(at, len(known) - 1)] != code)
+            if len(miss):
+                new, seen = np.unique(code[miss], return_index=True)
+                table = dict(zip(uniq, image)).__getitem__
+                new_values = [
+                    state(relabel(words[positions[r]], table)) for r in inside[miss[seen]]
+                ]
+                slots = np.searchsorted(known, new)
+                known = np.insert(known, slots, new)
+                values = np.insert(values, slots, new_values)
+                at = np.searchsorted(known, code)
+            dev = before[inside] - values[at]
+            # Rounded as Python's complex abs rounds (np.abs may differ in the
+            # last place); NaN and inf - inf count as nonzero.
+            size = np.hypot(dev.real, dev.imag)
+            if not size.any():
+                continue
+            found.observe(abs(complex(dev[np.argmax(size)])))  # argmax finds a NaN
+            for r in np.flatnonzero(~(size <= tol))[:10]:
+                row = inside[r]
+                kept.append((positions[row], m, complex(before[row]), complex(values[at[r]])))
+            kept.sort(key=lambda case: case[:2])
+            del kept[10:]
+    for pos, m, lhs, rhs in kept:
+        found.observe(
+            abs(lhs - rhs),
+            lambda size: {
+                "word": words[pos].to_text(),
+                "map": describe_map(maps[m]),
+                "lhs": [lhs.real, lhs.imag],
+                "rhs": [rhs.real, rhs.imag],
+                "deviation": size,
+            },
+        )
     return found

@@ -8,7 +8,7 @@ from spreadlab.cli import (
     OPTIONS, build_config, build_parser, main, parse_window, read_config_file,
 )
 from spreadlab.reports import SuiteReport
-from spreadlab import suites
+from spreadlab import operators, suites
 from spreadlab.suites import SUITES, ConfigError, RunConfig, run_suites
 
 
@@ -153,6 +153,31 @@ def test_compose_oracle_window_budget_checked_before_sampling(capsys):
                  "--samples", "1"]) == 0
     assert main(["monoid", "--check", "compose-oracle", "--window", f"0..{top + 1}",
                  "--samples", "1"]) == 2
+
+
+def test_gram_permutation_budget_checked_before_enumerating(capsys):
+    # One label of length 11 alone would enumerate 11! = 39.9 M permutations,
+    # within a dense dimension of 12.
+    assert main(["qdeformed", "--check", "relations", "--window", "0..0", "--depth", "11"]) == 2
+    err = capsys.readouterr().err
+    assert err == (
+        "config error: qdeformed/relations: window [0, 0] at depth 11 needs 4037914 or more"
+        f" Gram permutations, above the budget of {operators.MAX_GRAM_PERMUTATIONS}\n"
+    )
+
+
+def test_every_size_budget_is_checked_before_the_first_suite(tmp_path, monkeypatch, capsys):
+    def build_map(*args):
+        raise AssertionError("monotone/relations ran")
+
+    monkeypatch.setattr(suites, "sparse_map", build_map)
+    out = tmp_path / "od"
+    argv = ["monotone", "--check", "relations", "--check", "hamel", "--window", "0..7"]
+    assert main(argv + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: monotone/hamel: window [0, 7] needs a row matrix")
+    assert err.count("\n") == 1
+    assert list(out.iterdir()) == []
 
 
 def test_default_reports_name_no_failure_reason(tmp_path):

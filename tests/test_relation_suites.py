@@ -9,7 +9,7 @@ whole row matrix, where the dense two-thread SVD it was pinned from gave one
 unit in the last place more.  ``monotone/simplex`` and ``qdeformed/vacuum`` spend their time in the
 symmetry harness; their pinned reports are the texts the harness gave when it
 still relabeled ``Word`` objects one map at a time and evaluated every
-relabeled word afresh, and the table-driven harness must reproduce them byte
+relabeled word afresh, and the array-driven harness must reproduce them byte
 for byte too.
 """
 

@@ -1,7 +1,7 @@
-"""The table-driven symmetry harness against the plain loop it replaced.
+"""The array-driven symmetry harness against the plain loop it replaced.
 
 ``reference_check_symmetry`` is the harness as it was before words were
-relabeled through per-map tables and state values were cached: one
+relabeled as arrays and state values were looked up by exact word codes: one
 ``relabel``, one ``admits`` and one state call for every (word, map) pair.  It
 lives here, and only here, as the oracle the fast harness must match case for
 case: counts, maximum, verdict and every witness, in order.
@@ -9,12 +9,21 @@ case: counts, maximum, verdict and every witness, in order.
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spreadlab.monoid import psi, random_increasing_map, random_permutation, tau_pow, theta
+from spreadlab.monoid import (
+    FinitePermutation,
+    IncreasingMap,
+    psi,
+    random_increasing_map,
+    random_permutation,
+    tau_pow,
+    theta,
+)
 from spreadlab.monotone import MonotoneBasis, lambda_forms
 from spreadlab.operators import (
     Kind,
@@ -27,6 +36,7 @@ from spreadlab.operators import (
     relabel,
     word,
 )
+from spreadlab.qfock import words_over
 from spreadlab.reports import Deviations
 from spreadlab.symmetry import (
     SymmetryFamily,
@@ -82,14 +92,21 @@ def assert_same_check(fast, slow):
     assert json.dumps(fast.witnesses) == json.dumps(slow.witnesses)
 
 
+def assert_same_words(fast_calls, slow_calls):
+    """The fast harness evaluates the words the loop evaluated, each once."""
+    assert set(fast_calls) == set(slow_calls)
+    assert len(fast_calls) == len(set(fast_calls))
+
+
 def table_state(window, table, calls=None):
     """A state whose value on a word is read from ``table`` by the word's
-    exact text; ``calls`` records each word it is asked for."""
+    exact text; ``calls`` records each word it is asked for (the empty word
+    and a unit letter share the text ``1``, so the word itself)."""
 
     def rule(w):
         assert isinstance(w, Word)
         if calls is not None:
-            calls.append(w.to_text())
+            calls.append(w)
         return table[w.to_text()]
 
     return StateFunctional(window, rule)
@@ -144,10 +161,106 @@ def test_table_driven_harness_matches_reference_loop(case):
     fast = check_symmetry(table_state(window, table, fast_calls), words, family, tol)
     slow = reference_check_symmetry(table_state(window, table, slow_calls), words, family, tol)
     assert_same_check(fast, slow)
-    # Every word the fast harness evaluates, the loop evaluated too, and it
-    # never evaluates more often.
-    assert set(fast_calls) <= set(slow_calls)
-    assert len(fast_calls) <= len(slow_calls)
+    assert_same_words(fast_calls, slow_calls)
+
+
+BIG = 10**15
+
+
+@st.composite
+def wide_cases(draw):
+    """Words of 6-8 letters of one kind pattern on the window [-BIG, BIG],
+    with indices near both ends, and maps that push them out of it; a code
+    built from the raw indices would need about 51 bits per letter."""
+    kinds = draw(st.lists(st.sampled_from([Kind.CREATOR, Kind.ANNIHILATOR, Kind.POSITION]),
+                          min_size=6, max_size=8))
+    near = st.one_of(st.integers(-BIG - 1, -BIG + 3), st.integers(BIG - 3, BIG + 1))
+    indices = draw(st.lists(st.lists(near, min_size=len(kinds), max_size=len(kinds)),
+                            min_size=1, max_size=6))
+    words = [Word(tuple(map(Letter, kinds, row))) for row in indices]
+    shift = tau_pow(draw(st.sampled_from([-1, 1])))
+    words += [relabel(w, shift) for w in words[:2]]  # so that some images are inputs
+    words += draw(st.lists(st.sampled_from(words), max_size=2))
+    end = st.one_of(st.integers(-BIG - 2, -BIG + 3), st.integers(BIG - 3, BIG + 2))
+    maps = draw(st.lists(st.one_of(
+        st.integers(-2, 2).map(tau_pow),
+        end.map(theta),
+        end.map(psi),
+        st.tuples(st.integers(-2, 2), st.lists(end, max_size=3, unique=True)).map(
+            lambda og: IncreasingMap(og[0], tuple(sorted(og[1])))),
+        st.lists(end, min_size=2, max_size=4, unique=True).map(FinitePermutation.from_cycle),
+    ), min_size=1, max_size=5))
+    value = st.sampled_from([0.0, 1e-12, 1.0, math.nan, complex(0.5, -0.5)])
+    texts = sorted({relabel(w, g).to_text() for w in words for g in [tau_pow(0), *maps]})
+    table = dict(zip(texts, draw(st.lists(value, min_size=len(texts), max_size=len(texts)))))
+    return words, SymmetryFamily("wide", tuple(maps)), table
+
+
+@given(case=wide_cases())
+@settings(max_examples=150, deadline=None)
+def test_huge_windows_and_long_words_match_reference_loop(case):
+    words, family, table = case
+    fast_calls, slow_calls = [], []
+    window = (-BIG, BIG)
+    fast = check_symmetry(table_state(window, table, fast_calls), words, family, 1e-12)
+    slow = reference_check_symmetry(table_state(window, table, slow_calls), words, family, 1e-12)
+    assert_same_check(fast, slow)
+    assert_same_words(fast_calls, slow_calls)
+
+
+def test_codes_past_int64_stay_exact():
+    # One kind pattern of 8 letters over exactly 512 = 2**9 distinct indices:
+    # a radix code over their ranks needs 72 bits, and two words whose first
+    # ranks differ by 2 would agree modulo 2**64.  The cycle swaps exactly
+    # those two first indices, so it keeps the 512 and moves both words.
+    values = sorted({-BIG + 3 * k for k in range(256)} | {BIG - 5 * k for k in range(256)})
+    first = word(*(creator(i) for i in [values[0], *values[10:17]]))
+    twin = word(*(creator(i) for i in [values[2], *values[10:17]]))
+    rest = [values[k] for k in range(512) if k not in (0, 2) and not 10 <= k < 17]
+    rest.append(rest[0])  # 504 = 63 words of 8
+    words = [first, twin] + [word(*(creator(i) for i in rest[j:j + 8])) for j in range(0, 504, 8)]
+    assert {len(w) for w in words} == {8} and len({i for w in words for i in w.indices()}) == 512
+    family = SymmetryFamily("swap", (FinitePermutation.from_cycle([values[0], values[2]]),))
+    table = {first.to_text(): 1.0}
+    fast_calls, slow_calls = [], []
+    rule = lambda calls: StateFunctional(  # noqa: E731
+        (-BIG, BIG), lambda w: calls.append(w) or table.get(w.to_text(), 0.0)
+    )
+    fast = check_symmetry(rule(fast_calls), words, family)
+    slow = reference_check_symmetry(rule(slow_calls), words, family)
+    assert fast.max_deviation == 1.0 and len(fast.witnesses) == 2
+    assert_same_check(fast, slow)
+    assert_same_words(fast_calls, slow_calls)
+
+
+def test_witness_memory_is_bounded_by_the_cap():
+    # A state that fails on every pair that moves a word keeps 10 witnesses,
+    # and the check holds no more memory than for a state that passes.
+    ladder = list(words_over([-2, -1, 0, 1, 2], 4, (Kind.CREATOR, Kind.ANNIHILATOR)))
+    family = spreading_family(-2, 2, 20)
+    failing = StateFunctional(
+        (-8, 8), lambda w: sum((i + 9) * 17**k for k, i in enumerate(w.indices()))
+    )
+    passing = StateFunctional((-8, 8), lambda w: 1.0)
+
+    def peak(state):
+        tracemalloc.start()
+        try:
+            check = check_symmetry(state, ladder, family, tol=1e-12)
+            return check, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    fails, fail_peak = peak(failing)
+    passes, pass_peak = peak(passing)
+    assert passes.passed and not fails.passed
+    assert fails.samples == passes.samples == 11_111 * len(family.maps)
+    # The first 10 witnesses come from the first words; the loop finds the
+    # same ones on a prefix of the list.
+    slow = reference_check_symmetry(failing, ladder[:40], family, tol=1e-12)
+    assert json.dumps(fails.witnesses) == json.dumps(slow.witnesses)
+    assert len(fails.witnesses) == 10
+    assert fail_peak <= 2 * pass_peak
 
 
 def test_state_of_the_index_still_fails_shifts():
@@ -186,5 +299,5 @@ def test_maps_that_agree_on_a_word_share_its_value():
     check = check_symmetry(table_state((-5, 5), table, calls), [w, w], family)
     assert check.passed and (check.samples, check.skipped) == (6, 0)
     # The duplicate input is read once; the three maps send c(0).a(1) to one
-    # word outside the list, read once per source word.
-    assert sorted(calls) == ["c(0).a(1)", "c(1).a(2)", "c(1).a(2)"]
+    # word outside the list, read once per check.
+    assert sorted(w.to_text() for w in calls) == ["c(0).a(1)", "c(1).a(2)"]
