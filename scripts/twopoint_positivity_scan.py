@@ -10,7 +10,7 @@ Usage: python scripts/twopoint_positivity_scan.py [LO..HI] [DIAGONAL]
 
 import sys
 
-from spreadlab.car import TwoPointFunction, positivity_probe
+from spreadlab.car import TwoPointFunction, check_index_square, positivity_probe
 from spreadlab.cli import parse_window
 
 COUPLINGS = (0.0, 0.01, 0.05, 0.1, 0.2, 0.5, 1.0, 2.0, 5.0)
@@ -18,6 +18,11 @@ COUPLINGS = (0.0, 0.01, 0.05, 0.1, 0.2, 0.5, 1.0, 2.0, 5.0)
 if __name__ == "__main__":
     lo, hi = parse_window(sys.argv[1]) if len(sys.argv) > 1 else (-8, 8)
     diagonal = float(sys.argv[2]) if len(sys.argv) > 2 else 0.5
+    try:
+        check_index_square(lo, hi)  # the same budget for every coupling
+    except ValueError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        sys.exit(2)
     print(f"window [{lo}, {hi}], diagonal {diagonal}")
     print(f"{'coupling':>10}  {'min eig':>12}  {'max eig':>12}  in [0,1]")
     for coupling in COUPLINGS:

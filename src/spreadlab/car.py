@@ -103,9 +103,30 @@ class TwoPointFunction:
         return np.array([[self.value(m, n) for n in idx] for m in idx])
 
 
+# Most index pairs (m, n) of a window that a kernel check may visit: the
+# stationarity check evaluates the kernel twice per pair, and the positivity
+# probe builds the W x W section and takes its spectrum.  A window of 1000
+# sites is exactly at the budget.
+MAX_INDEX_PAIRS = 1_000_000
+
+
+def check_index_square(lo: int, hi: int) -> None:
+    """Reject an empty window, or one with more than :data:`MAX_INDEX_PAIRS`
+    index pairs, before any kernel value is computed."""
+    if lo > hi:
+        raise ValueError(f"empty window [{lo}, {hi}]")
+    pairs = (hi - lo + 1) ** 2
+    if pairs > MAX_INDEX_PAIRS:
+        raise ValueError(
+            f"window [{lo}, {hi}] has {pairs} index pairs, above the budget of"
+            f" {MAX_INDEX_PAIRS}"
+        )
+
+
 def twopoint_stationarity(t: TwoPointFunction, lo: int, hi: int) -> Deviations:
     """|T(m+1, n+1) - T(m, n)| over the index square, one sample per pair;
     the maximum is exactly 0 here."""
+    check_index_square(lo, hi)
     found = Deviations()
     for m in range(lo, hi + 1):
         for n in range(lo, hi + 1):
@@ -174,5 +195,6 @@ class PositivityReport:
 
 
 def positivity_probe(t: TwoPointFunction, lo: int, hi: int) -> PositivityReport:
+    check_index_square(lo, hi)
     eigenvalues = np.linalg.eigvalsh(t.section(lo, hi))
     return PositivityReport((lo, hi), tuple(float(e) for e in eigenvalues))

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Mapping, Sequence, Union
+from typing import Iterable, Mapping, Sequence, Union
 
 
 @dataclass(frozen=True)
@@ -110,6 +110,26 @@ def evaluate(f: IncreasingMap, k: int) -> int:
     return x
 
 
+def evaluate_increasing(f: IncreasingMap, ks: Iterable[int]) -> list[int]:
+    """Values of f at the increasing integers ``ks``, in one merge pass.
+
+    The gaps that :func:`evaluate` steps past at k are a prefix of the sorted
+    gaps, and the prefix only grows as k does; so a gap pointer that only
+    moves forward gives f(k) = k + offset + (gaps passed so far).
+    """
+    gaps, offset = f.gaps, f.offset
+    n = len(gaps)
+    passed = 0
+    out = []
+    for k in ks:
+        x = k + offset + passed
+        while passed < n and gaps[passed] <= x:
+            passed += 1
+            x += 1
+        out.append(x)
+    return out
+
+
 def compose(f: IncreasingMap, g: IncreasingMap) -> IncreasingMap:
     """f after g.  Gaps of f∘g are the gaps of f plus the f-images of g's gaps."""
     gaps = sorted(set(f.gaps).union(evaluate(f, x) for x in g.gaps))
@@ -186,9 +206,13 @@ class GeneratorWord:
         return out
 
     def __call__(self, k: int) -> int:
-        # Apply right-to-left; avoids building the canonical composite.
+        # Apply right-to-left, each letter by its definition (see theta and
+        # psi); builds neither the canonical composite nor a letter's map.
         for letter in reversed(self.letters):
-            k = evaluate(letter.to_map(), k)
+            if letter.kind == "T":
+                k += k >= letter.h
+            else:
+                k -= k <= letter.h
         return k
 
     def __len__(self) -> int:
@@ -379,8 +403,9 @@ def random_increasing_map(
 ) -> IncreasingMap:
     offset = int(rng.integers(offset_range[0], offset_range[1] + 1))
     n_gaps = int(rng.integers(0, max_gaps + 1))
-    pool = range(gap_range[0], gap_range[1] + 1)
-    gaps = sorted(int(g) for g in rng.choice(list(pool), size=n_gaps, replace=False))
+    width = gap_range[1] - gap_range[0] + 1
+    drawn = rng.choice(width, size=n_gaps, replace=False) + gap_range[0]
+    gaps = sorted(int(g) for g in drawn)
     return IncreasingMap(offset, tuple(gaps))
 
 

@@ -4,8 +4,10 @@ Basis labels are all integer tuples over the window of length at most
 ``depth`` (repetitions allowed, any order), plus the empty tuple for the
 vacuum.  The inner product is deformed by counting permutation inversions;
 it is computed by explicit enumeration over the symmetric group, which is
-the obviously-correct route at desk scale (tuple lengths stay small).  The
-convention 0**0 = 1 makes q = 0 the free Fock inner product.
+the obviously-correct route at desk scale (tuple lengths stay small).  It is
+block-diagonal by multiset: only a pair of tuples that are rearrangements of
+each other is enumerated, and every other pair is 0.  The convention
+0**0 = 1 makes q = 0 the free Fock inner product.
 
 Deformation parameters may be floats or ``fractions.Fraction`` values; the
 arithmetic is generic, so exact rational cross-checks cost nothing.
@@ -50,9 +52,11 @@ def q_inner(u: Label, v: Label, q) -> complex | float:
     """Deformed inner product of two basis tuples.
 
     Sum of q**inversions(pi) over all permutations pi matching u against v
-    entrywise; zero when the lengths differ.  Works for float or Fraction q.
+    entrywise.  No permutation matches unless v rearranges u, so every other
+    pair (different lengths included) is zero without enumerating.  Works
+    for float or Fraction q.
     """
-    if len(u) != len(v):
+    if sorted(u) != sorted(v):
         return 0 * q**0
     n = len(u)
     total = 0 * q**0
@@ -73,7 +77,9 @@ def q_inner_recursive(u: Label, v: Label, q) -> complex | float:
     total = 0 * q**0
     for k, entry in enumerate(v):
         if entry == u[0]:
-            total += q**k * q_inner_recursive(u[1:], v[:k] + v[k + 1 :], q)
+            rest = q_inner_recursive(u[1:], v[:k] + v[k + 1 :], q)
+            if rest:  # adding a zero term would leave the total as it is
+                total += q**k * rest
     return total
 
 

@@ -25,6 +25,7 @@ from .monoid import (
     compose,
     cycle_for_interval,
     decompose_semidirect,
+    evaluate_increasing,
     localize,
     psi,
     random_increasing_map,
@@ -171,14 +172,17 @@ def monoid_compose_oracle(config: RunConfig) -> tuple[Deviations, dict]:
     n = config.samples or 1000
     lo, hi = _oracle_window(config)
     found = Deviations()
+    window = range(lo, hi + 1)
     for _ in range(n):
         f = random_increasing_map(rng)
         g = random_increasing_map(rng)
-        fg = compose(f, g)
-        for k in range(lo, hi + 1):
-            dev = fg(k) - f(g(k))
-            if dev:
-                found.observe(dev, lambda _: {"f": f.to_text(), "g": g.to_text(), "k": k})
+        lhs = evaluate_increasing(compose(f, g), window)
+        rhs = evaluate_increasing(f, evaluate_increasing(g, window))
+        if lhs == rhs:
+            continue
+        for k, a, b in zip(window, lhs, rhs):
+            if a != b:
+                found.observe(a - b, lambda _: {"f": f.to_text(), "g": g.to_text(), "k": k})
     found.samples = n  # one sample per map pair
     return found, {"window": [lo, hi]}
 
@@ -218,11 +222,13 @@ def monoid_localize(config: RunConfig) -> tuple[Deviations, dict]:
         f = random_increasing_map(rng)
         k = int(rng.integers(-10, 11))
         l = k + int(rng.integers(0, 8))
-        r = localize({j: f(j) for j in range(k, l + 1)}, k, l)
+        window = range(k, l + 1)
+        values = evaluate_increasing(f, window)
+        r = localize(values, k, l)
         sigma = cycle_for_interval(k, l)
         found.add(
-            [r(j) - f(j) for j in range(k, l + 1)]
-            + [sigma(j) - (j + 1) for j in range(k, l + 1)],
+            [r(j) - v for j, v in zip(window, values)]
+            + [sigma(j) - (j + 1) for j in window],
             lambda _: {"f": f.to_text(), "interval": [k, l]},
         )
     return found, {}
@@ -380,7 +386,8 @@ def _simplex_words(config: RunConfig):
     "monotone", "simplex",
     "every mixture of the vacuum with the state at infinity is invariant"
     " under spreading relabelings of normally-ordered words, while the"
-    " one-particle vector state is not"
+    " one-particle vector state is not",
+    sizes=_simplex_words,
 )
 def monotone_simplex(config: RunConfig) -> tuple[Deviations, dict]:
     basis = MonotoneBasis(config.window or (-6, 9), config.depth or 4)
@@ -662,10 +669,26 @@ def car_relations(config: RunConfig) -> tuple[Deviations, dict]:
     return found, {"sites": hi - lo + 1, "dimension": chain.dim}
 
 
-@suite("car", "stationary", "the two-point kernel is invariant under shifting both arguments")
+def _kernel_window(default: tuple[int, int]) -> Callable[[RunConfig], tuple[int, int]]:
+    def window(config: RunConfig) -> tuple[int, int]:
+        lo, hi = config.window or default
+        car_model.check_index_square(lo, hi)
+        return lo, hi
+
+    return window
+
+
+_stationary_window = _kernel_window((-20, 20))
+_positivity_window = _kernel_window((-5, 5))
+
+
+@suite(
+    "car", "stationary", "the two-point kernel is invariant under shifting both arguments",
+    sizes=_stationary_window,
+)
 def car_stationary(config: RunConfig) -> tuple[Deviations, dict]:
     t = car_model.TwoPointFunction(config.coupling, config.diagonal)
-    lo, hi = config.window or (-20, 20)
+    lo, hi = _stationary_window(config)
     found = car_model.twopoint_stationarity(t, lo, hi)
     return found, {"window": [lo, hi], "coupling": config.coupling}
 
@@ -690,11 +713,12 @@ def car_witness(config: RunConfig) -> tuple[Deviations, dict]:
 @suite(
     "car", "positivity",
     "spectrum probe of the kernel section against the unit interval"
-    " (advisory: out-of-range eigenvalues are reported, never fatal)"
+    " (advisory: out-of-range eigenvalues are reported, never fatal)",
+    sizes=_positivity_window,
 )
 def car_positivity(config: RunConfig) -> tuple[Deviations, dict]:
     t = car_model.TwoPointFunction(config.coupling, config.diagonal)
-    lo, hi = config.window or (-5, 5)
+    lo, hi = _positivity_window(config)
     found = Deviations()
     found.samples = hi - lo + 1  # one sample per site; advisory, no deviations
     return found, car_model.positivity_probe(t, lo, hi).to_dict()

@@ -8,8 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spreadlab.car import (
+    MAX_INDEX_PAIRS,
     FermionChain,
     TwoPointFunction,
+    check_index_square,
     positivity_probe,
     spreadability_witness,
     twopoint_stationarity,
@@ -195,3 +197,27 @@ def test_probe_large_coupling_reports_out_of_range():
     assert not report.in_unit_interval  # reported, not raised
     data = report.to_dict()
     assert data["in_unit_interval"] is False
+
+
+# ---------------------------------------------------------------------------
+# Index-square budget
+
+
+def test_index_square_budget_is_exact():
+    assert MAX_INDEX_PAIRS == 1000**2
+    check_index_square(0, 999)
+    check_index_square(-(10**18), -(10**18) + 999)
+    with pytest.raises(ValueError, match=r"window \[0, 1000\] has 1002001 index pairs"):
+        check_index_square(0, 1000)
+    with pytest.raises(ValueError, match="empty window"):
+        check_index_square(1, 0)
+
+
+@pytest.mark.parametrize("check", [twopoint_stationarity, positivity_probe])
+def test_kernel_checks_reject_an_over_budget_window_before_any_value(check, monkeypatch):
+    def value(self, m, n):
+        raise AssertionError("a kernel value was computed")
+
+    monkeypatch.setattr(TwoPointFunction, "value", value)
+    with pytest.raises(ValueError, match="above the budget of 1000000"):
+        check(TwoPointFunction(), 0, 1000)

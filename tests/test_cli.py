@@ -1,6 +1,10 @@
 """Command-line behavior: flags, config files, exit codes, report files."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -178,6 +182,59 @@ def test_every_size_budget_is_checked_before_the_first_suite(tmp_path, monkeypat
     assert err.startswith("config error: monotone/hamel: window [0, 7] needs a row matrix")
     assert err.count("\n") == 1
     assert list(out.iterdir()) == []
+
+
+@pytest.fixture
+def no_suite_runs(monkeypatch):
+    """Replace every suite by one that fails the test if it runs."""
+
+    def ran(config):
+        raise AssertionError("a suite ran")
+
+    for table in SUITES.values():
+        for name in table:
+            monkeypatch.setitem(table, name, ran)
+
+
+def test_words_file_is_read_before_the_first_suite(tmp_path, no_suite_runs, capsys):
+    out = tmp_path / "wf"
+    missing = tmp_path / "nonexistent" / "words.txt"
+    assert main(["all", "--words-file", str(missing), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: monotone/simplex: cannot read words file:")
+    assert err.count("\n") == 1
+    assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("check", ["stationary", "positivity"])
+def test_kernel_windows_within_the_index_budget_run(check):
+    assert main(["car", "--check", check]) == 0
+    # 1000 sites: exactly car.MAX_INDEX_PAIRS index pairs
+    assert main(["car", "--check", check, "--window", "0..999"]) == 0
+
+
+@pytest.mark.parametrize("check", ["stationary", "positivity"])
+def test_kernel_index_budget_checked_before_the_first_suite(check, tmp_path, no_suite_runs, capsys):
+    out = tmp_path / "od"
+    assert main(["car", "--check", check, "--window", "0..1000", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        f"config error: car/{check}: window [0, 1000] has 1002001 index pairs,"
+        " above the budget of 1000000\n"
+    )
+    assert list(out.iterdir()) == []
+
+
+def test_positivity_scan_script_rejects_an_over_budget_window():
+    root = Path(__file__).resolve().parent.parent
+    proc = subprocess.run(
+        [sys.executable, str(root / "scripts" / "twopoint_positivity_scan.py"), "0..1000"],
+        capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": str(root / "src")},
+    )
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr == (
+        "config error: window [0, 1000] has 1002001 index pairs, above the budget of 1000000\n"
+    )
 
 
 def test_default_reports_name_no_failure_reason(tmp_path):

@@ -1,5 +1,6 @@
 """Exact combinatorics of the increasing-map monoids and finite permutations."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -21,6 +22,7 @@ from spreadlab.monoid import (
     cycle_for_interval,
     decompose_semidirect,
     evaluate,
+    evaluate_increasing,
     factor_D,
     factor_E,
     identity_map,
@@ -33,6 +35,8 @@ from spreadlab.monoid import (
     tau_pow,
     theta,
 )
+from spreadlab.reports import Deviations
+from spreadlab import suites
 
 increasing_maps = st.builds(
     IncreasingMap,
@@ -418,3 +422,115 @@ def test_random_increasing_map_respects_bounds(rng):
         assert -5 <= f.offset <= 5
         assert len(f.gaps) <= 6
         assert all(-20 <= g <= 20 for g in f.gaps)
+
+
+# ---------------------------------------------------------------------------
+# Fast paths pinned to the slow ones
+
+# Far past int64, so an array route that wrapped would show.
+HUGE = 2**70
+
+
+def maps_near(base):
+    """Increasing maps whose offset and gaps lie within 30 of ``base``."""
+    return st.builds(
+        IncreasingMap,
+        offset=st.integers(-30, 30).map(lambda d: base + d),
+        gaps=st.sets(st.integers(-30, 30), max_size=8).map(
+            lambda s: tuple(base + g for g in sorted(s))
+        ),
+    )
+
+
+@given(data=st.data(), gap_base=st.sampled_from([0, HUGE, -HUGE]),
+       offset_base=st.sampled_from([0, HUGE, -HUGE]))
+@settings(max_examples=300)
+def test_window_sweep_matches_scalar_evaluate(data, gap_base, offset_base):
+    f = data.draw(maps_near(gap_base))
+    f = IncreasingMap(offset_base + f.offset - gap_base, f.gaps)
+    # Points whose shifted values land among the gaps, in increasing order,
+    # with holes; and the values of another map on a window.
+    near = gap_base - offset_base
+    ks = sorted(data.draw(st.sets(st.integers(near - 45, near + 45), max_size=40)))
+    assert evaluate_increasing(f, ks) == [evaluate(f, k) for k in ks]
+    assert evaluate_increasing(f, []) == []
+    g = data.draw(maps_near(near))
+    window = range(-40, 41)
+    values = evaluate_increasing(g, window)
+    assert values == [evaluate(g, k) for k in window]
+    assert evaluate_increasing(f, values) == [evaluate(f, v) for v in values]
+
+
+words = st.lists(
+    st.builds(ShiftLetter, st.sampled_from("TP"),
+              st.integers(-8, 8) | st.integers(-8, 8).map(lambda h: HUGE + h)),
+    max_size=7,
+).map(tuple)
+
+
+@given(letters=words, ks=st.lists(st.integers(-12, 12) | st.integers(HUGE - 12, HUGE + 12),
+                                  max_size=10))
+@settings(max_examples=300)
+def test_word_letters_by_definition_match_realized_map(letters, ks):
+    w = GeneratorWord(letters)
+    pointwise = oracle_compose(
+        *(oracle_theta(s.h) if s.kind == "T" else oracle_psi(s.h) for s in letters)
+    )
+    realized = w.realize()
+    for k in ks:
+        assert w(k) == realized(k) == pointwise(k)
+
+
+def list_draw(rng, offset_range=(-5, 5), max_gaps=6, gap_range=(-20, 20)):
+    """The draw of random_increasing_map from a list population of gaps."""
+    offset = int(rng.integers(offset_range[0], offset_range[1] + 1))
+    n_gaps = int(rng.integers(0, max_gaps + 1))
+    pool = range(gap_range[0], gap_range[1] + 1)
+    gaps = sorted(int(g) for g in rng.choice(list(pool), size=n_gaps, replace=False))
+    return IncreasingMap(offset, tuple(gaps))
+
+
+# Every argument set the sampling code uses, and one that may draw the whole
+# gap range.
+DRAW_ARGS = [(), ((-2, 2), 3, (-6, 6)), ((-2, 2), 3, (-8, 8)), ((0, 0), 3, (0, 2))]
+
+
+@pytest.mark.parametrize("args", DRAW_ARGS)
+@given(seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=60)
+def test_integer_draw_keeps_the_list_draw_stream(args, seed):
+    fast, slow = np.random.default_rng(seed), np.random.default_rng(seed)
+    for _ in range(30):
+        assert random_increasing_map(fast, *args) == list_draw(slow, *args)
+    assert fast.bit_generator.state == slow.bit_generator.state
+
+
+def per_point_compose_oracle(config):
+    """The compose oracle evaluating one window point at a time."""
+    rng = np.random.default_rng(config.seed)
+    lo, hi = config.window
+    found = Deviations()
+    for _ in range(config.samples):
+        f = random_increasing_map(rng)
+        g = random_increasing_map(rng)
+        fg = suites.compose(f, g)
+        for k in range(lo, hi + 1):
+            dev = fg(k) - f(g(k))
+            if dev:
+                found.observe(dev, lambda _: {"f": f.to_text(), "g": g.to_text(), "k": k})
+    found.samples = config.samples
+    return found.report("monoid", "compose-oracle", "", config.seed, details={"window": [lo, hi]})
+
+
+@pytest.mark.parametrize("broken", [
+    lambda f, g: compose(theta(3), compose(f, g)),
+    lambda f, g: compose(f, g) if g.gaps else compose(psi(-40), compose(f, g)),
+])
+def test_compose_oracle_sweep_keeps_the_per_point_witnesses(broken, monkeypatch):
+    monkeypatch.setattr(suites, "compose", broken)
+    config = suites.RunConfig(model="monoid", window=(-50, 50), samples=40, seed=3)
+    got = suites.SUITES["monoid"]["compose-oracle"](config)
+    want = per_point_compose_oracle(config)
+    assert not got.passed and got.witnesses
+    got.claim = want.claim
+    assert got.to_json(include_wall_time=False) == want.to_json(include_wall_time=False)

@@ -1,7 +1,8 @@
 """Deformed Fock truncation: inner product, relations, vacuum invariance."""
 
+import math
 from fractions import Fraction
-from itertools import product
+from itertools import permutations, product
 
 import numpy as np
 import pytest
@@ -109,6 +110,38 @@ def test_inner_product_symmetric_and_matches_oracle(u, v, num):
     assert q_inner(u, v, q) == q_inner(v, u, q)
     assert q_inner(u, v, q) == recursive_inner(u, v, q)
     assert q_inner_recursive(u, v, q) == recursive_inner(u, v, q)
+
+
+def enumerated_inner(u, v, q):
+    """The inner product by enumerating every permutation, for every pair of
+    equal length."""
+    if len(u) != len(v):
+        return 0 * q**0
+    n = len(u)
+    total = 0 * q**0
+    for pi in permutations(range(n)):
+        if all(u[k] == v[pi[k]] for k in range(n)):
+            total += q ** inversions(pi)
+    return total
+
+
+def same_value(a, b):
+    """Equal, of one type, and (for floats) with the same sign of zero."""
+    return a == b and type(a) is type(b) and math.copysign(1, a) == math.copysign(1, b)
+
+
+@given(
+    u=st.lists(st.integers(0, 2), max_size=5),
+    v=st.lists(st.integers(0, 2), max_size=5),
+    q=st.sampled_from(Q_GRID) | st.floats(-0.99, 0.99)
+    | st.fractions(Fraction(-99, 100), Fraction(99, 100), max_denominator=1000),
+)
+@settings(max_examples=400)
+def test_multiset_guard_matches_full_enumeration(u, v, q):
+    u, v = tuple(u), tuple(v)
+    for a, b in ((u, v), (u, tuple(sorted(u))), (u, u[::-1]), (u, v[: len(u)])):
+        assert same_value(q_inner(a, b, q), enumerated_inner(a, b, q))
+        assert same_value(q_inner_recursive(a, b, q), recursive_inner(a, b, q))
 
 
 def test_inversions():
