@@ -12,7 +12,7 @@ functionals exploit instead of building matrices.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from itertools import combinations
 from math import comb
@@ -27,7 +27,6 @@ from .operators import (
     annihilator_matrix,
     budget_count,
     check_space,
-    check_window,
     creator as creator_letter,
     creator_matrix,
     label_state,
@@ -106,27 +105,12 @@ class MonotoneBasis:
     def vacuum_state(self) -> StateFunctional:
         return label_state(self, VACUUM)
 
-    def probe_value(self, w: Word, probe: int) -> complex:
-        """Diagonal value of the word at the single-entry label (probe,)."""
-        check_window(self, probe)
-        if any(i >= probe for i in w.indices()):
-            raise ValueError(f"probe {probe} is not above every word index")
-        start: Label = (probe,)
-        return self.apply_word(w, {start: 1.0}).get(start, 0.0)
-
     def state_at_infinity(self) -> StateFunctional:
-        """Diagonal value at the probe label just above the admissible window.
-
-        Words may only use indices strictly below the window top, which is
-        reserved as the probe; the value does not depend on the probe choice
-        as long as it stays above every index in the word.
-        """
+        """Vector state at the probe label (hi,), the window top, which words
+        may not use: its window stops one below.  The value does not depend on
+        the probe as long as it stays above every index in the word."""
         lo, hi = self.window
-
-        def rule(w: Word) -> complex:
-            return self.probe_value(w, hi)
-
-        return StateFunctional((lo, hi - 1), rule)
+        return replace(label_state(self, (hi,)), window=(lo, hi - 1))
 
     def vector_state(self, label: Label) -> StateFunctional:
         return label_state(self, label)

@@ -244,12 +244,6 @@ _PARTS = {
 # fermionic chain of 12 sites.
 MAX_DENSE_DIM = 4096
 
-# Most permutations a deformed Gram matrix may enumerate, one label pair and
-# one permutation of the pair's length at a time: about a second of
-# ``q_inner`` work.  Window 0..3 at depth 4 takes 802,267; a single site at
-# depth 11 would take about 44 M within a dimension of 12.
-MAX_GRAM_PERMUTATIONS = 1_000_000
-
 
 def budget_count(counts: Iterable[int]) -> int:
     """Sum of label counts, stopped once above :data:`MAX_DENSE_DIM`: exact

@@ -12,7 +12,7 @@ from spreadlab.cli import (
     OPTIONS, build_config, build_parser, main, parse_window, read_config_file,
 )
 from spreadlab.reports import SuiteReport
-from spreadlab import operators, suites
+from spreadlab import qfock, suites
 from spreadlab.suites import SUITES, ConfigError, RunConfig, run_suites
 
 
@@ -126,21 +126,23 @@ class _RowBuilt(Exception):
     pass
 
 
-@pytest.mark.parametrize("window, admitted", [("0..6", True), ("0..7", False)])
+@pytest.mark.parametrize("window, admitted", [("0..9", True), ("0..10", False)])
 def test_hamel_budget_checked_before_allocating(window, admitted, monkeypatch, capsys):
     def build_row(*args):
         raise _RowBuilt
 
     monkeypatch.setattr(suites, "sparse_map", build_row)
     argv = ["monotone", "--check", "hamel", "--window", window]
-    if admitted:  # 841 x 99^2 entries, within 4096^2
+    if admitted:  # 3,136 words x 386 labels, within the walk budget
         with pytest.raises(_RowBuilt):
             main(argv)
         return
-    assert main(argv) == 2  # 1369 x 163^2 entries
+    assert main(argv) == 2  # 4,489 words x 562 labels
     err = capsys.readouterr().err
-    assert err.startswith("config error: monotone/hamel: window [0, 7] needs a row matrix")
-    assert err.count("\n") == 1
+    assert err == (
+        "config error: monotone/hamel: window [0, 10] walks 4489 words over 562 labels,"
+        f" 2522818 pairs, above the budget of {suites.MAX_HAMEL_WALKS}\n"
+    )
 
 
 def test_compose_oracle_window_budget_checked_before_sampling(capsys):
@@ -166,7 +168,7 @@ def test_gram_permutation_budget_checked_before_enumerating(capsys):
     err = capsys.readouterr().err
     assert err == (
         "config error: qdeformed/relations: window [0, 0] at depth 11 needs 4037914 or more"
-        f" Gram permutations, above the budget of {operators.MAX_GRAM_PERMUTATIONS}\n"
+        f" Gram permutations, above the budget of {qfock.MAX_GRAM_PERMUTATIONS}\n"
     )
 
 
@@ -176,10 +178,10 @@ def test_every_size_budget_is_checked_before_the_first_suite(tmp_path, monkeypat
 
     monkeypatch.setattr(suites, "sparse_map", build_map)
     out = tmp_path / "od"
-    argv = ["monotone", "--check", "relations", "--check", "hamel", "--window", "0..7"]
+    argv = ["monotone", "--check", "relations", "--check", "hamel", "--window", "0..10"]
     assert main(argv + ["--out", str(out)]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("config error: monotone/hamel: window [0, 7] needs a row matrix")
+    assert err.startswith("config error: monotone/hamel: window [0, 10] walks 4489 words")
     assert err.count("\n") == 1
     assert list(out.iterdir()) == []
 

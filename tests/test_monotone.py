@@ -22,6 +22,7 @@ from spreadlab.operators import (
     annihilator,
     creator,
     evaluate_word,
+    label_state,
     mixture,
     word,
 )
@@ -224,21 +225,29 @@ def test_infinity_values(basis):
 
 
 def test_infinity_probe_independent_of_probe_choice(basis):
+    # Every label state at a probe above the word's indices reads the same
+    # value, and the state at infinity is that value.
+    oo = basis.state_at_infinity()
     words = [f.word() for f in lambda_forms(range(0, 2), 2, 2)]
     words += list(diagonal_number_words(range(0, 2)))
     for w in words:
         top = max(w.indices())
-        values = {basis.probe_value(w, j) for j in range(top + 1, 5)}
-        assert len(values) == 1
+        values = {label_state(basis, (j,))(w) for j in range(top + 1, 5)}
+        assert values == {oo(w)}
 
 
 def test_infinity_window_reserves_probe(basis):
     oo = basis.state_at_infinity()
     assert oo.window == (0, 3)
+    touching = word(annihilator(4), creator(4))
+    assert not oo.admits(touching)
     with pytest.raises(IndexError):
         oo(word(creator(4)))
-    with pytest.raises(ValueError):
-        basis.probe_value(word(creator(3)), 3)
+    with pytest.raises(IndexError):
+        oo(touching)
+    # At the probe itself the label state is no longer the limit value.
+    assert label_state(basis, (4,))(touching) == 0
+    assert oo(word(annihilator(3), creator(3))) == 1
 
 
 def test_states_match_matrix_route(basis):

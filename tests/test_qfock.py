@@ -335,6 +335,27 @@ def test_states_unital_and_conjugate_symmetric():
             assert phi(w.adjoint()) == pytest.approx(phi(w).conjugate(), abs=1e-12)
 
 
+@pytest.mark.parametrize("q", Q_GRID)
+@pytest.mark.parametrize("label", [(1, 1), (0, 1, 0), (2, 2, 2)])
+def test_vector_states_on_repeated_labels_are_normalized(q, label):
+    # A label with a repeated entry has deformed norm other than 1 unless
+    # q = 0, so the readout must divide by it to give a state.
+    basis = QBasis((0, 2), 3, q)
+    phi = basis.vector_state(label)
+    assert phi(Word(())) == pytest.approx(1, abs=1e-12)
+    for w in words_over([0, 1, 2], 3, (Kind.CREATOR, Kind.ANNIHILATOR)):
+        assert phi(w.adjoint()) == pytest.approx(phi(w).conjugate(), abs=1e-12)
+
+
+@pytest.mark.parametrize("q", Q_GRID)
+def test_empty_label_vector_state_is_the_vacuum_state(q):
+    basis = QBasis((-2, 2), 3, q)
+    phi, om = basis.vector_state(()), basis.vacuum_state()
+    for kinds in ((Kind.CREATOR, Kind.ANNIHILATOR), (Kind.POSITION,)):
+        for w in words_over([-2, -1, 0, 1, 2], 3, kinds):
+            assert phi(w) == om(w)
+
+
 # ---------------------------------------------------------------------------
 # Token syntax
 
