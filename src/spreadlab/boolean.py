@@ -16,7 +16,7 @@ composition law exact.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Union
 
@@ -122,8 +122,11 @@ class BooleanSpace:
 
     def infinity_state(self) -> StateFunctional:
         """The scalar part of a word: products of generators are compact, and
-        a word of unit letters only is the identity."""
-        return StateFunctional(self.window, lambda w: 0 if w.indices() else 1)
+        a word of unit letters only is the identity.  It is the vector state
+        at the site one above the window, which every letter of a word inside
+        the window kills."""
+        lo, hi = self.window
+        return replace(label_state(BooleanSpace((lo, hi + 1)), hi + 1), window=(lo, hi))
 
     def vector_state(self, label: Label) -> StateFunctional:
         return label_state(self, label)

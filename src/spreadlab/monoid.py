@@ -44,6 +44,15 @@ class IncreasingMap:
             raise ValueError(f"gaps must be strictly increasing, got {gaps!r}")
         object.__setattr__(self, "gaps", gaps)
 
+    @classmethod
+    def _canonical(cls, offset: int, gaps: tuple[int, ...]) -> "IncreasingMap":
+        """The map of a canonical form already known to be ints with strictly
+        increasing gaps, built without converting or re-checking them."""
+        f = object.__new__(cls)
+        object.__setattr__(f, "offset", offset)
+        object.__setattr__(f, "gaps", gaps)
+        return f
+
     @property
     def right_offset(self) -> int:
         """Shift at plus infinity: f(k) = k + right_offset for large k."""
@@ -81,17 +90,17 @@ def identity_map() -> IncreasingMap:
 
 def theta(h: int) -> IncreasingMap:
     """Forward partial shift at h: k -> k for k < h, k -> k+1 for k >= h."""
-    return IncreasingMap(0, (h,))
+    return IncreasingMap._canonical(0, (int(h),))
 
 
 def psi(h: int) -> IncreasingMap:
     """Backward partial shift at h: k -> k for k > h, k -> k-1 for k <= h."""
-    return IncreasingMap(-1, (h,))
+    return IncreasingMap._canonical(-1, (int(h),))
 
 
 def tau_pow(n: int) -> IncreasingMap:
     """n-th power of the one-step shift k -> k+1."""
-    return IncreasingMap(n, ())
+    return IncreasingMap._canonical(n, ())
 
 
 def evaluate(f: IncreasingMap, k: int) -> int:
@@ -133,7 +142,7 @@ def evaluate_increasing(f: IncreasingMap, ks: Iterable[int]) -> list[int]:
 def compose(f: IncreasingMap, g: IncreasingMap) -> IncreasingMap:
     """f after g.  Gaps of f∘g are the gaps of f plus the f-images of g's gaps."""
     gaps = sorted(set(f.gaps).union(evaluate(f, x) for x in g.gaps))
-    return IncreasingMap(f.offset + g.offset, tuple(gaps))
+    return IncreasingMap._canonical(f.offset + g.offset, tuple(gaps))
 
 
 def conjugate_by_shift(f: IncreasingMap, m: int) -> IncreasingMap:

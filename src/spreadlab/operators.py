@@ -14,19 +14,19 @@ a model with vector states also tests label membership in closed form
 (``has_label``), without enumerating its labels.
 Everything else is derived here once: the window check, position letters
 (creator images, then annihilator images), unit letters, the dict walker
-:func:`walk` and its label maps :func:`sparse_map` (the route by which suites
-apply words), dense letter matrices (oracles) and the vector states.  Labels
-and dense matrices are built only when the model's ``dim`` is within
-:data:`MAX_DENSE_DIM`.
+:func:`walk_pairs` with its ``Word`` adapter :func:`walk` and its label maps
+:func:`sparse_map` (the route by which suites apply words), dense letter
+matrices (oracles) and the vector states, which are data: a model, a window
+and weighted basis labels.  Labels and dense matrices are built only when
+the model's ``dim`` is within :data:`MAX_DENSE_DIM`.
 """
 
 from __future__ import annotations
 
 import re
-from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Hashable, Iterable, Iterator
+from typing import Any, Hashable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -275,21 +275,19 @@ def check_window(model, index: int) -> None:
         raise IndexError(f"index {index} outside window [{lo}, {hi}]")
 
 
-def walk(model, w: Word, vec: dict) -> dict:
-    """Push a superposition (label -> coefficient) through a word, rightmost
-    letter first.  Products equal to zero are dropped; unit letters are
-    skipped."""
+def walk_pairs(model, pairs: Iterable[tuple[tuple[Kind, ...], int]], vec: dict) -> dict:
+    """Push a superposition (label -> coefficient) through a word given as
+    (parts, index) pairs, rightmost letter first, where ``parts`` lists the
+    actions the letter is made of (see :data:`_PARTS`).  Products equal to
+    zero are dropped.  This is the one walk loop; :func:`walk` and the
+    states feed it."""
     act = model.act
     lo, hi = model.window
-    for letter in reversed(w.letters):
-        index = letter.index
-        if index is None:
-            continue
+    for parts, index in pairs:
         if not lo <= index <= hi:
             check_window(model, index)  # raises
         if not vec:
             continue
-        parts = _PARTS[letter.kind]
         out: dict = {}
         for label, coeff in vec.items():
             for kind in parts:
@@ -301,16 +299,30 @@ def walk(model, w: Word, vec: dict) -> dict:
     return vec
 
 
+def letter_pairs(w: Word) -> list[tuple[tuple[Kind, ...], int]]:
+    """The (parts, index) pairs of a word's letters, rightmost first; unit
+    letters act as the identity and give none."""
+    return [(_PARTS[l.kind], l.index) for l in reversed(w.letters) if l.index is not None]
+
+
+def walk(model, w: Word, vec: dict) -> dict:
+    """Push a superposition (label -> coefficient) through a word, rightmost
+    letter first; unit letters are skipped."""
+    return walk_pairs(model, letter_pairs(w), vec)
+
+
 def sparse_map(model, combination: list[tuple[complex, Word]]) -> dict:
     """Label -> image (label -> weight) of the combination sum(c * w) of
     (c, w) pairs, walked one basis label at a time; zero weights and labels
     with a zero image are dropped.  The empty word is the unit."""
     check_space(model.window, model.dim)
+    walks = [(coeff, letter_pairs(w)) for coeff, w in combination]
     out = {}
     for label in model.labels:
-        image: Counter = Counter()
-        for coeff, w in combination:
-            image.update(walk(model, w, {label: coeff}))
+        image: dict = {}
+        for coeff, pairs in walks:
+            for target, weight in walk_pairs(model, pairs, {label: coeff}).items():
+                image[target] = image.get(target, 0) + weight
         nonzero = {target: weight for target, weight in image.items() if weight != 0}
         if nonzero:
             out[label] = nonzero
@@ -360,38 +372,81 @@ def evaluate_word(model, w: Word) -> Operator:
 
 
 def label_state(model, label: Hashable) -> StateFunctional:
-    """Vector state w -> <e_label, w e_label> on an orthonormal basis, read
-    off the model's walker."""
+    """Vector state w -> <e_label, w e_label> on an orthonormal basis: the
+    label's coordinate in its walked image."""
     if not model.has_label(label):
         raise ValueError(f"{label!r} is not a basis label")
-
-    def rule(w: Word) -> complex:
-        return model.apply_word(w, {label: 1.0}).get(label, 0.0)
-
-    return StateFunctional(model.window, rule)
+    return StateFunctional(model.window, (Term(1, model, label),))
 
 
 # ---------------------------------------------------------------------------
 # State functionals
 
 
+class Term(NamedTuple):
+    """One weighted vector-state readout of the image v = w e_label walked
+    on ``model``: ``weight`` times the coordinate v[label] or, given a
+    ``dual`` of (u, <e_u, e_label>) pairs, times
+    sum(v[u] * <e_u, e_label>) / ``norm``.  The dual lists every label u
+    with a nonzero pairing."""
+
+    weight: Any
+    model: Any
+    label: Hashable
+    dual: tuple[tuple[Hashable, Any], ...] | None = None
+    norm: Any = 1
+
+
 @dataclass(frozen=True)
 class StateFunctional:
-    """Normalized linear functional on words.
+    """Normalized linear functional on words, held as data: the inclusive
+    index ``window`` a word may use, and the weighted vector-state terms it
+    sums, each on a basis label of a model.
 
-    ``window`` is the inclusive index range a word may use; relabeled words
-    escaping it are skipped by the symmetry checker rather than evaluated.
+    Relabeled words escaping the window are skipped by the symmetry checker
+    rather than evaluated.
     """
 
     window: tuple[int, int]
-    rule: Callable[[Word], complex]
+    terms: tuple[Term, ...]
+
+    def values(self, kinds: Sequence[Kind], rows: Iterable[Sequence[int]]) -> list[complex]:
+        """Values on the words whose letters have the given ``kinds``, each
+        word given as the row of its letters' indices, left to right, unit
+        letters carrying none.  Every row is walked once per term, straight
+        through :func:`walk_pairs`: no ``Word`` is built."""
+        lo, hi = self.window
+        parts = [_PARTS[kind] for kind in reversed(kinds) if kind is not Kind.UNIT]
+        terms = [
+            (t.weight, t.model, t.label, None if t.dual is None else dict(t.dual), t.norm)
+            for t in self.terms
+        ]
+        out = []
+        for row in rows:
+            if len(row) != len(parts):
+                raise ValueError(f"{len(row)} indices for {len(parts)} indexed letters")
+            for i in row:
+                if not lo <= i <= hi:
+                    raise IndexError(f"index {i} outside state window [{lo}, {hi}]")
+            pairs = list(zip(parts, reversed(row)))
+            value = None
+            for weight, model, label, dual, norm in terms:
+                image = walk_pairs(model, pairs, {label: 1.0})
+                if dual is None:
+                    read = image.get(label, 0.0)
+                else:
+                    total = 0.0 + 0.0j
+                    for target, coeff in image.items():
+                        pairing = dual.get(target)
+                        if pairing is not None:
+                            total += coeff * pairing
+                    read = total / norm
+                value = weight * read if value is None else value + weight * read
+            out.append(complex(value))
+        return out
 
     def __call__(self, w: Word) -> complex:
-        lo, hi = self.window
-        for i in w.indices():
-            if not lo <= i <= hi:
-                raise IndexError(f"index {i} outside state window [{lo}, {hi}]")
-        return complex(self.rule(w))
+        return self.values(tuple(letter.kind for letter in w.letters), [w.indices()])[0]
 
     def admits(self, w: Word) -> bool:
         lo, hi = self.window
@@ -399,9 +454,13 @@ class StateFunctional:
 
 
 def mixture(phi1: StateFunctional, phi2: StateFunctional, x: float) -> StateFunctional:
-    """Affine combination (1-x) phi1 + x phi2 for x in [0, 1]."""
+    """Affine combination (1-x) phi1 + x phi2 for x in [0, 1]: the terms of
+    both, their weights scaled."""
     if not 0.0 <= x <= 1.0:
         raise ValueError(f"mixture weight must lie in [0, 1], got {x}")
     lo = max(phi1.window[0], phi2.window[0])
     hi = min(phi1.window[1], phi2.window[1])
-    return StateFunctional((lo, hi), lambda w: (1.0 - x) * phi1.rule(w) + x * phi2.rule(w))
+    terms = tuple(t._replace(weight=(1.0 - x) * t.weight) for t in phi1.terms) + tuple(
+        t._replace(weight=x * t.weight) for t in phi2.terms
+    )
+    return StateFunctional((lo, hi), terms)

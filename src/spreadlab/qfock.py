@@ -27,6 +27,7 @@ from .operators import (
     Kind,
     Letter,
     StateFunctional,
+    Term,
     TruncatedSpace,
     Word,
     annihilator_matrix,
@@ -69,6 +70,17 @@ def q_inner(u: Label, v: Label, q) -> complex | float:
         if all(u[k] == v[pi[k]] for k in range(n)):
             total += q ** inversions(pi)
     return total
+
+
+def q_pairings(v: Label, q) -> dict[Label, complex | float]:
+    """<u, v>_q for every rearrangement u of v, from one enumeration of the
+    permutations: each pi adds q**inversions(pi) to the u it matches, so each
+    value is summed in the order :func:`q_inner` sums it, and equals it."""
+    out: dict = {}
+    for pi in permutations(range(len(v))):
+        u = tuple(v[k] for k in pi)
+        out[u] = out.get(u, 0 * q**0) + q ** inversions(pi)
+    return out
 
 
 def q_inner_recursive(u: Label, v: Label, q) -> complex | float:
@@ -196,15 +208,10 @@ class QBasis:
         base: Label = (label,) if isinstance(label, int) else tuple(label)
         if not self.has_label(base):
             raise ValueError(f"{base!r} is not a basis label")
-        norm = float(q_inner(base, base, self.q))  # positive for |q| < 1
-
-        def rule(w: Word) -> complex:
-            total = 0.0 + 0.0j
-            for image, coeff in self.apply_word(w, {base: 1.0}).items():
-                total += coeff * float(q_inner(image, base, self.q))
-            return total / norm
-
-        return StateFunctional(self.window, rule)
+        pairings = q_pairings(base, self.q)
+        dual = tuple((u, float(value)) for u, value in pairings.items())
+        norm = float(pairings[base])  # positive for |q| < 1
+        return StateFunctional(self.window, (Term(1, self, base, dual, norm),))
 
 
 def words_over(

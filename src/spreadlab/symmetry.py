@@ -24,7 +24,7 @@ from .monoid import (
     tau_pow,
     theta,
 )
-from .operators import StateFunctional, Word, relabel
+from .operators import StateFunctional, Word
 from .reports import Deviations
 
 SHIFT = "shift"
@@ -90,10 +90,6 @@ def describe_map(g) -> str:
     return repr(g)
 
 
-def _kinds(w: Word) -> tuple[str, ...]:
-    return tuple(letter.kind.value for letter in w.letters)
-
-
 def _codes(digits: np.ndarray, base: int) -> np.ndarray:
     """Exact integer code of each row of ``digits`` (each below ``base``):
     int64 while ``base ** width`` fits, Python ints otherwise, so a code never
@@ -119,28 +115,30 @@ def check_symmetry(
     first 10 cases beyond ``tol``, in (word, map) order, are kept as
     witnesses.
 
-    Admitted words are grouped by their kind values.  A group's indices are
-    stacked as digits (ranks among every index its words and their images
-    take) and relabeled one map at a time through the map's table over the
-    group's distinct indices.  Each row then has an exact integer code, so
-    one code is one word: values are looked up by code, never by a word's
-    pattern, and each distinct word, in the list or not, is evaluated once
-    per check, on a real ``Word``.  ``words`` is read into a list first,
-    since it is walked twice.
+    Admitted words are grouped by their letters' kinds.  A group's indices
+    are stacked as digits (ranks among every index its words and their
+    images take) and relabeled one map at a time through the map's table
+    over the group's distinct indices.  Each row then has an exact integer
+    code, so one code is one word: values are looked up by code, never by a
+    word's pattern, and each distinct word, in the list or not, is evaluated
+    once per check.  A word is evaluated straight from its group's kinds and
+    its row of indices (:meth:`StateFunctional.values`); the rows of a map's
+    new words come out of one array step, and no ``Word`` is built for them.
+    ``words`` is read into a list first, since it is walked twice.
     """
     words = list(words)
     lo, hi = state.window
     maps = family.maps
     found = Deviations(tol, 10)
-    groups: dict[tuple, list[int]] = {}  # kind values -> input positions
+    groups: dict[tuple, list[int]] = {}  # kinds -> input positions
     for pos, w in enumerate(words):
-        if state.admits(w):
-            groups.setdefault(_kinds(w), []).append(pos)
+        if all(lo <= i <= hi for i in w.indices()):
+            groups.setdefault(tuple(l.kind for l in w.letters), []).append(pos)
         else:
             found.skipped += len(maps)
     kept = []  # the first cases beyond tol: (position, map, lhs, rhs)
-    for positions in groups.values():
-        rows = [words[pos].indices() for pos in positions]
+    for kinds, positions in groups.items():
+        rows = [words[pos].indices() for pos in positions]  # one group's at a time
         uniq = sorted(set().union(*rows))
         at_uniq = {i: r for r, i in enumerate(uniq)}
         digits = np.array([[at_uniq[i] for i in row] for row in rows], np.int64)
@@ -149,7 +147,7 @@ def check_symmetry(
         base = len(every)
         codes = _codes(np.array([every[i] for i in uniq], np.int64)[digits], base)
         known, first, inverse = np.unique(codes, return_index=True, return_inverse=True)
-        values = np.array([state(words[positions[r]]) for r in first], complex)
+        values = np.array(state.values(kinds, [rows[r] for r in first]), complex)
         before = values[inverse]  # the value of each row's own word
         for m, (g, image) in enumerate(zip(maps, images)):
             inside = np.flatnonzero(
@@ -162,13 +160,10 @@ def check_symmetry(
             miss = np.flatnonzero(known[np.minimum(at, len(known) - 1)] != code)
             if len(miss):
                 new, seen = np.unique(code[miss], return_index=True)
-                table = dict(zip(uniq, image)).__getitem__
-                new_values = [
-                    state(relabel(words[positions[r]], table)) for r in inside[miss[seen]]
-                ]
+                moved = np.array(image, object)[digits[inside[miss[seen]]]].tolist()
                 slots = np.searchsorted(known, new)
                 known = np.insert(known, slots, new)
-                values = np.insert(values, slots, new_values)
+                values = np.insert(values, slots, state.values(kinds, moved))
                 at = np.searchsorted(known, code)
             dev = before[inside] - values[at]
             # Rounded as Python's complex abs rounds (np.abs may differ in the

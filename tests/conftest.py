@@ -1,8 +1,11 @@
 """Shared oracles: pointwise closures for the partial shifts, independent of
-the canonical (offset, gaps) representation under test."""
+the canonical (offset, gaps) representation under test, and a fake state
+for the symmetry harness."""
 
 import numpy as np
 import pytest
+
+from spreadlab.operators import Kind, Letter, Word
 
 
 def oracle_theta(h):
@@ -33,3 +36,37 @@ def pointwise_equal(f, g, lo=-50, hi=50):
 @pytest.fixture
 def rng():
     return np.random.default_rng(20230526)
+
+
+class FakeState:
+    """A state for the symmetry harness whose value on a word is
+    ``read(word)``.  It has the harness's one evaluation method, ``values``,
+    which rebuilds each word from its kinds and row of indices; the
+    reference loop calls it on words directly.  ``calls`` records every
+    word it is asked for."""
+
+    def __init__(self, window, read, calls=None):
+        self.window = window
+        self.read = read
+        self.calls = calls
+
+    def values(self, kinds, rows):
+        out = []
+        for row in rows:
+            indices = iter(row)
+            letters = [
+                Letter(kind) if kind is Kind.UNIT else Letter(kind, next(indices))
+                for kind in kinds
+            ]
+            assert next(indices, None) is None
+            out.append(self(Word(tuple(letters))))
+        return out
+
+    def __call__(self, w):
+        if self.calls is not None:
+            self.calls.append(w)
+        return complex(self.read(w))
+
+    def admits(self, w):
+        lo, hi = self.window
+        return all(lo <= i <= hi for i in w.indices())

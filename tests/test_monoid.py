@@ -127,6 +127,18 @@ def test_compose_agrees_with_pointwise_oracle(f, g):
     assert all(fg(k) == f(g(k)) for k in range(-50, 51))
 
 
+@given(f=increasing_maps, g=increasing_maps, h=st.integers(-20, 20))
+@settings(max_examples=150)
+def test_unchecked_results_are_canonical(f, g, h):
+    # compose and the generators skip the constructor's checks; what they
+    # build must be what the checked constructor builds from the same form.
+    for got in (compose(f, g), theta(h), psi(h), tau_pow(h), theta(np.int64(h))):
+        assert got == IncreasingMap(got.offset, got.gaps)
+        assert all(type(gap) is int for gap in got.gaps)
+        assert all(a < b for a, b in zip(got.gaps, got.gaps[1:]))
+        assert hash(got) == hash(IncreasingMap(got.offset, got.gaps))
+
+
 @given(f=increasing_maps, g=increasing_maps, h=increasing_maps)
 @settings(max_examples=80)
 def test_compose_associative(f, g, h):

@@ -1,6 +1,7 @@
 """Space/operator scaffolding, word evaluation, and the symmetry checker."""
 
 import json
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -17,6 +18,8 @@ from spreadlab.operators import (
     Kind,
     Letter,
     Operator,
+    StateFunctional,
+    Term,
     TruncatedSpace,
     Word,
     annihilator,
@@ -28,9 +31,10 @@ from spreadlab.operators import (
     position,
     relabel,
     sparse_map,
+    walk,
     word,
 )
-from spreadlab.qfock import QBasis
+from spreadlab.qfock import QBasis, q_inner
 from spreadlab.symmetry import (
     check_symmetry,
     empty_family,
@@ -460,3 +464,166 @@ def test_sparse_map_of_the_unit_is_the_identity():
     basis = MonotoneBasis((0, 2), 2)
     assert sparse_map(basis, [(1, word())]) == {t: {t: 1} for t in basis.labels}
     assert sparse_map(basis, [(1, word()), (-1, word())]) == {}
+
+
+# ---------------------------------------------------------------------------
+# The pair walker and the states' row route against the Word route
+
+
+_REFERENCE_PARTS = {
+    Kind.CREATOR: (Kind.CREATOR,),
+    Kind.ANNIHILATOR: (Kind.ANNIHILATOR,),
+    Kind.POSITION: (Kind.CREATOR, Kind.ANNIHILATOR),
+}
+
+
+def reference_walk(model, w, vec):
+    """The walker as it was: one loop over the word's letters, right to left."""
+    lo, hi = model.window
+    for letter in reversed(w.letters):
+        if letter.kind is Kind.UNIT:
+            continue
+        if not lo <= letter.index <= hi:
+            raise IndexError(f"index {letter.index} outside window [{lo}, {hi}]")
+        out = {}
+        for label, coeff in vec.items():
+            for kind in _REFERENCE_PARTS[letter.kind]:
+                for image, weight in model.act(kind, letter.index, label):
+                    c = weight * coeff
+                    if c != 0:
+                        out[image] = out.get(image, 0) + c
+        vec = out
+    return vec
+
+
+def reference_label(model, label):
+    return lambda w: reference_walk(model, w, {label: 1.0}).get(label, 0.0)
+
+
+def reference_deformed(basis, base):
+    def read(w):
+        total = 0.0 + 0.0j
+        for image, coeff in reference_walk(basis, w, {base: 1.0}).items():
+            total += coeff * float(q_inner(image, base, basis.q))
+        return total / float(q_inner(base, base, basis.q))
+
+    return read
+
+
+def reference_dual(model, label, dual, norm):
+    def read(w):
+        total = 0.0 + 0.0j
+        for image, coeff in reference_walk(model, w, {label: 1.0}).items():
+            total += coeff * dual.get(image, 0.0)
+        return total / norm
+
+    return read
+
+
+def reference_mixture(read1, read2, x):
+    return lambda w: (1.0 - x) * read1(w) + x * read2(w)
+
+
+CROSS_MODELS = {
+    **MODELS,
+    "qdeformed-exact": lambda window, depth: QBasis(window, depth, Fraction(1, 3)),
+}
+
+
+def states_and_references(model, data):
+    """(state, window, raw reference readout) triples for the model's states,
+    and for a state of one term pairing with a drawn dual on every label,
+    which reads off-diagonal entries and so tells a word from its reversal."""
+    lo, hi = model.window
+    labels = st.sampled_from(model.labels)
+    size = len(model.labels)
+    label = data.draw(labels)
+    dual = dict(zip(model.labels, data.draw(st.lists(st.floats(-2.0, 2.0), min_size=size, max_size=size))))
+    weight, norm = data.draw(st.floats(-2.0, 2.0)), data.draw(st.floats(0.5, 2.0))
+    read = reference_dual(model, label, dual, norm)
+    drawn = StateFunctional((lo, hi), (Term(weight, model, label, tuple(dual.items()), norm),))
+    return [(drawn, (lo, hi), lambda w: weight * read(w))] + model_states(model, data)
+
+
+def model_states(model, data):
+    lo, hi = model.window
+    labels = st.sampled_from(model.labels)
+    x = data.draw(st.sampled_from([0.0, 0.25, 0.5, 1.0]) | st.floats(0.0, 1.0))
+    if isinstance(model, MonotoneBasis):
+        label = data.draw(labels)
+        vacuum, probe = reference_label(model, ()), reference_label(model, (hi,))
+        return [
+            (model.vacuum_state(), (lo, hi), vacuum),
+            (model.state_at_infinity(), (lo, hi - 1), probe),
+            (model.vector_state(label), (lo, hi), reference_label(model, label)),
+            (mixture(model.state_at_infinity(), model.vacuum_state(), x), (lo, hi - 1),
+             reference_mixture(probe, vacuum, x)),
+        ]
+    if isinstance(model, QBasis):
+        base = data.draw(labels)
+        vacuum, deformed = reference_label(model, ()), reference_deformed(model, base)
+        return [
+            (model.vacuum_state(), (lo, hi), vacuum),
+            (model.vector_state(base), (lo, hi), deformed),
+            (mixture(model.vector_state(base), model.vacuum_state(), x), (lo, hi),
+             reference_mixture(deformed, vacuum, x)),
+        ]
+    if isinstance(model, BooleanSpace):
+        label = data.draw(labels)
+        sharp, site = reference_label(model, "#"), reference_label(model, label)
+        return [
+            (model.sharp_state(), (lo, hi), sharp),
+            (model.infinity_state(), (lo, hi), lambda w: 0 if w.indices() else 1),
+            (model.vector_state(label), (lo, hi), site),
+            (mixture(model.sharp_state(), model.vector_state(label), x), (lo, hi),
+             reference_mixture(sharp, site, x)),
+            (mixture(model.sharp_state(), model.infinity_state(), x), (lo, hi),
+             reference_mixture(sharp, lambda w: 0 if w.indices() else 1, x)),
+        ]
+    return []  # the fermionic chain has no states
+
+
+def outcome(fn, *args):
+    """The value, or the exception type raised."""
+    try:
+        return fn(*args)
+    except (IndexError, ValueError) as exc:
+        return type(exc)
+
+
+@given(
+    name=st.sampled_from(sorted(CROSS_MODELS)),
+    lo=st.integers(-2, 1),
+    width=st.integers(1, 3),
+    depth=st.integers(1, 3),
+    data=st.data(),
+)
+@settings(max_examples=200, deadline=None)
+def test_pair_walker_and_rows_match_the_word_route(name, lo, width, depth, data):
+    model = CROSS_MODELS[name]((lo, lo + width - 1), depth)
+    first, last = model.window
+    kinds = st.sampled_from([Kind.CREATOR, Kind.ANNIHILATOR, Kind.POSITION])
+    letters = st.one_of(
+        st.builds(Letter, kinds, st.integers(first - 2, last + 2)),  # some outside
+        st.just(Letter(Kind.UNIT)),
+    )
+    words = data.draw(st.lists(st.lists(letters, max_size=4), min_size=1, max_size=6))
+    words = [Word(tuple(w)) for w in words]
+    coeffs = st.integers(-3, 3) | st.floats(-2.0, 2.0)
+    start = data.draw(st.dictionaries(st.sampled_from(model.labels), coeffs, min_size=1, max_size=4))
+    for w in words:
+        expected = outcome(reference_walk, model, w, start)
+        for got in (outcome(walk, model, w, start), outcome(model.apply_word, w, start)):
+            if isinstance(expected, dict):
+                assert list(got.items()) == list(expected.items())
+                assert [type(c) for c in got.values()] == [type(c) for c in expected.values()]
+            else:
+                assert got is expected is IndexError
+    for state, (wlo, whi), read in states_and_references(model, data):
+        assert state.window == (wlo, whi)
+        for w in words:
+            admitted = all(wlo <= i <= whi for i in w.indices())
+            expected = complex(read(w)) if admitted else IndexError
+            row = outcome(state.values, tuple(l.kind for l in w.letters), [w.indices()])
+            assert outcome(state, w) == expected
+            assert row == ([expected] if admitted else IndexError)

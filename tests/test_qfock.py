@@ -23,6 +23,7 @@ from spreadlab.qfock import (
     QBasis,
     inversions,
     q_inner,
+    q_pairings,
     q_inner_recursive,
     words_over,
 )
@@ -142,6 +143,22 @@ def test_multiset_guard_matches_full_enumeration(u, v, q):
     for a, b in ((u, v), (u, tuple(sorted(u))), (u, u[::-1]), (u, v[: len(u)])):
         assert same_value(q_inner(a, b, q), enumerated_inner(a, b, q))
         assert same_value(q_inner_recursive(a, b, q), recursive_inner(a, b, q))
+
+
+@given(
+    v=st.lists(st.integers(0, 2), max_size=5),
+    q=st.sampled_from(Q_GRID) | st.floats(-0.99, 0.99)
+    | st.fractions(Fraction(-99, 100), Fraction(99, 100), max_denominator=1000),
+)
+@settings(max_examples=200)
+def test_pairings_are_q_inner_of_every_rearrangement(v, q):
+    # One enumeration gives every pairing the vector state reads, each equal
+    # to q_inner in value, type and sign of zero.
+    v = tuple(v)
+    pairings = q_pairings(v, q)
+    assert set(pairings) == set(permutations(v))
+    for u, value in pairings.items():
+        assert same_value(value, q_inner(u, v, q))
 
 
 def test_inversions():

@@ -20,7 +20,9 @@ from pathlib import Path
 
 import pytest
 
-from spreadlab import operators
+from spreadlab import operators, symmetry
+from spreadlab.monotone import MonotoneBasis
+from spreadlab.qfock import QBasis
 from spreadlab.suites import RunConfig, run_suites
 
 SEED = 20230526
@@ -47,3 +49,19 @@ def test_suite_builds_no_dense_letter_matrix(key, monkeypatch):
 
     monkeypatch.setattr(operators, "letter_matrix", no_dense)
     assert _run(key).passed
+
+
+@pytest.mark.parametrize("key", HARNESS)
+def test_harness_builds_no_relabeled_word(key, monkeypatch):
+    # The harness evaluates relabeled words from their kinds and indices:
+    # no relabel, no state call on a Word and no walk of a Word.
+    def no_word_route(*args):
+        raise AssertionError("a relabeled word took the Word route")
+
+    monkeypatch.setattr(symmetry, "relabel", no_word_route, raising=False)
+    for name in ("relabel", "walk", "letter_pairs"):
+        monkeypatch.setattr(operators, name, no_word_route)
+    monkeypatch.setattr(operators.StateFunctional, "__call__", no_word_route)
+    for model in (MonotoneBasis, QBasis):
+        monkeypatch.setattr(model, "apply_word", no_word_route)
+    assert _run(key).to_json(include_wall_time=False) == PINNED[key]

@@ -7,8 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import FakeState
 from spreadlab.monoid import tau_pow
-from spreadlab.operators import StateFunctional, creator, word
+from spreadlab.operators import creator, word
 from spreadlab.reports import COVERAGE_FLOOR, Deviations
 from spreadlab.symmetry import SymmetryFamily, check_symmetry
 
@@ -57,7 +58,7 @@ def test_check_symmetry_matches_list_reference(data, tol):
     # values[i] with values[i+1].
     values = data.draw(deviation_lists(tol).filter(lambda v: len(v) >= 2))
     n = len(values) - 1
-    state = StateFunctional((0, n), lambda w: values[w.indices()[0]])
+    state = FakeState((0, n), lambda w: values[w.indices()[0]])
     words = [word(creator(i)) for i in range(n)]
     check = check_symmetry(state, words, SymmetryFamily("shift", (tau_pow(1),)), tol)
     sizes = [abs(complex(values[i]) - complex(values[i + 1])) for i in range(n)]
@@ -69,7 +70,7 @@ def test_check_symmetry_matches_list_reference(data, tol):
 
 
 def test_nan_state_fails_with_witness():
-    state = StateFunctional((-5, 5), lambda w: math.nan)
+    state = FakeState((-5, 5), lambda w: math.nan)
     check = check_symmetry(state, [word(creator(0))], SymmetryFamily("shift", (tau_pow(1),)))
     assert not check.passed
     assert math.isnan(check.max_deviation)

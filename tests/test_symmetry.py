@@ -15,6 +15,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import FakeState
 from spreadlab.monoid import (
     FinitePermutation,
     IncreasingMap,
@@ -28,7 +29,6 @@ from spreadlab.monotone import MonotoneBasis, lambda_forms
 from spreadlab.operators import (
     Kind,
     Letter,
-    StateFunctional,
     Word,
     annihilator,
     creator,
@@ -102,14 +102,7 @@ def table_state(window, table, calls=None):
     """A state whose value on a word is read from ``table`` by the word's
     exact text; ``calls`` records each word it is asked for (the empty word
     and a unit letter share the text ``1``, so the word itself)."""
-
-    def rule(w):
-        assert isinstance(w, Word)
-        if calls is not None:
-            calls.append(w)
-        return table[w.to_text()]
-
-    return StateFunctional(window, rule)
+    return FakeState(window, lambda w: table[w.to_text()], calls)
 
 
 def letters(lo, hi):
@@ -223,11 +216,9 @@ def test_codes_past_int64_stay_exact():
     family = SymmetryFamily("swap", (FinitePermutation.from_cycle([values[0], values[2]]),))
     table = {first.to_text(): 1.0}
     fast_calls, slow_calls = [], []
-    rule = lambda calls: StateFunctional(  # noqa: E731
-        (-BIG, BIG), lambda w: calls.append(w) or table.get(w.to_text(), 0.0)
-    )
-    fast = check_symmetry(rule(fast_calls), words, family)
-    slow = reference_check_symmetry(rule(slow_calls), words, family)
+    read = lambda w: table.get(w.to_text(), 0.0)  # noqa: E731
+    fast = check_symmetry(FakeState((-BIG, BIG), read, fast_calls), words, family)
+    slow = reference_check_symmetry(FakeState((-BIG, BIG), read, slow_calls), words, family)
     assert fast.max_deviation == 1.0 and len(fast.witnesses) == 2
     assert_same_check(fast, slow)
     assert_same_words(fast_calls, slow_calls)
@@ -238,10 +229,10 @@ def test_witness_memory_is_bounded_by_the_cap():
     # and the check holds no more memory than for a state that passes.
     ladder = list(words_over([-2, -1, 0, 1, 2], 4, (Kind.CREATOR, Kind.ANNIHILATOR)))
     family = spreading_family(-2, 2, 20)
-    failing = StateFunctional(
+    failing = FakeState(
         (-8, 8), lambda w: sum((i + 9) * 17**k for k, i in enumerate(w.indices()))
     )
-    passing = StateFunctional((-8, 8), lambda w: 1.0)
+    passing = FakeState((-8, 8), lambda w: 1.0)
 
     def peak(state):
         tracemalloc.start()
@@ -266,7 +257,7 @@ def test_witness_memory_is_bounded_by_the_cap():
 def test_state_of_the_index_still_fails_shifts():
     # A cache keyed by the word's shape (kinds and index pattern) would give a
     # word and its shift one value, and this state would pass.
-    state = StateFunctional((-5, 5), lambda w: w.indices()[0])
+    state = FakeState((-5, 5), lambda w: w.indices()[0])
     words = [
         word(creator(i), annihilator(j)) for i in range(-3, 4) for j in (-1, 2)
     ] + [word(position(i)) for i in range(-5, 6)]
