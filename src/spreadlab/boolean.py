@@ -5,12 +5,13 @@ window index.  Algebra elements are carried as (compact matrix, scalar)
 pairs X = K + gamma*I, so the state at infinity X -> gamma needs no limit:
 the multiplication and adjoint work on the pairs directly.
 
-Cofinite-range increasing maps act through isometries V_f (index relabeling
-fixing #) by X -> V_f X V_f* + gamma * P over the in-window gap set; finite
-permutations act by the same conjugation with a permutation matrix, where
-the gap term vanishes.  Output windows are integer intervals; taking the
-interval hull of the mapped window keeps the action unital and makes the
-composition law exact.
+Cofinite-range increasing maps act by X -> V_f X V_f* + gamma * P_gaps,
+where V_f relabels e_k -> e_f(k) and fixes #.  The output window is the
+interval hull [f(lo), f(hi)] of the mapped window; there every site is an
+image or a gap, so V_f V_f* + P_gaps = I and the action is a relabeling of
+the pair: the compact entries move through f and gamma stays.  Finite
+permutations relabel the same way inside the window.  The hull keeps the
+action unital and makes the composition law exact.
 """
 
 from __future__ import annotations
@@ -97,13 +98,6 @@ class BooleanSpace:
 
     def annihilator(self, j: int) -> "BooleanElement":
         return self.element(annihilator_matrix(self, j).matrix)
-
-    def projection(self, labels) -> np.ndarray:
-        m = np.zeros((self.dim, self.dim), dtype=complex)
-        for label in labels:
-            i = self.index(label)
-            m[i, i] = 1.0
-        return m
 
     # -- label action; walker and letter matrices are derived from it -------
 
@@ -220,72 +214,32 @@ def omega_infinity(x: BooleanElement) -> complex:
 # The index-map action
 
 
-def _sharp_image(f, label: Label) -> Label:
-    return SHARP if label == SHARP else int(f(label))
-
-
 def image_window(f: IncreasingMap, window: tuple[int, int]) -> tuple[int, int]:
     """Interval hull of the mapped window; the canonical output window."""
     lo, hi = window
     return f(lo), f(hi)
 
 
-def isometry(f, space_in: BooleanSpace, space_out: BooleanSpace) -> np.ndarray:
-    """Matrix of the label relabeling e_k -> e_{f(k)} with # fixed.
-
-    Columns are orthonormal because f is injective; the image of the input
-    window must stay inside the output window.
-    """
-    v = np.zeros((space_out.dim, space_in.dim), dtype=complex)
-    lo, hi = space_out.window
-    for col, label in enumerate(space_in.labels):
-        image = _sharp_image(f, label)
-        if image != SHARP and not lo <= image <= hi:
-            raise WindowOverflowError(
-                f"image {image} of {label} escapes window [{lo}, {hi}]"
-            )
-        v[space_out.index(image), col] = 1.0
-    return v
-
-
-def alpha(
-    f: IncreasingMap | FinitePermutation,
-    x: BooleanElement,
-    space_out: BooleanSpace | None = None,
-) -> BooleanElement:
+def alpha(f: IncreasingMap | FinitePermutation, x: BooleanElement) -> BooleanElement:
     """Endomorphism action X -> V_f X V_f* + (scalar part of X) * P_gaps.
 
-    For increasing maps the default output window is the interval hull of the
-    mapped input window, which keeps the action unital and multiplicative on
-    the truncation; gaps falling outside the output window are dropped.  For
-    finite permutations (support inside the window) the gap term is empty and
-    the action is a *-automorphism of the same space.
+    V_f relabels e_k -> e_f(k) and fixes #.  An increasing map lands on the
+    interval hull [f(lo), f(hi)] of the input window, where every site is an
+    image or a gap, so V_f V_f* + P_gaps is the identity there: the action
+    moves the compact entries through f and keeps the scalar part, which
+    keeps it unital and multiplicative on the truncation.  A finite
+    permutation (support inside the window) acts on the input window itself,
+    as a *-automorphism.
     """
     space_in = x.home
+    lo, hi = space_in.window
     if isinstance(f, FinitePermutation):
-        if space_out is None:
-            space_out = space_in
-        lo, hi = space_in.window
         if any(not lo <= s <= hi for s in f.support):
             raise WindowOverflowError(f"support {sorted(f.support)} escapes [{lo}, {hi}]")
-        gaps: tuple[int, ...] = ()
+        space_out = space_in
     else:
-        if space_out is None:
-            space_out = BooleanSpace(image_window(f, space_in.window))
-        gaps = f.gaps
-
-    v = isometry(f, space_in, space_out)
-    lo_out, hi_out = space_out.window
-    in_window_gaps = [g for g in gaps if lo_out <= g <= hi_out]
-    proj = space_out.projection(in_window_gaps)
-    eye = np.eye(space_out.dim)
-    compact = v @ x.compact @ v.conj().T + x.scalar * (v @ v.conj().T + proj - eye)
+        space_out = BooleanSpace(image_window(f, space_in.window))
+    rows = [space_out.index(SHARP), *(space_out.index(f(k)) for k in range(lo, hi + 1))]
+    compact = np.zeros((space_out.dim, space_out.dim), dtype=complex)
+    compact[np.ix_(rows, rows)] = x.compact
     return BooleanElement(space_out, compact, x.scalar)
-
-
-def chain_windows(
-    f: IncreasingMap, g: IncreasingMap, window: tuple[int, int]
-) -> tuple[tuple[int, int], tuple[int, int]]:
-    """Intermediate and final interval windows for acting by g then f."""
-    mid = image_window(g, window)
-    return mid, image_window(f, mid)

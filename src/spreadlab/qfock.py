@@ -42,10 +42,10 @@ from .operators import (
 Label = tuple[int, ...]
 VACUUM: Label = ()
 
-# Most permutations a deformed Gram matrix may enumerate, one label pair and
-# one permutation of the pair's length at a time: about a second of
-# ``q_inner`` work.  Window 0..3 at depth 4 takes 802,267; a single site at
-# depth 11 would take about 44 M within a dimension of 12.
+# Most permutations a deformed Gram matrix may enumerate, one label and one
+# permutation of the label's length at a time.  Window 0..3 at depth 4 takes
+# 6,565; a single site at depth 11 would take about 44 M within a dimension
+# of 12.
 MAX_GRAM_PERMUTATIONS = 1_000_000
 
 
@@ -122,14 +122,14 @@ class QBasis:
         return tuple(out)
 
     def check_gram(self) -> None:
-        """Reject a Gram matrix above the dense budget, or one whose label
-        pairs enumerate more than :data:`MAX_GRAM_PERMUTATIONS` permutations
-        (n! for each unordered pair of labels of length n)."""
+        """Reject a Gram matrix above the dense budget, or one whose columns
+        enumerate more than :data:`MAX_GRAM_PERMUTATIONS` permutations (n!
+        for each label of length n)."""
         check_space(self.window, self.dim)
         lo, hi = self.window
         count = 0
         for n in range(self.depth + 1):  # within the dense budget, depth < 4096
-            count += math.comb((hi - lo + 1) ** n + 1, 2) * math.factorial(n)
+            count += (hi - lo + 1) ** n * math.factorial(n)
             if count > MAX_GRAM_PERMUTATIONS:
                 raise ValueError(
                     f"window [{lo}, {hi}] at depth {self.depth} needs {count} or more"
@@ -138,22 +138,18 @@ class QBasis:
 
     @cached_property
     def gram(self) -> np.ndarray:
-        """Blockwise-by-length Gram matrix; positive definite for |q| < 1."""
+        """Gram matrix, column v filled from one :func:`q_pairings` enumeration
+        (entries on and above the diagonal, mirrored below); positive definite
+        for |q| < 1."""
         self.check_gram()
         labels = self.labels
-        dim = len(labels)
-        g = np.zeros((dim, dim))
-        by_len: dict[int, list[int]] = {}
-        for pos, lab in enumerate(labels):
-            by_len.setdefault(len(lab), []).append(pos)
-        for block in by_len.values():
-            for a in block:
-                for b in block:
-                    if b < a:
-                        continue
-                    val = float(q_inner(labels[a], labels[b], self.q))
-                    g[a, b] = val
-                    g[b, a] = val
+        position = {lab: pos for pos, lab in enumerate(labels)}
+        g = np.zeros((len(labels), len(labels)))
+        for b, v in enumerate(labels):
+            for u, value in q_pairings(v, self.q).items():
+                a = position[u]
+                if a <= b:
+                    g[a, b] = g[b, a] = float(value)
         return g
 
     @cached_property

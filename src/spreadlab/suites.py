@@ -465,12 +465,13 @@ def qdeformed_relations(config: RunConfig) -> tuple[Deviations, dict]:
         eye = np.eye(basis.dim)
         low = [c for c, t in enumerate(basis.labels) if len(t) <= basis.depth - 1]
         lo, hi = basis.window
-        for i in range(lo, hi + 1):
-            got = metric_adjoint(basis.annihilator(i))
-            adjoint.observe(got.matrix - basis.creator(i).matrix)
-            for j in range(lo, hi + 1):
-                l_i = basis.annihilator(i).matrix
-                ld_j = basis.creator(j).matrix
+        sites = range(lo, hi + 1)
+        lowers = {i: basis.annihilator(i) for i in sites}
+        raisers = {j: basis.creator(j) for j in sites}
+        for i in sites:
+            adjoint.observe(metric_adjoint(lowers[i]).matrix - raisers[i].matrix)
+            for j in sites:
+                l_i, ld_j = lowers[i].matrix, raisers[j].matrix
                 defect = l_i @ ld_j - q * ld_j @ l_i - (1.0 if i == j else 0.0) * eye
                 commutation.add(defect[:, low])
     found = Deviations(1e-10)
@@ -576,23 +577,19 @@ def boolean_morphism(config: RunConfig) -> tuple[Deviations, dict]:
         g = random_increasing_map(rng, (-2, 2), 3, (-6, 6))
         x = _random_boolean_element(base, rng)
         y = _random_boolean_element(base, rng)
-        mid, final = bool_model.chain_windows(f, g, base.window)
-        lhs = bool_model.alpha(compose(f, g), x, bool_model.BooleanSpace(final))
-        rhs = bool_model.alpha(
-            f, bool_model.alpha(g, x, bool_model.BooleanSpace(mid)), bool_model.BooleanSpace(final)
-        )
-        out_space = bool_model.BooleanSpace(bool_model.image_window(f, base.window))
-        fx = bool_model.alpha(f, x, out_space)
-        fy = bool_model.alpha(f, y, out_space)
-        fxy = bool_model.alpha(f, x * y, out_space)
-        fxs = bool_model.alpha(f, x.adjoint(), out_space)
-        unital = bool_model.alpha(f, base.identity(), out_space)
+        lhs = bool_model.alpha(compose(f, g), x)
+        rhs = bool_model.alpha(f, bool_model.alpha(g, x))
+        fx = bool_model.alpha(f, x)
+        fy = bool_model.alpha(f, y)
+        fxy = bool_model.alpha(f, x * y)
+        fxs = bool_model.alpha(f, x.adjoint())
+        unital = bool_model.alpha(f, base.identity())
         found.add(
             (
                 lhs.total_matrix() - rhs.total_matrix(),
                 fxy.total_matrix() - (fx * fy).total_matrix(),
                 fxs.total_matrix() - fx.adjoint().total_matrix(),
-                unital.total_matrix() - out_space.identity().total_matrix(),
+                unital.total_matrix() - unital.home.identity().total_matrix(),
             ),
             lambda dev: {"f": f.to_text(), "g": g.to_text(), "deviation": dev},
         )
@@ -603,16 +600,32 @@ def _boolean_mixture(lam, x):
     return lam * bool_model.omega_sharp(x) + (1 - lam) * bool_model.omega_infinity(x)
 
 
+def _site_value(x, k: int) -> complex:
+    """<e_k, X e_k> for X = K + gamma*I."""
+    if not x.home.has_label(k):
+        return x.scalar  # K vanishes at sites off its window
+    i = x.home.index(k)
+    return x.compact[i, i] + x.scalar
+
+
+def _simplex_space(config: RunConfig) -> bool_model.BooleanSpace:
+    space = _element_space(config)
+    lo, hi = space.window
+    if not lo <= 0 <= hi:
+        raise ValueError(f"window [{lo}, {hi}] misses site 0, where the site vector witness sits")
+    return space
+
+
 @suite(
     "boolean", "simplex",
     "mixtures of the vacuum-label state with the scalar-part state are"
     " invariant under the relabeling action, permutations and shifts, while"
     " a site vector state is moved off its matrix unit",
-    sizes=_element_space,
+    sizes=_simplex_space,
 )
 def boolean_simplex(config: RunConfig) -> tuple[Deviations, dict]:
     rng = np.random.default_rng(config.seed)
-    base = _element_space(config)
+    base = _simplex_space(config)
     maps = [random_increasing_map(rng, (-2, 2), 3, (-6, 6)) for _ in range(20)]
     maps += [tau_pow(1), tau_pow(-1)]
     maps += [random_permutation(rng, *base.window) for _ in range(10)]
@@ -623,14 +636,13 @@ def boolean_simplex(config: RunConfig) -> tuple[Deviations, dict]:
             before = _boolean_mixture(lam, x)
             for f in maps:
                 found.add(_boolean_mixture(lam, bool_model.alpha(f, x)) - before)
-    out_space = bool_model.BooleanSpace((base.window[0], base.window[1] + 1))
-    moved_unit = bool_model.alpha(theta(0), base.matrix_unit(0, 0), out_space)
-    witness_ok = moved_unit.allclose(out_space.matrix_unit(1, 1))
+    unit = base.matrix_unit(0, 0)
+    moved_unit = bool_model.alpha(theta(0), unit)
+    witness_ok = moved_unit.allclose(moved_unit.home.matrix_unit(1, 1))
     # The moved site vector is evidence, not a sample.
     counter = Deviations(found.tol)
     counter_dev = counter.observe(
-        moved_unit.total_matrix()[out_space.index(0), out_space.index(0)]
-        - base.matrix_unit(0, 0).total_matrix()[base.index(0), base.index(0)],
+        _site_value(moved_unit, 0) - _site_value(unit, 0),
         lambda dev: {
             "state": "site vector at 0",
             "map": theta(0).to_text(),

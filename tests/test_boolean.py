@@ -12,14 +12,13 @@ from spreadlab.boolean import (
     BooleanSpace,
     WindowOverflowError,
     alpha,
-    chain_windows,
     image_window,
-    isometry,
     omega_infinity,
     omega_sharp,
 )
 from spreadlab.monoid import (
     FinitePermutation,
+    IncreasingMap,
     compose,
     random_increasing_map,
     random_permutation,
@@ -149,38 +148,85 @@ def test_element_pair_arithmetic(bs):
 
 
 # ---------------------------------------------------------------------------
-# Isometries
+# The relabeling action
 
 
-def test_isometry_identity(bs):
-    v = isometry(tau_pow(0), bs, bs)
-    assert np.array_equal(v, np.eye(bs.dim))
+def isometry_formula(f, x):
+    """The action by its definition, independent of ``alpha``'s relabeling:
+    V X V* + gamma (V V* + P_gaps - I) on the hull of the mapped window (the
+    input window for a permutation), with V the relabeling isometry fixing #.
+    Returns the output space, the action's compact part and V V* + P - I."""
+    space_in = x.home
+    if isinstance(f, FinitePermutation):
+        space_out, gaps = space_in, ()
+    else:
+        space_out, gaps = BooleanSpace(image_window(f, space_in.window)), f.gaps
+    v = np.zeros((space_out.dim, space_in.dim), dtype=complex)
+    for col, label in enumerate(space_in.labels):
+        v[space_out.index(SHARP if label == SHARP else f(label)), col] = 1.0
+    proj = np.zeros((space_out.dim, space_out.dim), dtype=complex)
+    for gap in gaps:
+        if space_out.has_label(gap):
+            proj[space_out.index(gap), space_out.index(gap)] = 1.0
+    rest = v @ v.conj().T + proj - np.eye(space_out.dim)
+    return space_out, v @ x.compact @ v.conj().T + x.scalar * rest, rest
 
 
-def test_isometry_forward_shift_example():
-    src, dst = BooleanSpace((0, 0)), BooleanSpace((0, 1))
-    v = isometry(theta(0), src, dst)
-    assert np.array_equal(v @ src.space.basis_vector(0), dst.space.basis_vector(1))
-    assert np.array_equal(v @ src.space.basis_vector(SHARP), dst.space.basis_vector(SHARP))
+increasing_maps = st.builds(
+    IncreasingMap,
+    offset=st.integers(-5, 5),
+    gaps=st.sets(st.integers(-12, 12), max_size=6).map(lambda s: tuple(sorted(s))),
+)
 
 
-def test_isometry_columns_orthonormal(rng):
+@st.composite
+def window_permutations(draw, window):
+    sites = list(range(window[0], window[1] + 1))
+    return FinitePermutation.from_mapping(dict(zip(sites, draw(st.permutations(sites)))))
+
+
+@given(data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_alpha_is_the_isometry_formula(data):
+    lo = data.draw(st.integers(-4, 2))
+    window = (lo, lo + data.draw(st.integers(0, 4)))
+    f = data.draw(increasing_maps | window_permutations(window))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    scalar = data.draw(st.complex_numbers(min_magnitude=0.5, max_magnitude=4))
+    x = random_element(BooleanSpace(window), rng)
+    x = x.home.element(x.compact, scalar)
+    space_out, compact, rest = isometry_formula(f, x)
+    assert not rest.any()  # every hull site is an image or a gap
+    got = alpha(f, x)
+    assert got.home == space_out
+    assert np.array_equal(got.compact, compact)
+    assert got.scalar == x.scalar
+
+
+def test_alpha_identity_map(bs):
+    x = random_element(bs, np.random.default_rng(1))
+    got = alpha(tau_pow(0), x)
+    assert got.home == bs and np.array_equal(got.compact, x.compact) and got.scalar == x.scalar
+
+
+def test_alpha_forward_shift_example():
+    src = BooleanSpace((0, 0))
+    got = alpha(theta(0), src.matrix_unit(0, SHARP))
+    assert got.home.window == (1, 1)
+    assert got.allclose(got.home.matrix_unit(1, SHARP))
+    fixed = alpha(theta(0), src.matrix_unit(SHARP, SHARP))
+    assert fixed.allclose(fixed.home.matrix_unit(SHARP, SHARP))
+
+
+def test_alpha_keeps_the_range_projection(rng):
+    # alpha of the compact identity is V V*: a diagonal 0/1 projection of the
+    # input rank, i.e. the relabeling has orthonormal columns.
+    src = BooleanSpace((-3, 3))
     for _ in range(50):
         f = random_increasing_map(rng, (-2, 2), 3, (-5, 5))
-        src = BooleanSpace((-3, 3))
-        dst = BooleanSpace(image_window(f, src.window))
-        v = isometry(f, src, dst)
-        assert np.array_equal(v.conj().T @ v, np.eye(src.dim))
-
-
-def test_isometry_overflow_detected():
-    src, dst = BooleanSpace((0, 3)), BooleanSpace((0, 3))
-    with pytest.raises(WindowOverflowError):
-        isometry(theta(0), src, dst)  # image of 3 is 4
-
-
-# ---------------------------------------------------------------------------
-# The relabeling action
+        got = alpha(f, src.element(np.eye(src.dim))).compact
+        assert np.array_equal(got, np.diag(np.diag(got)))
+        assert set(np.diag(got).tolist()) <= {0, 1} and np.trace(got) == src.dim
 
 
 def test_alpha_is_unital(rng, bs):
@@ -201,13 +247,12 @@ def test_alpha_matrix_unit_rule_general(bs, rng):
     lo, hi = bs.window
     for _ in range(20):
         f = random_increasing_map(rng, (-2, 2), 2, (-4, 4))
-        out_space = BooleanSpace(image_window(f, bs.window))
         for k in (SHARP, 0, 2):
             for l in (SHARP, 1, 3):
                 image_k = SHARP if k == SHARP else f(k)
                 image_l = SHARP if l == SHARP else f(l)
-                got = alpha(f, bs.matrix_unit(k, l), out_space)
-                assert got.allclose(out_space.matrix_unit(image_k, image_l))
+                got = alpha(f, bs.matrix_unit(k, l))
+                assert got.allclose(got.home.matrix_unit(image_k, image_l))
 
 
 def test_alpha_morphism_on_random_triples(rng):
@@ -216,9 +261,8 @@ def test_alpha_morphism_on_random_triples(rng):
         f = random_increasing_map(rng, (-2, 2), 3, (-6, 6))
         g = random_increasing_map(rng, (-2, 2), 3, (-6, 6))
         x = random_element(base, rng)
-        mid, final = chain_windows(f, g, base.window)
-        lhs = alpha(compose(f, g), x, BooleanSpace(final))
-        rhs = alpha(f, alpha(g, x, BooleanSpace(mid)), BooleanSpace(final))
+        lhs = alpha(compose(f, g), x)
+        rhs = alpha(f, alpha(g, x))
         assert lhs.allclose(rhs, 1e-12)
 
 
@@ -227,11 +271,10 @@ def test_alpha_star_endomorphism(rng):
     for _ in range(60):
         f = random_increasing_map(rng, (-2, 2), 3, (-6, 6))
         x, y = random_element(base, rng), random_element(base, rng)
-        out_space = BooleanSpace(image_window(f, base.window))
-        fx = alpha(f, x, out_space)
-        fy = alpha(f, y, out_space)
-        assert alpha(f, x * y, out_space).allclose(fx * fy, 1e-10)
-        assert alpha(f, x.adjoint(), out_space).allclose(fx.adjoint(), 1e-12)
+        fx = alpha(f, x)
+        fy = alpha(f, y)
+        assert alpha(f, x * y).allclose(fx * fy, 1e-10)
+        assert alpha(f, x.adjoint()).allclose(fx.adjoint(), 1e-12)
 
 
 def test_alpha_permutation_is_automorphism(rng):
@@ -283,9 +326,11 @@ def test_simplex_states_invariant(rng):
 
 def test_vector_state_not_invariant(bs):
     x = bs.matrix_unit(0, 0)
-    moved = alpha(theta(0), x, BooleanSpace((0, 4)))
+    moved = alpha(theta(0), x)  # on the hull [1, 4], which misses site 0
 
     def vector_state(el, label):
+        if not el.home.has_label(label):
+            return el.scalar  # the compact part vanishes off the window
         i = el.home.index(label)
         return el.total_matrix()[i, i]
 

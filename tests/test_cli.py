@@ -172,6 +172,29 @@ def test_gram_permutation_budget_checked_before_enumerating(capsys):
     )
 
 
+def test_gram_budget_counts_one_enumeration_per_label(capsys):
+    # 31,288 permutations, one label at a time: within the budget.
+    assert main(["qdeformed", "--check", "relations", "--window", "0..2", "--depth", "5"]) == 0
+    assert "pass" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("window", ["5..8", "1..3", "-3..-1"])
+def test_boolean_simplex_window_must_hold_the_witness_site(window, suites_run, capsys):
+    assert main(["boolean", "--check", "simplex", "--window", window]) == 2
+    captured = capsys.readouterr()
+    lo, hi = window.split("..")
+    assert captured.err == (
+        f"config error: boolean/simplex: window [{lo}, {hi}] misses site 0, where the"
+        " site vector witness sits\n"
+    )
+    assert captured.out == "" and suites_run == []
+
+
+@pytest.mark.parametrize("window", ["5..8", "-3..-1"])
+def test_boolean_morphism_runs_on_a_window_without_site_zero(window):
+    assert main(["boolean", "--check", "morphism", "--window", window, "--samples", "5"]) == 0
+
+
 def test_every_size_budget_is_checked_before_the_first_suite(tmp_path, monkeypatch, capsys):
     def build_map(*args):
         raise AssertionError("monotone/relations ran")

@@ -188,6 +188,16 @@ def test_gram_triple_repeat_value():
     assert basis.gram[top, top] == pytest.approx(2.625)  # (1+q)(1+q+q^2)
 
 
+@pytest.mark.parametrize("window, depth", [((0, 1), 3), ((-1, 1), 3)])
+@pytest.mark.parametrize("q", Q_GRID)
+def test_gram_is_q_inner_entrywise(window, depth, q):
+    # The column-by-column enumeration against the pairwise inner product,
+    # on every pair of labels, lengths that differ included.
+    basis = QBasis(window, depth, q)
+    expected = [[float(q_inner(u, v, q)) for v in basis.labels] for u in basis.labels]
+    assert np.array_equal(basis.gram, np.array(expected))
+
+
 @pytest.mark.parametrize("q", Q_GRID)
 def test_gram_positive_definite(q):
     basis = QBasis((0, 2), 3, q)
