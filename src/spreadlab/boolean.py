@@ -116,7 +116,7 @@ class BooleanSpace:
 
     def infinity_state(self) -> StateFunctional:
         """The scalar part of a word: products of generators are compact, and
-        a word of unit letters only is the identity.  It is the vector state
+        the empty word is the identity.  It is the vector state
         at the site one above the window, which every letter of a word inside
         the window kills."""
         lo, hi = self.window

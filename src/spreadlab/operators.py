@@ -1,11 +1,11 @@
 """Truncated Hilbert-space scaffolding shared by all operator models.
 
-A :class:`TruncatedSpace` is an ordered finite family of basis labels with an
-optional Gram matrix (absent means orthonormal).  Operators are dense complex
-matrices acting on such a space.  Generator words are sequences of abstract
-letters (creator / annihilator / position / unit at an integer index) that a
-concrete model turns into matrices; strings of letters multiply left to
-right, leftmost factor applied last.
+A :class:`TruncatedSpace` is an ordered finite family of basis labels.
+Operators are dense complex matrices acting on such a space.  Generator words
+are sequences of abstract letters (creator / annihilator / position at an
+integer index) that a concrete model turns into matrices; strings of letters
+multiply left to right, leftmost factor applied last; the empty word is the
+unit.
 
 Every model implements one label action, ``act(kind, index, label)``, giving
 the weighted basis labels that a creator or annihilator sends one basis
@@ -13,7 +13,7 @@ label to, plus an inclusive index ``window`` and its ``labels``/``space``;
 a model with vector states also tests label membership in closed form
 (``has_label``), without enumerating its labels.
 Everything else is derived here once: the window check, position letters
-(creator images, then annihilator images), unit letters, the dict walker
+(creator images, then annihilator images), the dict walker
 :func:`walk_pairs` with its ``Word`` adapter :func:`walk` and its label maps
 :func:`sparse_map` (the route by which suites apply words), dense letter
 matrices (oracles) and the vector states, which are data: a model, a window
@@ -35,35 +35,24 @@ class Kind(Enum):
     CREATOR = "c"
     ANNIHILATOR = "a"
     POSITION = "x"
-    UNIT = "1"
 
 
 _ADJOINT_KIND = {
     Kind.CREATOR: Kind.ANNIHILATOR,
     Kind.ANNIHILATOR: Kind.CREATOR,
     Kind.POSITION: Kind.POSITION,
-    Kind.UNIT: Kind.UNIT,
 }
 
 
 @dataclass(frozen=True)
 class Letter:
     kind: Kind
-    index: int | None = None
-
-    def __post_init__(self) -> None:
-        if self.kind is Kind.UNIT:
-            if self.index is not None:
-                raise ValueError("unit letters carry no index")
-        elif self.index is None:
-            raise ValueError(f"{self.kind.name} letter needs an index")
+    index: int
 
     def adjoint(self) -> "Letter":
         return Letter(_ADJOINT_KIND[self.kind], self.index)
 
     def __str__(self) -> str:
-        if self.kind is Kind.UNIT:
-            return "1"
         return f"{self.kind.value}({self.index})"
 
 
@@ -88,7 +77,7 @@ _LETTER_NAMES = {
     "l": Kind.ANNIHILATOR,
     "s": Kind.POSITION,
 }
-_WORD_TOKEN = re.compile(r"(ldag|[caxls])\((-?\d+)\)|1")
+_WORD_TOKEN = re.compile(r"(ldag|[caxls])\((-?\d+)\)")
 
 
 @dataclass(frozen=True)
@@ -111,7 +100,7 @@ class Word:
         return Word(tuple(letter.adjoint() for letter in reversed(self.letters)))
 
     def indices(self) -> tuple[int, ...]:
-        return tuple(l.index for l in self.letters if l.index is not None)
+        return tuple(l.index for l in self.letters)
 
     def to_text(self) -> str:
         if not self.letters:
@@ -128,10 +117,7 @@ class Word:
             m = _WORD_TOKEN.fullmatch(token.strip())
             if m is None:
                 raise ValueError(f"bad word token {token!r}")
-            if m.group(1) is None:
-                letters.append(Letter(Kind.UNIT))
-            else:
-                letters.append(Letter(_LETTER_NAMES[m.group(1)], int(m.group(2))))
+            letters.append(Letter(_LETTER_NAMES[m.group(1)], int(m.group(2))))
         return cls(tuple(letters))
 
     def __str__(self) -> str:
@@ -144,43 +130,22 @@ def word(*letters: Letter) -> Word:
 
 def relabel(w: Word, g) -> Word:
     """Push every letter index through the map g (any int -> int callable)."""
-    out = []
-    for letter in w.letters:
-        if letter.kind is Kind.UNIT:
-            out.append(letter)
-        else:
-            out.append(Letter(letter.kind, int(g(letter.index))))
-    return Word(tuple(out))
+    return Word(tuple(Letter(l.kind, int(g(l.index))) for l in w.letters))
 
 
 # ---------------------------------------------------------------------------
 # Spaces and operators
 
 
-class GramError(ValueError):
-    """Raised for a singular or non-Hermitian Gram matrix."""
-
-
 @dataclass(frozen=True, eq=False)
 class TruncatedSpace:
-    """Ordered basis labels plus an optional Hermitian positive Gram matrix."""
+    """Ordered, distinct basis labels."""
 
     labels: tuple[Hashable, ...]
-    gram: np.ndarray | None = None
 
     def __post_init__(self) -> None:
         if len(set(self.labels)) != len(self.labels):
             raise ValueError("basis labels must be distinct")
-        if self.gram is not None:
-            g = np.asarray(self.gram, dtype=complex)
-            if g.shape != (self.dim, self.dim):
-                raise GramError(f"gram shape {g.shape} != dim {self.dim}")
-            if not np.allclose(g, g.conj().T, atol=1e-12):
-                raise GramError("gram matrix is not Hermitian")
-            lowest = float(np.linalg.eigvalsh(g)[0])
-            if lowest <= 0.0:
-                raise GramError(f"gram matrix not positive definite (min eig {lowest})")
-            object.__setattr__(self, "gram", g)
         object.__setattr__(self, "_index", {lab: i for i, lab in enumerate(self.labels)})
 
     @property
@@ -219,12 +184,10 @@ class Operator:
         return not self.matrix.any()
 
 
-def metric_adjoint(a: Operator) -> Operator:
-    """Adjoint with respect to the space's Gram metric: G^-1 A^H G."""
-    g = a.space.gram
-    if g is None:
-        return Operator(a.space, a.matrix.conj().T)
-    return Operator(a.space, np.linalg.solve(g, a.matrix.conj().T @ g))
+def metric_adjoint(a: Operator, gram: np.ndarray) -> Operator:
+    """Adjoint with respect to the Gram metric ``gram`` of the operator's
+    space: G^-1 A^H G (a dense oracle)."""
+    return Operator(a.space, np.linalg.solve(gram, a.matrix.conj().T @ gram))
 
 
 # ---------------------------------------------------------------------------
@@ -300,14 +263,13 @@ def walk_pairs(model, pairs: Iterable[tuple[tuple[Kind, ...], int]], vec: dict) 
 
 
 def letter_pairs(w: Word) -> list[tuple[tuple[Kind, ...], int]]:
-    """The (parts, index) pairs of a word's letters, rightmost first; unit
-    letters act as the identity and give none."""
-    return [(_PARTS[l.kind], l.index) for l in reversed(w.letters) if l.index is not None]
+    """The (parts, index) pairs of a word's letters, rightmost first."""
+    return [(_PARTS[l.kind], l.index) for l in reversed(w.letters)]
 
 
 def walk(model, w: Word, vec: dict) -> dict:
     """Push a superposition (label -> coefficient) through a word, rightmost
-    letter first; unit letters are skipped."""
+    letter first."""
     return walk_pairs(model, letter_pairs(w), vec)
 
 
@@ -334,8 +296,6 @@ def letter_matrix(model, letter: Letter) -> Operator:
     model's ``dim`` fits the budget; no label is enumerated before that."""
     check_space(model.window, model.dim)
     space = model.space
-    if letter.index is None:
-        return space.identity()
     check_window(model, letter.index)
     m = np.zeros((space.dim, space.dim), dtype=complex)
     index = space.index
@@ -363,9 +323,10 @@ def evaluate_word(model, w: Word) -> Operator:
 
     The leftmost letter is the leftmost factor, i.e. it acts last on vectors,
     matching the usual left-to-right operator strings.  The empty word is the
-    identity.
+    identity.  The budget is checked before any label is enumerated.
     """
-    out = letter_matrix(model, Letter(Kind.UNIT))
+    check_space(model.window, model.dim)
+    out = model.space.identity()
     for letter in w.letters:
         out = out @ letter_matrix(model, letter)
     return out
@@ -412,11 +373,11 @@ class StateFunctional:
 
     def values(self, kinds: Sequence[Kind], rows: Iterable[Sequence[int]]) -> list[complex]:
         """Values on the words whose letters have the given ``kinds``, each
-        word given as the row of its letters' indices, left to right, unit
-        letters carrying none.  Every row is walked once per term, straight
-        through :func:`walk_pairs`: no ``Word`` is built."""
+        word given as the row of its letters' indices, left to right.  Every
+        row is walked once per term, straight through :func:`walk_pairs`: no
+        ``Word`` is built."""
         lo, hi = self.window
-        parts = [_PARTS[kind] for kind in reversed(kinds) if kind is not Kind.UNIT]
+        parts = [_PARTS[kind] for kind in reversed(kinds)]
         terms = [
             (t.weight, t.model, t.label, None if t.dual is None else dict(t.dual), t.norm)
             for t in self.terms
@@ -424,7 +385,7 @@ class StateFunctional:
         out = []
         for row in rows:
             if len(row) != len(parts):
-                raise ValueError(f"{len(row)} indices for {len(parts)} indexed letters")
+                raise ValueError(f"{len(row)} indices for {len(parts)} letters")
             for i in row:
                 if not lo <= i <= hi:
                     raise IndexError(f"index {i} outside state window [{lo}, {hi}]")

@@ -104,7 +104,7 @@ def q_inner_recursive(u: Label, v: Label, q) -> complex | float:
 class QBasis:
     window: tuple[int, int]
     depth: int
-    q: float
+    q: float  # or a fractions.Fraction, for exact walks
 
     def __post_init__(self) -> None:
         check_space(self.window)
@@ -154,7 +154,7 @@ class QBasis:
 
     @cached_property
     def space(self) -> TruncatedSpace:
-        return TruncatedSpace(self.labels, self.gram)
+        return TruncatedSpace(self.labels)
 
     def has_label(self, label) -> bool:
         """A tuple of window indices, at most depth long."""
@@ -175,14 +175,13 @@ class QBasis:
     def act(self, kind: Kind, j: int, label: Label) -> list[tuple[Label, float]]:
         """Weighted images of one basis label: the creator prepends j below the
         depth cap; the annihilator removes slot k holding j with weight q**k
-        (0-based k, i.e. q**(k-1) in 1-based slot counting)."""
+        (0-based k, i.e. q**(k-1) in 1-based slot counting), of q's own type."""
         if kind is Kind.CREATOR:
             if len(label) == self.depth:
                 return []
             return [((j,) + label, 1)]
-        q = float(self.q)
         return [
-            (label[:k] + label[k + 1 :], q**k)
+            (label[:k] + label[k + 1 :], self.q**k)
             for k, entry in enumerate(label)
             if entry == j
         ]

@@ -42,10 +42,9 @@ from .monotone import (
     lambda_forms,
 )
 from .operators import (
-    Kind, annihilator, check_space, creator, metric_adjoint, mixture, position,
-    sparse_map, word,
+    Kind, annihilator, check_space, creator, mixture, position, sparse_map, word,
 )
-from .qfock import QBasis, q_inner, q_inner_recursive, words_over
+from .qfock import QBasis, q_inner, q_inner_recursive, q_pairings, words_over
 from .reports import Deviations, SuiteReport
 from .symmetry import (
     check_symmetry,
@@ -388,18 +387,23 @@ def _simplex_words(config: RunConfig):
     return [f.word() for f in lambda_forms(range(-3, 4), 4, 4, max_length=4)]
 
 
+def _simplex_plan(config: RunConfig):
+    """The words, then the vacuum, the state at infinity and the one-particle
+    vector state whose non-invariance is the counterexample."""
+    words = _simplex_words(config)
+    basis = MonotoneBasis(config.window or (-6, 9), config.depth or 4)
+    return words, basis.vacuum_state(), basis.state_at_infinity(), basis.vector_state((0,))
+
+
 @suite(
     "monotone", "simplex",
     "every mixture of the vacuum with the state at infinity is invariant"
     " under spreading relabelings of normally-ordered words, while the"
     " one-particle vector state is not",
-    sizes=_simplex_words,
+    sizes=_simplex_plan,
 )
 def monotone_simplex(config: RunConfig) -> tuple[Deviations, dict]:
-    basis = MonotoneBasis(config.window or (-6, 9), config.depth or 4)
-    vacuum = basis.vacuum_state()
-    infinity = basis.state_at_infinity()
-    words = _simplex_words(config)
+    words, vacuum, infinity, one_particle = _simplex_plan(config)
     family = spreading_family(-2, 2, n_random=20, seed=config.seed)
     tol = min(config.tol, 1e-12)
     found = Deviations(tol)
@@ -407,7 +411,7 @@ def monotone_simplex(config: RunConfig) -> tuple[Deviations, dict]:
     for x in (0.0, 0.25, 0.5, 1.0):
         check = check_symmetry(mixture(infinity, vacuum, x), words, family, tol=tol)
         per_weight[f"x={x}"] = found.merge(check)
-    counter = check_symmetry(basis.vector_state((0,)), words, family, tol=tol)
+    counter = check_symmetry(one_particle, words, family, tol=tol)
     counter_ok = found.merge_counterexample(counter, keep=3)
     found.require(counter_ok)
     return found, {
@@ -442,10 +446,25 @@ def qdeformed_inner(config: RunConfig) -> tuple[Deviations, dict]:
     return found, {"q": config.q, "exact_q": str(exact_q), "exact_match": exact_ok}
 
 
-def _gram_basis(config: RunConfig, q: float = 0.0) -> QBasis:
+def _gram_basis(config: RunConfig, q: float | Fraction = 0.0) -> QBasis:
     basis = QBasis(config.window or (0, 2), config.depth or 3, q)
     basis.check_gram()
     return basis
+
+
+# The deformations at which the q-deformed relations are checked, exactly.
+RELATIONS_Q = tuple(Fraction(n, 10) for n in (-9, -5, 0, 5, 9))
+
+
+def _letter_form(basis: QBasis, letter, duals: dict) -> dict:
+    """(x, y) -> <l e_x, e_y>_q for the letter l, from its walked images and
+    the duals t -> {y: <e_t, e_y>_q}; every pair not listed is 0."""
+    out: dict = {}
+    for x, image in sparse_map(basis, [(1, word(letter))]).items():
+        for t, weight in image.items():
+            for y, pairing in duals[t].items():
+                out[x, y] = out.get((x, y), 0) + weight * pairing
+    return out
 
 
 @suite(
@@ -456,44 +475,58 @@ def _gram_basis(config: RunConfig, q: float = 0.0) -> QBasis:
     sizes=_gram_basis,
 )
 def qdeformed_relations(config: RunConfig) -> tuple[Deviations, dict]:
-    adjoint = Deviations(1e-10)
-    commutation = Deviations(1e-10)
+    adjoint = Deviations()
+    commutation = Deviations()
     min_eig = np.inf
-    for q in (-0.9, -0.5, 0.0, 0.5, 0.9):
+    for q in RELATIONS_Q:
         basis = _gram_basis(config, q)
-        min_eig = min(min_eig, float(np.linalg.eigvalsh(basis.gram)[0]))
-        eye = np.eye(basis.dim)
-        low = [c for c, t in enumerate(basis.labels) if len(t) <= basis.depth - 1]
+        gram = QBasis(basis.window, basis.depth, float(q)).gram
+        min_eig = min(min_eig, float(np.linalg.eigvalsh(gram)[0]))
+        duals = {v: q_pairings(v, q) for v in basis.labels}
         lo, hi = basis.window
-        sites = range(lo, hi + 1)
-        lowers = {i: basis.annihilator(i) for i in sites}
-        raisers = {j: basis.creator(j) for j in sites}
-        for i in sites:
-            adjoint.observe(metric_adjoint(lowers[i]).matrix - raisers[i].matrix)
-            for j in sites:
-                l_i, ld_j = lowers[i].matrix, raisers[j].matrix
-                defect = l_i @ ld_j - q * ld_j @ l_i - (1.0 if i == j else 0.0) * eye
-                commutation.add(defect[:, low])
-    found = Deviations(1e-10)
+        for i in range(lo, hi + 1):
+            # <c(i) u, v>_q = <u, a(i) v>_q, which is <a(i) v, u>_q at real q
+            raised = _letter_form(basis, creator(i), duals)
+            lowered = _letter_form(basis, annihilator(i), duals)
+            transposed = {(u, v): x for (v, u), x in lowered.items()}
+            pairs = raised.keys() | transposed.keys()
+            adjoint.observe({k: raised.get(k, 0) - transposed.get(k, 0) for k in pairs})
+            for j in range(lo, hi + 1):
+                # a(i) c(j) - q c(j) a(i) = delta(i, j), off the depth-capped labels
+                defect = sparse_map(basis, [
+                    (1, word(annihilator(i), creator(j))),
+                    (-q, word(creator(j), annihilator(i))),
+                    (-int(i == j), word()),
+                ])
+                commutation.add({t: image for t, image in defect.items() if len(t) < basis.depth})
+    found = Deviations()
     found.merge(adjoint)
     found.merge(commutation)
     found.require(min_eig > 0)
     return found, {
-        "adjoint_deviation": adjoint.max_deviation,
-        "commutation_deviation": commutation.max_deviation,
+        "adjoint_deviation": float(adjoint.max_deviation),
+        "commutation_deviation": float(commutation.max_deviation),
+        "exact_q": [str(q) for q in RELATIONS_Q],
         "gram_min_eigenvalue": min_eig,
     }
+
+
+def _vacuum_states(config: RunConfig):
+    """The vacuum state, and the one-particle vector state whose
+    non-invariance is the counterexample."""
+    basis = QBasis(config.window or (-8, 8), config.depth or 3, config.q)
+    return basis.vacuum_state(), basis.vector_state(1)
 
 
 @suite(
     "qdeformed", "vacuum",
     "the deformed vacuum state is invariant under shifts, finite"
     " permutations and spreading relabelings of ladder and position words,"
-    " while a one-particle vector state is not"
+    " while a one-particle vector state is not",
+    sizes=_vacuum_states,
 )
 def qdeformed_vacuum(config: RunConfig) -> tuple[Deviations, dict]:
-    basis = QBasis(config.window or (-8, 8), config.depth or 3, config.q)
-    vacuum = basis.vacuum_state()
+    vacuum, one_particle = _vacuum_states(config)
     ladder = list(words_over([-2, -1, 0, 1, 2], 4, (Kind.CREATOR, Kind.ANNIHILATOR)))
     positions = list(words_over([-2, -1, 0, 1, 2], 4, (Kind.POSITION,)))
     families = (
@@ -509,7 +542,7 @@ def qdeformed_vacuum(config: RunConfig) -> tuple[Deviations, dict]:
             key = f"{family.name}/{'positions' if words is positions else 'ladder'}"
             verdicts[key] = found.merge(check_symmetry(vacuum, words, family, tol=tol))
     counter = check_symmetry(
-        basis.vector_state(1), [word(creator(1), annihilator(1))], shift_family(), tol=tol
+        one_particle, [word(creator(1), annihilator(1))], shift_family(), tol=tol
     )
     counter_ok = found.merge_counterexample(counter, keep=3)
     found.require(counter_ok)
@@ -710,14 +743,19 @@ def car_stationary(config: RunConfig) -> tuple[Deviations, dict]:
     return found, {"window": [lo, hi], "coupling": config.coupling}
 
 
+def _witness(config: RunConfig) -> car_model.SpreadabilityWitness:
+    t = car_model.TwoPointFunction(config.coupling, config.diagonal)
+    return car_model.spreadability_witness(t)
+
+
 @suite(
     "car", "witness",
     "a forward partial shift straddling an index pair changes the"
-    " two-point value, so the kernel is stationary but not spreadable"
+    " two-point value, so the kernel is stationary but not spreadable",
+    sizes=_witness,
 )
 def car_witness(config: RunConfig) -> tuple[Deviations, dict]:
-    t = car_model.TwoPointFunction(config.coupling, config.diagonal)
-    w = car_model.spreadability_witness(t)
+    w = _witness(config)
     ratio = abs(w.lhs) / abs(w.rhs) if w.rhs != 0 else np.inf
     counter = Deviations()
     counter.add(w.lhs - w.rhs, lambda _: w.to_dict())

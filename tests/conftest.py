@@ -5,7 +5,7 @@ for the symmetry harness."""
 import numpy as np
 import pytest
 
-from spreadlab.operators import Kind, Letter, Word
+from spreadlab.operators import Letter, Word
 
 
 def oracle_theta(h):
@@ -53,13 +53,8 @@ class FakeState:
     def values(self, kinds, rows):
         out = []
         for row in rows:
-            indices = iter(row)
-            letters = [
-                Letter(kind) if kind is Kind.UNIT else Letter(kind, next(indices))
-                for kind in kinds
-            ]
-            assert next(indices, None) is None
-            out.append(self(Word(tuple(letters))))
+            assert len(row) == len(kinds)
+            out.append(self(Word(tuple(map(Letter, kinds, row)))))
         return out
 
     def __call__(self, w):

@@ -346,7 +346,6 @@ def test_word_level_states(bs):
     assert sharp(w) == 1
     assert infinity(w) == 0  # nonempty products have no scalar part
     assert infinity(word()) == 1
-    assert infinity(word(Letter(Kind.UNIT))) == 1  # unit letters keep the scalar part
     assert sharp(word(creator(0), annihilator(0))) == 0  # eps_00 at the vacuum
 
 

@@ -231,6 +231,25 @@ def test_words_file_is_read_before_the_first_suite(tmp_path, no_suite_runs, caps
     assert list(out.iterdir()) == []
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["all", "--C", "0"],
+         "car/witness: kernel is spreading invariant on the probed pairs (coupling 0?)"),
+        (["qdeformed", "--window", "2..5"], "qdeformed/vacuum: (1,) is not a basis label"),
+        (["monotone", "--window", "1..5"], "monotone/simplex: (0,) is not a basis label"),
+    ],
+    ids=["car-witness", "qdeformed-vacuum", "monotone-simplex"],
+)
+def test_counterexample_configuration_checked_before_the_first_suite(
+    argv, message, tmp_path, no_suite_runs, capsys
+):
+    out = tmp_path / "od"
+    assert main(argv + ["--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert list(out.iterdir()) == []
+
+
 @pytest.mark.parametrize("check", ["stationary", "positivity"])
 def test_kernel_windows_within_the_index_budget_run(check):
     assert main(["car", "--check", check]) == 0

@@ -14,7 +14,6 @@ from spreadlab.monoid import psi, theta, tau_pow, cycle_for_interval, localize
 from spreadlab.monotone import MonotoneBasis, lambda_forms
 from spreadlab.operators import (
     MAX_DENSE_DIM,
-    GramError,
     Kind,
     Letter,
     Operator,
@@ -49,9 +48,7 @@ from spreadlab.symmetry import (
 
 
 def test_letter_validation():
-    with pytest.raises(ValueError):
-        Letter(Kind.UNIT, 3)
-    with pytest.raises(ValueError):
+    with pytest.raises(TypeError):
         Letter(Kind.CREATOR)
 
 
@@ -68,6 +65,8 @@ def test_word_text_roundtrip():
     assert Word.from_text("1") == Word(())
     with pytest.raises(ValueError):
         Word.from_text("z(0)")
+    with pytest.raises(ValueError):  # the empty word is the only unit
+        Word.from_text("c(0).1.a(0)")
 
 
 def test_word_text_accepts_q_aliases():
@@ -83,29 +82,23 @@ def test_space_rejects_duplicate_labels():
         TruncatedSpace(("a", "a"))
 
 
-def test_space_rejects_bad_gram():
-    with pytest.raises(GramError):
-        TruncatedSpace(("a", "b"), np.array([[1.0, 2.0], [0.0, 1.0]]))
-    with pytest.raises(GramError):
-        TruncatedSpace(("a", "b"), np.array([[1.0, 0.0], [0.0, -1.0]]))
-
-
 def test_metric_adjoint_identity_metric_is_conjugate_transpose(rng):
     space = TruncatedSpace(tuple(range(4)))
     a = Operator(space, rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))
-    assert np.array_equal(metric_adjoint(a).matrix, a.matrix.conj().T)
+    assert np.array_equal(metric_adjoint(a, np.eye(4)).matrix, a.matrix.conj().T)
 
 
 def test_metric_adjoint_involution_and_antimultiplicative(rng):
     g = rng.standard_normal((5, 5))
     gram = g @ g.T + 5 * np.eye(5)
-    space = TruncatedSpace(tuple(range(5)), gram)
+    space = TruncatedSpace(tuple(range(5)))
     a = Operator(space, rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5)))
     b = Operator(space, rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5)))
-    assert np.allclose(metric_adjoint(metric_adjoint(a)).matrix, a.matrix, atol=1e-12)
+    twice = metric_adjoint(metric_adjoint(a, gram), gram)
+    assert np.allclose(twice.matrix, a.matrix, atol=1e-12)
     assert np.allclose(
-        metric_adjoint(a @ b).matrix,
-        (metric_adjoint(b) @ metric_adjoint(a)).matrix,
+        metric_adjoint(a @ b, gram).matrix,
+        (metric_adjoint(b, gram) @ metric_adjoint(a, gram)).matrix,
         atol=1e-12,
     )
 
@@ -114,7 +107,7 @@ def test_metric_adjoint_sends_q_annihilator_to_creator():
     # Two independent constructions: the creator from its prepend rule, the
     # adjoint from the Gram metric of the deformed inner product.
     basis = QBasis((1, 2), 2, 0.5)
-    got = metric_adjoint(basis.annihilator(1))
+    got = metric_adjoint(basis.annihilator(1), basis.gram)
     assert np.allclose(got.matrix, basis.creator(1).matrix, atol=1e-12)
 
 
@@ -138,13 +131,6 @@ def test_boolean_cross_word_is_zero():
     bs = BooleanSpace((0, 3))
     w = word(annihilator(0), creator(1))
     assert evaluate_word(bs, w).is_zero()
-
-
-def test_unit_letters_are_transparent():
-    basis = MonotoneBasis((0, 2), 2)
-    w1 = word(creator(0), Letter(Kind.UNIT), annihilator(0))
-    w2 = word(creator(0), annihilator(0))
-    assert np.array_equal(evaluate_word(basis, w1).matrix, evaluate_word(basis, w2).matrix)
 
 
 def test_evaluate_word_rejects_out_of_window_index():
@@ -178,11 +164,6 @@ def test_relabel_under_partial_shifts():
     assert relabel(w, theta(0)) == word(creator(1), annihilator(1))
     w2 = word(creator(1), creator(-1))
     assert relabel(w2, psi(0)) == word(creator(1), creator(-2))
-
-
-def test_relabel_keeps_unit_letters():
-    w = word(creator(0), Letter(Kind.UNIT))
-    assert relabel(w, theta(0)).letters[1].kind is Kind.UNIT
 
 
 # ---------------------------------------------------------------------------
@@ -481,8 +462,6 @@ def reference_walk(model, w, vec):
     """The walker as it was: one loop over the word's letters, right to left."""
     lo, hi = model.window
     for letter in reversed(w.letters):
-        if letter.kind is Kind.UNIT:
-            continue
         if not lo <= letter.index <= hi:
             raise IndexError(f"index {letter.index} outside window [{lo}, {hi}]")
         out = {}
@@ -603,10 +582,7 @@ def test_pair_walker_and_rows_match_the_word_route(name, lo, width, depth, data)
     model = CROSS_MODELS[name]((lo, lo + width - 1), depth)
     first, last = model.window
     kinds = st.sampled_from([Kind.CREATOR, Kind.ANNIHILATOR, Kind.POSITION])
-    letters = st.one_of(
-        st.builds(Letter, kinds, st.integers(first - 2, last + 2)),  # some outside
-        st.just(Letter(Kind.UNIT)),
-    )
+    letters = st.builds(Letter, kinds, st.integers(first - 2, last + 2))  # some outside
     words = data.draw(st.lists(st.lists(letters, max_size=4), min_size=1, max_size=6))
     words = [Word(tuple(w)) for w in words]
     coeffs = st.integers(-3, 3) | st.floats(-2.0, 2.0)

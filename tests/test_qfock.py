@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from spreadlab import suites
 from spreadlab.operators import (
     Kind,
     Letter,
@@ -27,6 +28,7 @@ from spreadlab.qfock import (
     q_inner_recursive,
     words_over,
 )
+from spreadlab.suites import RELATIONS_Q, RunConfig, run_suites
 from spreadlab.symmetry import (
     check_symmetry,
     permutation_family,
@@ -246,7 +248,7 @@ def test_position_metric_self_adjoint():
     basis = QBasis((0, 2), 3, 0.5)
     for j in range(0, 3):
         s = basis.position(j)
-        assert np.allclose(metric_adjoint(s).matrix, s.matrix, atol=1e-10)
+        assert np.allclose(metric_adjoint(s, basis.gram).matrix, s.matrix, atol=1e-10)
 
 
 def test_position_square_vacuum_moment():
@@ -259,8 +261,65 @@ def test_position_square_vacuum_moment():
 def test_annihilator_creator_metric_adjoint(q):
     basis = QBasis((0, 2), 3, q)
     for j in range(0, 3):
-        got = metric_adjoint(basis.annihilator(j))
+        got = metric_adjoint(basis.annihilator(j), basis.gram)
         assert np.allclose(got.matrix, basis.creator(j).matrix, atol=1e-10)
+
+
+def _relations_report():
+    return run_suites(RunConfig(model="qdeformed", suites=("relations",)))[0]
+
+
+@pytest.mark.parametrize("q", RELATIONS_Q, ids=str)
+def test_relations_suite_is_exact_at_each_rational_q(q, monkeypatch):
+    basis = QBasis((0, 2), 3, q)
+    images = [basis.act(Kind.ANNIHILATOR, j, t) for t in basis.labels for j in range(3)]
+    weights = [w for image in images for _, w in image]
+    assert weights and all(type(w) is Fraction for w in weights)
+    monkeypatch.setattr(suites, "RELATIONS_Q", (q,))
+    report = _relations_report()
+    assert report.passed and report.samples == 9 and report.max_deviation == 0.0
+    assert report.details["adjoint_deviation"] == 0.0
+    assert report.details["commutation_deviation"] == 0.0
+    assert report.details["exact_q"] == [str(q)]
+
+
+def test_relations_report_at_the_default_grid():
+    report = _relations_report()
+    assert report.passed and report.samples == 45 and report.max_deviation == 0.0
+    assert report.details == {
+        "adjoint_deviation": 0.0,
+        "commutation_deviation": 0.0,
+        "exact_q": ["-9/10", "-1/2", "0", "1/2", "9/10"],
+        "gram_min_eigenvalue": 0.018999999999999323,
+    }
+
+
+# Wrong annihilator slot weights, in place of q**k.
+WRONG_WEIGHTS = {"q**(k+1)": lambda q, k: q ** (k + 1), "(-q)**k": lambda q, k: (-q) ** k}
+
+
+@pytest.mark.parametrize("weight", WRONG_WEIGHTS.values(), ids=WRONG_WEIGHTS)
+def test_relations_suite_catches_a_wrong_annihilator_weight(weight, monkeypatch):
+    act = QBasis.act
+
+    def mutant(self, kind, j, label):
+        if kind is Kind.CREATOR:
+            return act(self, kind, j, label)
+        return [
+            (label[:k] + label[k + 1 :], weight(self.q, k)) for k, e in enumerate(label) if e == j
+        ]
+
+    monkeypatch.setattr(QBasis, "act", mutant)
+    report = _relations_report()
+    assert not report.passed
+    assert report.details["adjoint_deviation"] > 0
+    assert report.details["commutation_deviation"] > 0
+    basis = QBasis((0, 2), 3, Fraction(1, 2))
+    duals = {v: q_pairings(v, basis.q) for v in basis.labels}
+    raised = suites._letter_form(basis, creator(0), duals)
+    lowered = suites._letter_form(basis, annihilator(0), duals)
+    defects = [x - lowered.get((v, u), 0) for (u, v), x in raised.items()]
+    assert any(defects) and all(type(d) is Fraction for d in defects)
 
 
 @pytest.mark.parametrize("q", Q_GRID)

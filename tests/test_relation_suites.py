@@ -42,12 +42,16 @@ def test_report_is_pinned(key):
     assert _run(key).to_json(include_wall_time=False) == PINNED[key]
 
 
-@pytest.mark.parametrize("key", WALKED)
+@pytest.mark.parametrize("key", WALKED + ["qdeformed/relations"])
 def test_suite_builds_no_dense_letter_matrix(key, monkeypatch):
+    # Every relation suite and the Hamel rows walk word combinations: no
+    # letter matrix, no matrix product and no Gram-metric adjoint.
     def no_dense(*args):
-        raise AssertionError("a dense letter matrix was built")
+        raise AssertionError("the dense route was taken")
 
-    monkeypatch.setattr(operators, "letter_matrix", no_dense)
+    for name in ("letter_matrix", "metric_adjoint"):
+        monkeypatch.setattr(operators, name, no_dense)
+    monkeypatch.setattr(operators.Operator, "__matmul__", no_dense)
     assert _run(key).passed
 
 

@@ -100,15 +100,14 @@ def assert_same_words(fast_calls, slow_calls):
 
 def table_state(window, table, calls=None):
     """A state whose value on a word is read from ``table`` by the word's
-    exact text; ``calls`` records each word it is asked for (the empty word
-    and a unit letter share the text ``1``, so the word itself)."""
+    exact text; ``calls`` records each word it is asked for."""
     return FakeState(window, lambda w: table[w.to_text()], calls)
 
 
 def letters(lo, hi):
     index = st.integers(lo - 1, hi + 1)  # inside and outside the window
     kind = st.sampled_from([Kind.CREATOR, Kind.ANNIHILATOR, Kind.POSITION])
-    return st.one_of(st.builds(Letter, kind, index), st.just(Letter(Kind.UNIT)))
+    return st.builds(Letter, kind, index)
 
 
 def index_maps(lo, hi):
