@@ -2,8 +2,9 @@
 
 The space is spanned by a distinguished vacuum label ``#`` plus one label per
 window index.  Algebra elements are carried as (compact matrix, scalar)
-pairs X = K + gamma*I, so the state at infinity X -> gamma needs no limit:
-the multiplication and adjoint work on the pairs directly.
+pairs X = K + gamma*I; the multiplication and adjoint work on the pairs
+directly.  The states are word-level label states: the vacuum label, and the
+scalar part, read at a site above the window.
 
 Cofinite-range increasing maps act by X -> V_f X V_f* + gamma * P_gaps,
 where V_f relabels e_k -> e_f(k) and fixes #.  The output window is the
@@ -198,16 +199,6 @@ class BooleanElement:
             [[complex(re, im) for re, im in row] for row in data["compact"]]
         )
         return cls(home, compact, complex(*data["scalar"]))
-
-
-def omega_sharp(x: BooleanElement) -> complex:
-    """Vector state at the vacuum label: the (#, #) entry of the full matrix."""
-    return complex(x.compact[0, 0]) + x.scalar
-
-
-def omega_infinity(x: BooleanElement) -> complex:
-    """State at infinity: the scalar part, exact on the pair representation."""
-    return x.scalar
 
 
 # ---------------------------------------------------------------------------

@@ -29,10 +29,8 @@ from .monoid import (
     localize,
     psi,
     random_increasing_map,
-    random_permutation,
     realize_pair,
     semidirect_multiply,
-    tau_pow,
     theta,
 )
 from .monotone import (
@@ -98,6 +96,8 @@ class RunConfig:
             raise ConfigError(f"deformation must satisfy |q| < 1, got {self.q}")
         if self.depth is not None and self.depth < 1:
             raise ConfigError(f"depth must be positive, got {self.depth}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be nonnegative, got {self.seed}")
         if self.samples is not None and self.samples < 1:
             raise ConfigError(f"sample count must be positive, got {self.samples}")
         if self.fmt not in ("json", "text", "csv"):
@@ -432,7 +432,7 @@ def monotone_simplex(config: RunConfig) -> tuple[Deviations, dict]:
     " in floating point"
 )
 def qdeformed_inner(config: RunConfig) -> tuple[Deviations, dict]:
-    exact_q = Fraction(config.q).limit_denominator(1000)
+    exact_q = Fraction(config.q)  # every float is a dyadic rational
     alphabet = range(3)
     found = Deviations(1e-12)
     exact = Deviations()
@@ -441,7 +441,9 @@ def qdeformed_inner(config: RunConfig) -> tuple[Deviations, dict]:
             for v in product(alphabet, repeat=n):
                 lhs = q_inner(u, v, exact_q)
                 exact.observe(lhs - q_inner_recursive(u, v, exact_q))
-                found.add(float(q_inner(u, v, config.q)) - float(lhs))
+                value = float(q_inner(u, v, config.q))
+                found.add(value - float(lhs),
+                          lambda _: {"u": u, "v": v, "float": value, "exact": str(lhs)})
     exact_ok = found.merge(exact)
     return found, {"q": config.q, "exact_q": str(exact_q), "exact_match": exact_ok}
 
@@ -511,6 +513,12 @@ def qdeformed_relations(config: RunConfig) -> tuple[Deviations, dict]:
     }
 
 
+def _families(lo: int, hi: int, seed: int) -> tuple:
+    """Both shifts, permutations of [lo, hi] and spreading maps around 0."""
+    return (shift_family(), permutation_family(lo, hi, n_random=10, seed=seed),
+            spreading_family(-2, 2, n_random=20, seed=seed))
+
+
 def _vacuum_states(config: RunConfig):
     """The vacuum state, and the one-particle vector state whose
     non-invariance is the counterexample."""
@@ -529,14 +537,10 @@ def qdeformed_vacuum(config: RunConfig) -> tuple[Deviations, dict]:
     vacuum, one_particle = _vacuum_states(config)
     ladder = list(words_over([-2, -1, 0, 1, 2], 4, (Kind.CREATOR, Kind.ANNIHILATOR)))
     positions = list(words_over([-2, -1, 0, 1, 2], 4, (Kind.POSITION,)))
-    families = (
-        shift_family(),
-        permutation_family(-2, 2, n_random=10, seed=config.seed),
-        spreading_family(-2, 2, n_random=20, seed=config.seed),
-    )
     tol = min(config.tol, 1e-12)
     found = Deviations(tol)
     verdicts = {}
+    families = _families(-2, 2, config.seed)
     for words in (ladder, positions):
         for family in families:
             key = f"{family.name}/{'positions' if words is positions else 'ladder'}"
@@ -629,16 +633,9 @@ def boolean_morphism(config: RunConfig) -> tuple[Deviations, dict]:
     return found, {}
 
 
-def _boolean_mixture(lam, x):
-    return lam * bool_model.omega_sharp(x) + (1 - lam) * bool_model.omega_infinity(x)
-
-
-def _site_value(x, k: int) -> complex:
-    """<e_k, X e_k> for X = K + gamma*I."""
-    if not x.home.has_label(k):
-        return x.scalar  # K vanishes at sites off its window
-    i = x.home.index(k)
-    return x.compact[i, i] + x.scalar
+# Most (word, map) pairs `boolean/simplex` may check: the default window
+# -3..3 checks 211 words under 48 maps, 10,128 pairs.
+MAX_SIMPLEX_PAIRS = 1_000_000
 
 
 def _simplex_space(config: RunConfig) -> bool_model.BooleanSpace:
@@ -646,6 +643,13 @@ def _simplex_space(config: RunConfig) -> bool_model.BooleanSpace:
     lo, hi = space.window
     if not lo <= 0 <= hi:
         raise ValueError(f"window [{lo}, {hi}] misses site 0, where the site vector witness sits")
+    # Words of up to 2 of 2W letters under the W + 41 maps of `_families`: 2 shifts,
+    # W - 1 + 10 permutations and 10 + 20 spreading maps.
+    width = hi - lo + 1
+    pairs = ((2 * width) ** 2 + 2 * width + 1) * (width + 41)
+    if pairs > MAX_SIMPLEX_PAIRS:
+        raise ValueError(f"window [{lo}, {hi}] checks {pairs} (word, map) pairs,"
+                         f" above the budget of {MAX_SIMPLEX_PAIRS}")
     return space
 
 
@@ -657,25 +661,29 @@ def _simplex_space(config: RunConfig) -> bool_model.BooleanSpace:
     sizes=_simplex_space,
 )
 def boolean_simplex(config: RunConfig) -> tuple[Deviations, dict]:
-    rng = np.random.default_rng(config.seed)
     base = _simplex_space(config)
-    maps = [random_increasing_map(rng, (-2, 2), 3, (-6, 6)) for _ in range(20)]
-    maps += [tau_pow(1), tau_pow(-1)]
-    maps += [random_permutation(rng, *base.window) for _ in range(10)]
+    lo, hi = base.window
+    # With the unit, c(i)a(j) = E_ij, c(i) = E_i#, a(j) = E_#j and a(i)c(i) = E_## span
+    # the window algebra, and alpha relabels each: these words check every element.
+    words = list(words_over(range(lo, hi + 1), 2, (Kind.CREATOR, Kind.ANNIHILATOR)))
+    families = _families(lo, hi, config.seed)
+    # The states live on the hull of every image, so no relabeling escapes.
+    ends = [g(k) for family in families for g in family.maps for k in (lo, hi)]
+    hull = bool_model.BooleanSpace((min(lo, *ends), max(hi, *ends)))
     found = Deviations(min(config.tol, 1e-12))
+    verdicts = {}
     for lam in (0.0, 0.3, 1.0):
-        for _ in range(config.samples or 20):
-            x = _random_boolean_element(base, rng)
-            before = _boolean_mixture(lam, x)
-            for f in maps:
-                found.add(_boolean_mixture(lam, bool_model.alpha(f, x)) - before)
-    unit = base.matrix_unit(0, 0)
-    moved_unit = bool_model.alpha(theta(0), unit)
+        state = mixture(hull.infinity_state(), hull.sharp_state(), lam)
+        for family in families:
+            check = check_symmetry(state, words, family, tol=found.tol)
+            verdicts[f"{family.name}/x={lam}"] = found.merge(check)
+    moved_unit = bool_model.alpha(theta(0), base.matrix_unit(0, 0))
     witness_ok = moved_unit.allclose(moved_unit.home.matrix_unit(1, 1))
-    # The moved site vector is evidence, not a sample.
+    # The moved site vector is evidence, not a sample: alpha moves E_00 to E_11.
+    site = hull.vector_state(0)
     counter = Deviations(found.tol)
     counter_dev = counter.observe(
-        _site_value(moved_unit, 0) - _site_value(unit, 0),
+        site(word(creator(1), annihilator(1))) - site(word(creator(0), annihilator(0))),
         lambda dev: {
             "state": "site vector at 0",
             "map": theta(0).to_text(),
@@ -685,7 +693,7 @@ def boolean_simplex(config: RunConfig) -> tuple[Deviations, dict]:
     )
     counter_ok = found.merge_counterexample(counter, keep=1)
     found.require(witness_ok and counter_ok and counter_dev == 1.0)
-    return found, {"weights": [0.0, 0.3, 1.0]}
+    return found, {"weights": [0.0, 0.3, 1.0], "verdicts": verdicts, "word_count": len(words)}
 
 
 # ---------------------------------------------------------------------------

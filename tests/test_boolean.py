@@ -13,8 +13,6 @@ from spreadlab.boolean import (
     WindowOverflowError,
     alpha,
     image_window,
-    omega_infinity,
-    omega_sharp,
 )
 from spreadlab.monoid import (
     FinitePermutation,
@@ -25,7 +23,12 @@ from spreadlab.monoid import (
     tau_pow,
     theta,
 )
-from spreadlab.operators import Kind, Letter, Word, annihilator, creator, evaluate_word, word
+from spreadlab import suites
+from spreadlab.operators import (
+    Kind, Letter, Word, annihilator, creator, evaluate_word, label_state, word,
+)
+from spreadlab.suites import RunConfig, run_suites
+from spreadlab.symmetry import permutation_family, shift_family, spreading_family
 
 
 @pytest.fixture(scope="module")
@@ -288,6 +291,30 @@ def test_alpha_permutation_is_automorphism(rng):
         assert inv.allclose(x, 1e-12)
 
 
+SEED = 20230526
+
+
+def test_alpha_relabels_the_generators():
+    # alpha sends c(j) and a(j) to c(f(j)) and a(f(j)), and the unit to the
+    # unit, for every map the simplex suite checks: so invariance on words
+    # is invariance on the elements they span.
+    base = BooleanSpace((-3, 3))
+    lo, hi = base.window
+    families = (
+        shift_family(),
+        permutation_family(lo, hi, n_random=10, seed=SEED),
+        spreading_family(-2, 2, n_random=20, seed=SEED),
+    )
+    for f in (g for family in families for g in family.maps):
+        for j in range(lo, hi + 1):
+            raised = alpha(f, base.creator(j))
+            assert raised.allclose(raised.home.creator(f(j)))
+            lowered = alpha(f, base.annihilator(j))
+            assert lowered.allclose(lowered.home.annihilator(f(j)))
+        unit = alpha(f, base.identity())
+        assert unit.allclose(unit.home.identity())
+
+
 def test_alpha_permutation_support_must_fit():
     bs = BooleanSpace((0, 2))
     with pytest.raises(WindowOverflowError):
@@ -296,32 +323,6 @@ def test_alpha_permutation_support_must_fit():
 
 # ---------------------------------------------------------------------------
 # Invariant states
-
-
-def test_states_on_elements(bs):
-    assert omega_sharp(bs.annihilator(0) * bs.creator(0)) == 1
-    assert omega_infinity(bs.matrix_unit(1, 2)) == 0
-    assert omega_sharp(bs.identity()) == 1
-    assert omega_infinity(bs.identity()) == 1
-
-
-def test_simplex_states_invariant(rng):
-    base = BooleanSpace((-3, 3))
-    maps = [random_increasing_map(rng, (-2, 2), 3, (-6, 6)) for _ in range(20)]
-    maps += [tau_pow(1), tau_pow(-1)]
-    perms = [random_permutation(rng, -3, 3) for _ in range(10)]
-    for lam in (0.0, 0.3, 1.0):
-
-        def state(el):
-            return lam * omega_sharp(el) + (1 - lam) * omega_infinity(el)
-
-        for _ in range(10):
-            x = random_element(base, rng)
-            before = state(x)
-            for f in maps:
-                assert abs(state(alpha(f, x)) - before) <= 1e-12
-            for p in perms:
-                assert abs(state(alpha(p, x)) - before) <= 1e-12
 
 
 def test_vector_state_not_invariant(bs):
@@ -347,6 +348,55 @@ def test_word_level_states(bs):
     assert infinity(w) == 0  # nonempty products have no scalar part
     assert infinity(word()) == 1
     assert sharp(word(creator(0), annihilator(0))) == 0  # eps_00 at the vacuum
+    assert sharp(word()) == 1
+    assert infinity(word(creator(1), annihilator(2))) == 0  # E_12 is compact
+
+
+def _simplex_report():
+    return run_suites(RunConfig(model="boolean", suites=("simplex",), seed=SEED))[0]
+
+
+def test_simplex_suite_walks_the_label_states(monkeypatch):
+    def no_element(*args):
+        raise AssertionError("a random element was built")
+
+    monkeypatch.setattr(suites, "_random_boolean_element", no_element)
+    report = _simplex_report()
+    assert report.passed and report.max_deviation == 0.0
+    # 211 words under 2 shifts, 16 permutations and 30 spreading maps, at 3 weights
+    assert (report.samples, report.skipped) == (211 * 48 * 3, 0)
+    assert report.details["word_count"] == 211
+    assert len(report.details["verdicts"]) == 9 and all(report.details["verdicts"].values())
+    assert report.witnesses == [
+        {"state": "site vector at 0", "map": "n=0;gaps=[0]", "moved_unit_ok": True,
+         "deviation": 1.0},
+    ]
+
+
+def test_simplex_suite_catches_a_probe_inside_the_window(monkeypatch):
+    def inside(self):
+        return label_state(self, self.window[1])
+
+    monkeypatch.setattr(BooleanSpace, "infinity_state", inside)
+    report = _simplex_report()
+    assert not report.passed and report.max_deviation == 1.0
+    # a spreading map moves c(3)a(3) onto the probe; the vacuum part alone passes
+    assert not report.details["verdicts"]["spreading/x=0.0"]
+    assert report.details["verdicts"]["spreading/x=1.0"]
+
+
+def test_simplex_suite_catches_a_site_dependent_annihilator(monkeypatch):
+    act = BooleanSpace.act
+
+    def mutant(self, kind, j, label):
+        if kind is Kind.CREATOR:
+            return act(self, kind, j, label)
+        return [(SHARP, 2 if j == 0 else 1)] if label == j else []
+
+    monkeypatch.setattr(BooleanSpace, "act", mutant)
+    report = _simplex_report()
+    assert not report.passed and report.max_deviation == 1.0
+    assert not report.details["verdicts"]["shift/x=1.0"]
 
 
 def test_word_states_conjugate_symmetric(bs, rng):

@@ -190,6 +190,20 @@ def test_boolean_simplex_window_must_hold_the_witness_site(window, suites_run, c
     assert captured.out == "" and suites_run == []
 
 
+def test_boolean_simplex_pair_budget_checked_before_any_suite(suites_run, capsys):
+    # 51 sites check 10,507 words under 92 maps, 966,644 pairs; 52 sites
+    # would check 10,921 x 93 = 1,015,653.
+    check = suites.SIZE_CHECKS["boolean", "simplex"]
+    assert check(RunConfig(model="boolean", window=(-25, 25))).window == (-25, 25)
+    argv = ["boolean", "--check", "relations", "--check", "simplex", "--window", "-26..25"]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == (
+        "config error: boolean/simplex: window [-26, 25] checks 1015653 (word, map) pairs,"
+        f" above the budget of {suites.MAX_SIMPLEX_PAIRS}\n"
+    )
+    assert suites_run == []
+
+
 @pytest.mark.parametrize("window", ["5..8", "-3..-1"])
 def test_boolean_morphism_runs_on_a_window_without_site_zero(window):
     assert main(["boolean", "--check", "morphism", "--window", window, "--samples", "5"]) == 0
@@ -398,6 +412,7 @@ def suites_run(monkeypatch):
     (["all", "--check", ","], "'all' runs every suite at its own defaults"),
     (["monoid", "--check", "localize", "--check", "nonsense"], "unknown suite 'nonsense'"),
     ([], "the following arguments are required: model"),
+    (["qdeformed", "--seed", "-1"], "seed must be nonnegative, got -1"),
 ])
 def test_bad_input_is_one_config_error_line(argv, message, tmp_path, suites_run, capsys):
     (tmp_path / "file").write_text("")

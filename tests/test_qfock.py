@@ -322,6 +322,32 @@ def test_relations_suite_catches_a_wrong_annihilator_weight(weight, monkeypatch)
     assert any(defects) and all(type(d) is Fraction for d in defects)
 
 
+def _inner_report(q):
+    return run_suites(RunConfig(model="qdeformed", suites=("inner",), q=q))[0]
+
+
+@pytest.mark.parametrize("q", [0.123456789, -0.9999, 0.9999999, 0.5, -0.3])
+def test_inner_suite_compares_floats_at_the_same_q(q):
+    # The exact side runs at the float's own dyadic value, not at a nearby
+    # rational, so near-boundary and many-digit q pass too.
+    report = _inner_report(q)
+    assert report.passed and report.max_deviation <= 1e-12
+    assert report.details["exact_match"]
+    assert Fraction(report.details["exact_q"]) == q
+
+
+def test_inner_suite_float_mismatch_names_its_pair(monkeypatch):
+    exact = suites.q_inner
+
+    def drifted(u, v, q):
+        return exact(u, v, q) + (1e-9 if isinstance(q, float) else 0)
+
+    monkeypatch.setattr(suites, "q_inner", drifted)
+    report = _inner_report(0.5)
+    assert not report.passed and report.details["exact_match"]
+    assert report.witnesses[0] == {"u": (), "v": (), "float": 1.0 + 1e-9, "exact": "1"}
+
+
 @pytest.mark.parametrize("q", Q_GRID)
 def test_q_commutation_below_top_level(q):
     basis = QBasis((0, 2), 3, q)
