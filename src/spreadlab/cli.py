@@ -2,6 +2,8 @@
 
 Models: monoid, monotone, qdeformed, boolean, car, or ``all``.  Flags may be
 preloaded from a key=value config file (``--config``); explicit flags win.
+A ``--window``, ``--depth`` or ``--samples`` flag that no selected suite
+reads is bad config; the same key in a config file is ignored.
 Exit codes: 0 all selected suites pass, 1 a suite failed, 2 bad config.
 """
 
@@ -15,7 +17,10 @@ from pathlib import Path
 from typing import Callable, NamedTuple
 
 from .reports import CSV_HEADER, SuiteReport
-from .suites import ONE_MODEL_FIELDS, SUITES, ConfigError, RunConfig, all_rejects, run_suites
+from .suites import (
+    ONE_MODEL_FIELDS, SIZE_FIELDS, SUITES, ConfigError, RunConfig, all_rejects, check_read,
+    run_suites,
+)
 
 _WINDOW_RE = re.compile(r"(-?\d+)\.\.(-?\d+)")
 
@@ -127,6 +132,8 @@ def build_config(args: argparse.Namespace) -> RunConfig:
         values[option.field] = option.read(",".join(raw) if option.repeatable else raw)
     config = RunConfig(model=args.model, **values)
     config.validate()
+    # A size flag must reach a suite; a config-file key may size none.
+    check_read(config, [field for field in SIZE_FIELDS if getattr(args, field) is not None])
     return config
 
 

@@ -83,10 +83,16 @@ def q_pairings(v: Label, q) -> dict[Label, complex | float]:
     return out
 
 
-def q_inner_recursive(u: Label, v: Label, q) -> complex | float:
+def q_inner_recursive(u: Label, v: Label, q, memo: dict | None = None) -> complex | float:
     """Same inner product by peeling the head of u through the annihilator
     slot weights instead of enumerating permutations; must agree with
-    :func:`q_inner` exactly."""
+    :func:`q_inner` exactly.
+
+    ``memo`` is a table of the sub-pairs' values at this same q, fresh for
+    each call without one: each sub-pair (u[1:], v without one slot) is read
+    from it or stored into it, and (u, v) itself is not stored."""
+    if memo is None:
+        memo = {}
     if len(u) != len(v):
         return 0 * q**0
     if not u:
@@ -94,7 +100,9 @@ def q_inner_recursive(u: Label, v: Label, q) -> complex | float:
     total = 0 * q**0
     for k, entry in enumerate(v):
         if entry == u[0]:
-            rest = q_inner_recursive(u[1:], v[:k] + v[k + 1 :], q)
+            pair = (u[1:], v[:k] + v[k + 1 :])
+            if (rest := memo.get(pair)) is None:
+                rest = memo[pair] = q_inner_recursive(*pair, q, memo)
             if rest:  # adding a zero term would leave the total as it is
                 total += q**k * rest
     return total

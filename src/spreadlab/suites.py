@@ -56,9 +56,13 @@ class ConfigError(ValueError):
     """Invalid run configuration (reported with exit code 2)."""
 
 
+# RunConfig fields that size the suites of one model.  A suite declares which
+# of them it reads; an explicit flag for one that no selected suite reads is
+# bad configuration.
+SIZE_FIELDS = ("window", "depth", "samples")
 # RunConfig fields that select and size the suites of one model; ``all`` runs
 # every suite at its own defaults and rejects them.
-ONE_MODEL_FIELDS = ("suites", "window", "depth", "samples")
+ONE_MODEL_FIELDS = ("suites", *SIZE_FIELDS)
 
 
 def all_rejects(field: str) -> ConfigError:
@@ -112,9 +116,12 @@ class RunConfig:
 SUITES: dict[str, dict[str, Callable[[RunConfig], SuiteReport]]] = {}
 # (model, suite name) -> the suite's closed-form size checks.
 SIZE_CHECKS: dict[tuple[str, str], Callable[[RunConfig], object]] = {}
+# (model, suite name) -> the RunConfig fields of the suite's inputs it reads.
+READS: dict[tuple[str, str], tuple[str, ...]] = {}
 
 
-def suite(model: str, name: str, claim: str, sizes: Callable[[RunConfig], object] | None = None):
+def suite(model: str, name: str, claim: str, sizes: Callable[[RunConfig], object] | None = None,
+          reads: tuple[str, ...] = ()):
     """Register a check suite as ``SUITES[model][name]``.
 
     The body takes the config and returns its :class:`Deviations` and its
@@ -123,6 +130,8 @@ def suite(model: str, name: str, claim: str, sizes: Callable[[RunConfig], object
     seed.  ``sizes`` checks the suite's closed-form sizes against their
     budgets, raising ``ValueError``; :func:`run_suites` calls it for every
     selected suite before the first one runs, and the body calls it too.
+    ``reads`` names the fields among ``window``, ``depth``, ``samples`` and
+    ``words_file`` that the suite and its size checks read.
     """
 
     def register(body):
@@ -135,6 +144,7 @@ def suite(model: str, name: str, claim: str, sizes: Callable[[RunConfig], object
             return report
 
         SUITES.setdefault(model, {})[name] = run
+        READS[model, name] = reads
         if sizes is not None:
             SIZE_CHECKS[model, name] = sizes
         return run
@@ -164,7 +174,7 @@ def _oracle_window(config: RunConfig) -> tuple[int, int]:
 @suite(
     "monoid", "compose-oracle",
     "canonical-form composition agrees pointwise with composing the evaluations",
-    sizes=_oracle_window,
+    sizes=_oracle_window, reads=("samples", "window"),
 )
 def monoid_compose_oracle(config: RunConfig) -> tuple[Deviations, dict]:
     rng = np.random.default_rng(config.seed)
@@ -189,7 +199,8 @@ def monoid_compose_oracle(config: RunConfig) -> tuple[Deviations, dict]:
 @suite(
     "monoid", "semidirect",
     "the shift/offset-free pair product realizes composition, and the"
-    " backward shift at 0 splits into shift -1 and the forward shift at 1"
+    " backward shift at 0 splits into shift -1 and the forward shift at 1",
+    reads=("samples",),
 )
 def monoid_semidirect(config: RunConfig) -> tuple[Deviations, dict]:
     rng = np.random.default_rng(config.seed)
@@ -211,12 +222,14 @@ def monoid_semidirect(config: RunConfig) -> tuple[Deviations, dict]:
 @suite(
     "monoid", "localize",
     "partial-shift words reproduce arbitrary increasing maps on windows,"
-    " and interval cycles reproduce the one-step shift there"
+    " and interval cycles reproduce the one-step shift there",
+    reads=("samples",),
 )
 def monoid_localize(config: RunConfig) -> tuple[Deviations, dict]:
     rng = np.random.default_rng(config.seed)
     n = config.samples or 200
     found = Deviations()
+    cycles: dict[tuple[int, int], list[int]] = {}  # (k, l) -> the cycle's deviations
     for _ in range(n):
         f = random_increasing_map(rng)
         k = int(rng.integers(-10, 11))
@@ -224,10 +237,12 @@ def monoid_localize(config: RunConfig) -> tuple[Deviations, dict]:
         window = range(k, l + 1)
         values = evaluate_increasing(f, window)
         r = localize(values, k, l)
-        sigma = cycle_for_interval(k, l)
+        cycle = cycles.get((k, l))
+        if cycle is None:
+            sigma = cycle_for_interval(k, l)
+            cycle = cycles[k, l] = [sigma(j) - (j + 1) for j in window]
         found.add(
-            [r(j) - v for j, v in zip(window, values)]
-            + [sigma(j) - (j + 1) for j in window],
+            [r(j) - v for j, v in zip(window, values)] + cycle,
             lambda _: {"f": f.to_text(), "interval": [k, l]},
         )
     return found, {}
@@ -248,7 +263,7 @@ def _relations_basis(config: RunConfig) -> MonotoneBasis:
     "double creations, reversed double annihilations and mismatched"
     " annihilator-creator products vanish; the number-sum commutation identity"
     " holds away from the depth-capped columns",
-    sizes=_relations_basis,
+    sizes=_relations_basis, reads=("window", "depth"),
 )
 def monotone_relations(config: RunConfig) -> tuple[Deviations, dict]:
     basis = _relations_basis(config)
@@ -339,7 +354,7 @@ def _hamel_basis(config: RunConfig) -> MonotoneBasis:
     "monotone", "hamel",
     "the normally-ordered words, the reversed number products and the"
     " identity are jointly linearly independent at desk scale",
-    sizes=_hamel_basis,
+    sizes=_hamel_basis, reads=("window", "depth"),
 )
 def monotone_hamel(config: RunConfig) -> tuple[Deviations, dict]:
     basis = _hamel_basis(config)
@@ -400,7 +415,7 @@ def _simplex_plan(config: RunConfig):
     "every mixture of the vacuum with the state at infinity is invariant"
     " under spreading relabelings of normally-ordered words, while the"
     " one-particle vector state is not",
-    sizes=_simplex_plan,
+    sizes=_simplex_plan, reads=("window", "depth", "words_file"),
 )
 def monotone_simplex(config: RunConfig) -> tuple[Deviations, dict]:
     words, vacuum, infinity, one_particle = _simplex_plan(config)
@@ -436,11 +451,14 @@ def qdeformed_inner(config: RunConfig) -> tuple[Deviations, dict]:
     alphabet = range(3)
     found = Deviations(1e-12)
     exact = Deviations()
+    memo: dict = {}  # the recursion's sub-pairs, all at the one exact q
     for n in range(5):
         for u in product(alphabet, repeat=n):
             for v in product(alphabet, repeat=n):
                 lhs = q_inner(u, v, exact_q)
-                exact.observe(lhs - q_inner_recursive(u, v, exact_q))
+                rhs = q_inner_recursive(u, v, exact_q, memo)
+                if lhs != rhs:  # an exact 0 would change nothing
+                    exact.observe(lhs - rhs)
                 value = float(q_inner(u, v, config.q))
                 found.add(value - float(lhs),
                           lambda _: {"u": u, "v": v, "float": value, "exact": str(lhs)})
@@ -474,7 +492,7 @@ def _letter_form(basis: QBasis, letter, duals: dict) -> dict:
     "creation is the metric adjoint of annihilation, the deformed"
     " commutation relation holds below the depth cap, and the deformed"
     " Gram matrix stays positive definite",
-    sizes=_gram_basis,
+    sizes=_gram_basis, reads=("window", "depth"),
 )
 def qdeformed_relations(config: RunConfig) -> tuple[Deviations, dict]:
     adjoint = Deviations()
@@ -531,7 +549,7 @@ def _vacuum_states(config: RunConfig):
     "the deformed vacuum state is invariant under shifts, finite"
     " permutations and spreading relabelings of ladder and position words,"
     " while a one-particle vector state is not",
-    sizes=_vacuum_states,
+    sizes=_vacuum_states, reads=("window", "depth"),
 )
 def qdeformed_vacuum(config: RunConfig) -> tuple[Deviations, dict]:
     vacuum, one_particle = _vacuum_states(config)
@@ -574,7 +592,7 @@ _element_space = _boolean_space((-3, 3))
     "boolean", "relations",
     "annihilator-creator products equal the vacuum projection times the"
     " index match, and creator-annihilator products are the matrix units",
-    sizes=_relations_space,
+    sizes=_relations_space, reads=("window",),
 )
 def boolean_relations(config: RunConfig) -> tuple[Deviations, dict]:
     space = _relations_space(config)
@@ -602,7 +620,7 @@ def _random_boolean_element(space, rng):
     "boolean", "morphism",
     "the relabeling action composes like the maps and is a unital"
     " star-endomorphism on chained interval windows",
-    sizes=_element_space,
+    sizes=_element_space, reads=("samples", "window"),
 )
 def boolean_morphism(config: RunConfig) -> tuple[Deviations, dict]:
     rng = np.random.default_rng(config.seed)
@@ -658,7 +676,7 @@ def _simplex_space(config: RunConfig) -> bool_model.BooleanSpace:
     "mixtures of the vacuum-label state with the scalar-part state are"
     " invariant under the relabeling action, permutations and shifts, while"
     " a site vector state is moved off its matrix unit",
-    sizes=_simplex_space,
+    sizes=_simplex_space, reads=("window",),
 )
 def boolean_simplex(config: RunConfig) -> tuple[Deviations, dict]:
     base = _simplex_space(config)
@@ -710,7 +728,7 @@ def _chain(config: RunConfig) -> car_model.FermionChain:
     "car", "relations",
     "the chain operators satisfy the anticommutation relations and the"
     " position operators square to the identity and anticommute",
-    sizes=_chain,
+    sizes=_chain, reads=("window",),
 )
 def car_relations(config: RunConfig) -> tuple[Deviations, dict]:
     chain = _chain(config)
@@ -742,7 +760,7 @@ _positivity_window = _kernel_window((-5, 5))
 
 @suite(
     "car", "stationary", "the two-point kernel is invariant under shifting both arguments",
-    sizes=_stationary_window,
+    sizes=_stationary_window, reads=("window",),
 )
 def car_stationary(config: RunConfig) -> tuple[Deviations, dict]:
     t = car_model.TwoPointFunction(config.coupling, config.diagonal)
@@ -777,7 +795,7 @@ def car_witness(config: RunConfig) -> tuple[Deviations, dict]:
     "car", "positivity",
     "spectrum probe of the kernel section against the unit interval"
     " (advisory: out-of-range eigenvalues are reported, never fatal)",
-    sizes=_positivity_window,
+    sizes=_positivity_window, reads=("window",),
 )
 def car_positivity(config: RunConfig) -> tuple[Deviations, dict]:
     t = car_model.TwoPointFunction(config.coupling, config.diagonal)
@@ -787,9 +805,9 @@ def car_positivity(config: RunConfig) -> tuple[Deviations, dict]:
     return found, car_model.positivity_probe(t, lo, hi).to_dict()
 
 
-def run_suites(config: RunConfig) -> list[SuiteReport]:
-    """Run the selected suites; a bad model or suite name is a ConfigError first."""
-    config.validate()
+def selected_suites(config: RunConfig) -> list[tuple[str, str]]:
+    """The (model, suite name) pairs a config runs, in run order; a bad model
+    or suite name is a ConfigError."""
     if config.model not in [*SUITES, "all"]:
         raise ConfigError(f"unknown model {config.model!r}")
     models = list(SUITES) if config.model == "all" else [config.model]
@@ -800,6 +818,26 @@ def run_suites(config: RunConfig) -> list[SuiteReport]:
                 f"unknown suite {name!r} for model {model!r};"
                 f" available: {', '.join(SUITES[model])}"
             )
+    return selected
+
+
+def check_read(config: RunConfig, fields) -> None:
+    """Reject each of ``fields`` that no suite the config selects reads."""
+    selected = selected_suites(config)
+    for field in fields:
+        if not any(field in READS[pair] for pair in selected):
+            readers = [name for name in SUITES[config.model] if field in READS[config.model, name]]
+            raise ConfigError(
+                f"no selected suite reads {field!r}; "
+                + (f"{config.model} suites that do: {', '.join(readers)}" if readers
+                   else f"no {config.model} suite does")
+            )
+
+
+def run_suites(config: RunConfig) -> list[SuiteReport]:
+    """Run the selected suites; a bad model or suite name is a ConfigError first."""
+    config.validate()
+    selected = selected_suites(config)
 
     def step(model: str, name: str, body: Callable[[RunConfig], object]):
         try:

@@ -13,7 +13,9 @@ from spreadlab.cli import (
 )
 from spreadlab.reports import SuiteReport
 from spreadlab import qfock, suites
-from spreadlab.suites import SUITES, ConfigError, RunConfig, run_suites
+from spreadlab.suites import (
+    READS, SIZE_CHECKS, SIZE_FIELDS, SUITES, ConfigError, RunConfig, run_suites,
+)
 
 
 def test_parse_window():
@@ -413,6 +415,15 @@ def suites_run(monkeypatch):
     (["monoid", "--check", "localize", "--check", "nonsense"], "unknown suite 'nonsense'"),
     ([], "the following arguments are required: model"),
     (["qdeformed", "--seed", "-1"], "seed must be nonnegative, got -1"),
+    (["boolean", "--check", "relations", "--samples", "5"],
+     "no selected suite reads 'samples'; boolean suites that do: morphism"),
+    (["qdeformed", "--check", "inner", "--samples", "3"],
+     "no selected suite reads 'samples'; no qdeformed suite does"),
+    (["car", "--samples", "2"], "no selected suite reads 'samples'; no car suite does"),
+    (["monoid", "--check", "localize", "--window", "0..3"],
+     "no selected suite reads 'window'; monoid suites that do: compose-oracle"),
+    (["qdeformed", "--check", "inner", "--depth", "2"],
+     "no selected suite reads 'depth'; qdeformed suites that do: relations, vacuum"),
 ])
 def test_bad_input_is_one_config_error_line(argv, message, tmp_path, suites_run, capsys):
     (tmp_path / "file").write_text("")
@@ -434,6 +445,34 @@ def test_all_skips_one_model_keys_from_a_shared_config_file(tmp_path):
     cfg.write_text("depth=abc\n")  # a bad value is still bad under 'all'
     with pytest.raises(ConfigError, match="bad value for 'depth'"):
         _from_flags(["all", "--config", str(cfg)])
+
+
+def test_size_flags_read_by_one_selected_suite_pass(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("samples=5\ndepth=2\n")  # keys that no selected suite reads
+    config = _from_flags(["monoid", "--check", "localize", "--check", "compose-oracle",
+                          "--window", "0..3", "--config", str(cfg)])
+    assert (config.window, config.samples, config.depth) == ((0, 3), 5, 2)
+    assert _from_flags(["boolean", "--samples", "3"]).samples == 3
+
+
+class RecordingConfig(RunConfig):
+    """A config that records which of the suites' input fields are read."""
+
+    def __getattribute__(self, name):
+        if name in (*SIZE_FIELDS, "words_file"):
+            object.__getattribute__(self, "read").add(name)
+        return object.__getattribute__(self, name)
+
+
+def test_each_suite_declares_the_fields_it_reads():
+    for (model, name), declared in READS.items():
+        config = RecordingConfig(model=model, suites=(name,), window=(-1, 1), depth=2, samples=2)
+        config.read = set()
+        if (model, name) in SIZE_CHECKS:
+            SIZE_CHECKS[model, name](config)
+        SUITES[model][name](config)
+        assert config.read == set(declared), (model, name)
 
 
 def test_all_rejects_one_model_fields_in_run_config():
@@ -504,7 +543,7 @@ def test_boolean_simplex_on_requested_window(tmp_path):
     out = tmp_path / "r"
     code = main(
         ["boolean", "--check", "simplex", "--window", "-4..4",
-         "--samples", "5", "--format", "json", "--out", str(out)]
+         "--format", "json", "--out", str(out)]
     )
     assert code == 0
     report = json.loads((out / "boolean_simplex.json").read_text())

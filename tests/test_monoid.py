@@ -546,3 +546,104 @@ def test_compose_oracle_sweep_keeps_the_per_point_witnesses(broken, monkeypatch)
     assert not got.passed and got.witnesses
     got.claim = want.claim
     assert got.to_json(include_wall_time=False) == want.to_json(include_wall_time=False)
+
+
+def set_union_compose(f, g):
+    """compose as it was: the gaps of f joined with their f-images in a set."""
+    gaps = sorted(set(f.gaps).union(evaluate(f, x) for x in g.gaps))
+    return IncreasingMap(f.offset + g.offset, tuple(gaps))
+
+
+@given(data=st.data(), gap_base=st.sampled_from([0, HUGE, -HUGE]),
+       offset_base=st.sampled_from([0, HUGE, -HUGE]))
+@settings(max_examples=300)
+def test_closed_forms_match_the_compose_routes(data, gap_base, offset_base):
+    f = data.draw(maps_near(gap_base))
+    f = IncreasingMap(offset_base + f.offset - gap_base, f.gaps)
+    # g's gaps land among f's gaps under f.
+    g = data.draw(maps_near(gap_base - offset_base))
+    for a, b in ((f, g), (g, f), (f, f), (f, identity_map()), (identity_map(), g)):
+        fast = compose(a, b)
+        assert fast == set_union_compose(a, b)
+        assert type(fast.gaps) is tuple and all(type(x) is int for x in fast.gaps)
+    for h in (f, g):
+        n, d = decompose_semidirect(h)
+        assert (n, d) == (h.offset, compose(tau_pow(-h.offset), h))
+        assert realize_pair((n, d)) == compose(tau_pow(n), d) == h
+        m = data.draw(st.integers(-40, 40) | st.sampled_from([HUGE, -HUGE]))
+        assert realize_pair((m, h)) == compose(tau_pow(m), h)
+
+
+def three_list_localize(values, k, l):
+    """localize as it was: every round builds the displacement list and the
+    lists of too-low and too-high positions."""
+    targets = list(values)
+    current = list(range(k, l + 1))
+    applied = []
+    while True:
+        deltas = [t - c for t, c in zip(targets, current)]
+        too_low = [i for i, d in enumerate(deltas) if d > 0]
+        too_high = [i for i, d in enumerate(deltas) if d < 0]
+        if not too_low and not too_high:
+            break
+        if too_low:
+            h = current[min(too_low)]
+            applied.append(ShiftLetter("T", h))
+            current = [c + 1 if c >= h else c for c in current]
+        if too_high:
+            h = current[max(too_high)]
+            applied.append(ShiftLetter("P", h))
+            current = [c - 1 if c <= h else c for c in current]
+    return GeneratorWord(tuple(reversed(applied)))
+
+
+@given(data=st.data(), base=st.sampled_from([0, HUGE, -HUGE]))
+@settings(max_examples=300)
+def test_localize_builds_the_three_list_word(data, base):
+    f = data.draw(maps_near(base))
+    f = IncreasingMap(f.offset - base, f.gaps)  # small displacements, large points
+    k = data.draw(st.integers(base - 40, base + 40))
+    l = k + data.draw(st.integers(0, 10))
+    values = evaluate_increasing(f, range(k, l + 1))
+    word = localize(values, k, l)
+    assert word == three_list_localize(values, k, l)
+    assert [word(j) for j in range(k, l + 1)] == values
+
+
+def rebuilt_cycle_localize(config):
+    """monoid/localize building every window's cycle afresh."""
+    rng = np.random.default_rng(config.seed)
+    found = Deviations()
+    for _ in range(config.samples):
+        f = random_increasing_map(rng)
+        k = int(rng.integers(-10, 11))
+        l = k + int(rng.integers(0, 8))
+        window = range(k, l + 1)
+        values = [f(j) for j in window]
+        r = localize(values, k, l)
+        sigma = suites.cycle_for_interval(k, l)
+        found.add(
+            [r(j) - v for j, v in zip(window, values)] + [sigma(j) - (j + 1) for j in window],
+            lambda _: {"f": f.to_text(), "interval": [k, l]},
+        )
+    return found.report("monoid", "localize", "", config.seed, details={})
+
+
+def backward_on_some_windows(k, l):
+    """A wrong cycle: the shift backwards, closing at k, on the windows with
+    k * l = 1 mod 3, and the right cycle on the others; so a table keyed by
+    less than the whole window would mix the two up."""
+    points = list(range(k, l + 2))
+    return FinitePermutation.from_cycle(points[::-1] if k * l % 3 == 1 else points)
+
+
+@pytest.mark.parametrize("cycle", [None, backward_on_some_windows])
+def test_localize_cycle_table_matches_rebuilt_cycles(cycle, monkeypatch):
+    if cycle is not None:
+        monkeypatch.setattr(suites, "cycle_for_interval", cycle)
+    config = suites.RunConfig(model="monoid", samples=2000, seed=20230526)
+    got = suites.SUITES["monoid"]["localize"](config)
+    want = rebuilt_cycle_localize(config)
+    assert got.passed is (cycle is None) and bool(got.witnesses) is (cycle is not None)
+    got.claim = want.claim
+    assert got.to_json(include_wall_time=False) == want.to_json(include_wall_time=False)

@@ -322,6 +322,61 @@ def test_relations_suite_catches_a_wrong_annihilator_weight(weight, monkeypatch)
     assert any(defects) and all(type(d) is Fraction for d in defects)
 
 
+Q_VALUES = (st.sampled_from(Q_GRID) | st.floats(-0.99, 0.99)
+            | st.fractions(Fraction(-99, 100), Fraction(99, 100), max_denominator=1000))
+
+
+@given(
+    pairs=st.lists(st.tuples(st.lists(st.integers(0, 2), max_size=5),
+                             st.lists(st.integers(0, 2), max_size=5)), max_size=6),
+    q=Q_VALUES,
+)
+@settings(max_examples=200)
+def test_sub_pair_table_changes_no_value(pairs, q):
+    memo = {}
+    longest = 0
+    for u, v in pairs:
+        u, v = tuple(u), tuple(v)
+        # Also each tuple against a rearrangement of itself, where the
+        # recursion goes deepest.
+        for a, b in ((u, v), (u, u[::-1]), (v, tuple(sorted(v)))):
+            assert same_value(q_inner_recursive(a, b, q, memo), recursive_inner(a, b, q))
+            longest = max(longest, len(a))
+    assert all(len(a) == len(b) < longest for a, b in memo)
+    for (a, b), value in memo.items():
+        assert same_value(value, recursive_inner(a, b, q))
+
+
+def test_inner_suite_keeps_one_table_of_sub_pairs(monkeypatch):
+    tables = []
+
+    def recording(u, v, q, memo=None):
+        tables.append(memo)
+        return q_inner_recursive(u, v, q, memo)
+
+    monkeypatch.setattr(suites, "q_inner_recursive", recording)
+    report = _inner_report(0.5)
+    assert report.passed and report.details["exact_match"]
+    memo = tables[0]
+    assert len(tables) == sum(9**n for n in range(5)) and all(t is memo for t in tables)
+    # Sub-pairs only: none of the top-level length 4, at most every pair below it.
+    assert memo and all(len(u) == len(v) < 4 for u, v in memo)
+    assert len(memo) <= sum(9**n for n in range(4))
+    for (u, v), value in memo.items():
+        assert same_value(value, recursive_inner(u, v, Fraction(1, 2)))
+
+
+def test_inner_suite_exact_mismatch_is_seen(monkeypatch):
+    exact = suites.q_inner_recursive
+
+    def drifted(u, v, q, memo=None):
+        return exact(u, v, q, memo) + (Fraction(1, 2**60) if u == v == (2, 1) else 0)
+
+    monkeypatch.setattr(suites, "q_inner_recursive", drifted)
+    report = _inner_report(0.5)
+    assert not report.passed and not report.details["exact_match"]
+
+
 def _inner_report(q):
     return run_suites(RunConfig(model="qdeformed", suites=("inner",), q=q))[0]
 
