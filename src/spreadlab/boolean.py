@@ -17,7 +17,6 @@ action unital and makes the composition law exact.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Union
@@ -177,28 +176,6 @@ class BooleanElement:
             and abs(self.scalar - other.scalar) <= tol
             and bool(np.max(np.abs(self.compact - other.compact), initial=0.0) <= tol)
         )
-
-    def to_json(self) -> str:
-        """Dense row-major complex pairs plus the scalar part."""
-        return json.dumps(
-            {
-                "window": list(self.home.window),
-                "scalar": [self.scalar.real, self.scalar.imag],
-                "compact": [
-                    [[z.real, z.imag] for z in row] for row in self.compact.tolist()
-                ],
-            },
-            sort_keys=True,
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "BooleanElement":
-        data = json.loads(text)
-        home = BooleanSpace(tuple(data["window"]))
-        compact = np.array(
-            [[complex(re, im) for re, im in row] for row in data["compact"]]
-        )
-        return cls(home, compact, complex(*data["scalar"]))
 
 
 # ---------------------------------------------------------------------------

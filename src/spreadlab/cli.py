@@ -2,9 +2,11 @@
 
 Models: monoid, monotone, qdeformed, boolean, car, or ``all``.  Flags may be
 preloaded from a key=value config file (``--config``); explicit flags win.
-A ``--window``, ``--depth`` or ``--samples`` flag that no selected suite
-reads is bad config; the same key in a config file is ignored.
-Exit codes: 0 all selected suites pass, 1 a suite failed, 2 bad config.
+A suite reads the options its plan takes as parameters; a suite-option flag
+that no selected suite reads is bad config, checked from the plans'
+signatures before any plan is built, and the same key in a config file is
+ignored.  Exit codes: 0 all selected suites pass, 1 a suite failed, 2 bad
+config.
 """
 
 from __future__ import annotations
@@ -18,8 +20,7 @@ from typing import Callable, NamedTuple
 
 from .reports import CSV_HEADER, SuiteReport
 from .suites import (
-    ONE_MODEL_FIELDS, SIZE_FIELDS, SUITES, ConfigError, RunConfig, all_rejects, check_read,
-    run_suites,
+    ONE_MODEL_FIELDS, SUITES, ConfigError, RunConfig, all_rejects, check_read, run_suites,
 )
 
 _WINDOW_RE = re.compile(r"(-?\d+)\.\.(-?\d+)")
@@ -58,7 +59,9 @@ OPTIONS = (
     Option("window", ("--window",), ("window",), parse_window, metavar="LO..HI"),
     Option("depth", ("--depth",), ("depth",), int),
     Option("q", ("--q",), ("q",), float, "deformation in (-1, 1)"),
-    Option("tol", ("--tol",), ("tol",), float),
+    Option("tol", ("--tol",), ("tol",), float,
+           "tightens the 1e-12 bound of monotone/simplex, qdeformed/vacuum and"
+           " boolean/simplex to min(tol, 1e-12)"),
     Option("samples", ("--samples",), ("samples",), int),
     Option("seed", ("--seed",), ("seed",), int),
     Option("fmt", ("--format",), ("fmt", "format"), str, metavar="{json,text,csv}"),
@@ -132,8 +135,8 @@ def build_config(args: argparse.Namespace) -> RunConfig:
         values[option.field] = option.read(",".join(raw) if option.repeatable else raw)
     config = RunConfig(model=args.model, **values)
     config.validate()
-    # A size flag must reach a suite; a config-file key may size none.
-    check_read(config, [field for field in SIZE_FIELDS if getattr(args, field) is not None])
+    # A flag must reach a suite; a config-file key may reach none.
+    check_read(config, [o.field for o in OPTIONS if getattr(args, o.field) is not None])
     return config
 
 

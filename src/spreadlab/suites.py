@@ -1,15 +1,18 @@
 """Runnable check suites, one per verifiable claim.
 
-Each suite is registered once, with its model, name and claim, by the
-:func:`suite` decorator into :data:`SUITES`; it takes a :class:`RunConfig` and
-returns a :class:`SuiteReport`.  Defaults reproduce the full desk-scale verification; the CLI narrows or
-widens them through flags.  All sampling is seeded through numpy Generators
-created from the config seed, so identical configs give identical reports.
+Each suite is registered once, by the :func:`suite` decorator into
+:data:`SUITES`, as a plan and a check.  The plan's parameters are the
+:class:`RunConfig` fields the suite reads, with the suite's defaults; it checks
+every size budget and builds the suite's inputs.  The check takes the plan and
+the seed and returns the deviations and the details; it never sees the config.
+The CLI narrows or widens the defaults through flags.  All sampling is seeded
+through numpy Generators created from the config seed, so identical configs
+give identical reports.
 """
 
 from __future__ import annotations
 
-import functools
+import inspect
 import math
 import time
 from dataclasses import dataclass
@@ -56,13 +59,12 @@ class ConfigError(ValueError):
     """Invalid run configuration (reported with exit code 2)."""
 
 
-# RunConfig fields that size the suites of one model.  A suite declares which
-# of them it reads; an explicit flag for one that no selected suite reads is
-# bad configuration.
-SIZE_FIELDS = ("window", "depth", "samples")
 # RunConfig fields that select and size the suites of one model; ``all`` runs
 # every suite at its own defaults and rejects them.
-ONE_MODEL_FIELDS = ("suites", *SIZE_FIELDS)
+ONE_MODEL_FIELDS = ("suites", "window", "depth", "samples")
+# RunConfig fields that apply to the whole run; every other field is a suite
+# option, read by the suites whose plans take it.
+RUN_FIELDS = ("model", "suites", "seed", "fmt", "out")
 
 
 def all_rejects(field: str) -> ConfigError:
@@ -73,18 +75,20 @@ def all_rejects(field: str) -> ConfigError:
 
 @dataclass
 class RunConfig:
+    """A run; a suite option left at None takes each suite's own default."""
+
     model: str = "all"
     suites: tuple[str, ...] = ()
     window: tuple[int, int] | None = None
     depth: int | None = None
-    q: float = 0.5
-    tol: float = 1e-10
+    q: float | None = None
+    tol: float | None = None
     samples: int | None = None
     seed: int = 0
     fmt: str = "text"
     out: str | None = None
-    coupling: float = 1.0
-    diagonal: float = 0.5
+    coupling: float | None = None
+    diagonal: float | None = None
     words_file: str | None = None
 
     def validate(self) -> None:
@@ -94,9 +98,9 @@ class RunConfig:
                     raise all_rejects(field)
         if self.window is not None and self.window[0] > self.window[1]:
             raise ConfigError(f"empty window {self.window}")
-        if not 0 < self.tol < 1:
+        if self.tol is not None and not 0 < self.tol < 1:
             raise ConfigError(f"tolerance must lie in (0, 1), got {self.tol}")
-        if not abs(self.q) < 1:
+        if self.q is not None and not abs(self.q) < 1:
             raise ConfigError(f"deformation must satisfy |q| < 1, got {self.q}")
         if self.depth is not None and self.depth < 1:
             raise ConfigError(f"depth must be positive, got {self.depth}")
@@ -106,48 +110,56 @@ class RunConfig:
             raise ConfigError(f"sample count must be positive, got {self.samples}")
         if self.fmt not in ("json", "text", "csv"):
             raise ConfigError(f"unknown format {self.fmt!r}")
-        if not 0 <= self.coupling < math.inf:
+        if self.coupling is not None and not 0 <= self.coupling < math.inf:
             raise ConfigError(f"coupling must be finite and nonnegative, got {self.coupling}")
-        if not 0 <= self.diagonal <= 1:
+        if self.diagonal is not None and not 0 <= self.diagonal <= 1:
             raise ConfigError(f"diagonal must lie in [0, 1], got {self.diagonal}")
 
 
+@dataclass
+class Suite:
+    """A registered suite: ``plan(**options)`` checks its budgets and builds
+    its inputs, ``check(plan, seed)`` returns its deviations and details."""
+
+    model: str
+    name: str
+    claim: str
+    plan: Callable[..., object]
+    check: Callable[[object, int], tuple[Deviations, dict]]
+
+    @property
+    def reads(self) -> tuple[str, ...]:
+        """The RunConfig fields the suite reads: its plan's parameters."""
+        return tuple(inspect.signature(self.plan).parameters)
+
+    def build(self, config: RunConfig):
+        """The plan at the options the config sets; the others keep the
+        plan's defaults."""
+        options = {field: getattr(config, field) for field in self.reads}
+        return self.plan(**{field: v for field, v in options.items() if v is not None})
+
+    def run(self, plan, seed: int) -> SuiteReport:
+        """The report of the check, with the check's time as ``wall_time_s``."""
+        start = time.perf_counter()
+        found, details = self.check(plan, seed)
+        report = found.report(self.model, self.name, self.claim, seed, details=details)
+        report.wall_time_s = time.perf_counter() - start
+        return report
+
+    def __call__(self, config: RunConfig) -> SuiteReport:
+        return self.run(self.build(config), config.seed)
+
+
 # model -> suite name -> suite, in definition order, which is the run order.
-SUITES: dict[str, dict[str, Callable[[RunConfig], SuiteReport]]] = {}
-# (model, suite name) -> the suite's closed-form size checks.
-SIZE_CHECKS: dict[tuple[str, str], Callable[[RunConfig], object]] = {}
-# (model, suite name) -> the RunConfig fields of the suite's inputs it reads.
-READS: dict[tuple[str, str], tuple[str, ...]] = {}
+SUITES: dict[str, dict[str, Suite]] = {}
 
 
-def suite(model: str, name: str, claim: str, sizes: Callable[[RunConfig], object] | None = None,
-          reads: tuple[str, ...] = ()):
-    """Register a check suite as ``SUITES[model][name]``.
+def suite(model: str, name: str, claim: str, plan: Callable[..., object]):
+    """Register the decorated check with its plan as ``SUITES[model][name]``."""
 
-    The body takes the config and returns its :class:`Deviations` and its
-    details.  The registered suite times the whole body into ``wall_time_s``
-    and builds the report with this model, name and claim and the config
-    seed.  ``sizes`` checks the suite's closed-form sizes against their
-    budgets, raising ``ValueError``; :func:`run_suites` calls it for every
-    selected suite before the first one runs, and the body calls it too.
-    ``reads`` names the fields among ``window``, ``depth``, ``samples`` and
-    ``words_file`` that the suite and its size checks read.
-    """
-
-    def register(body):
-        @functools.wraps(body)
-        def run(config: RunConfig) -> SuiteReport:
-            start = time.perf_counter()
-            found, details = body(config)
-            report = found.report(model, name, claim, config.seed, details=details)
-            report.wall_time_s = time.perf_counter() - start
-            return report
-
-        SUITES.setdefault(model, {})[name] = run
-        READS[model, name] = reads
-        if sizes is not None:
-            SIZE_CHECKS[model, name] = sizes
-        return run
+    def register(check):
+        SUITES.setdefault(model, {})[name] = Suite(model, name, claim, plan, check)
+        return check
 
     return register
 
@@ -161,25 +173,24 @@ def suite(model: str, name: str, claim: str, sizes: Callable[[RunConfig], object
 MAX_ORACLE_POINTS = 10_000
 
 
-def _oracle_window(config: RunConfig) -> tuple[int, int]:
-    lo, hi = config.window or (-50, 50)
+def _oracle_plan(samples: int = 1000, window: tuple[int, int] = (-50, 50)):
+    lo, hi = window
     if hi - lo + 1 > MAX_ORACLE_POINTS:
         raise ValueError(
             f"window [{lo}, {hi}] has {hi - lo + 1} points, above the budget of"
             f" {MAX_ORACLE_POINTS}"
         )
-    return lo, hi
+    return samples, window
 
 
 @suite(
     "monoid", "compose-oracle",
     "canonical-form composition agrees pointwise with composing the evaluations",
-    sizes=_oracle_window, reads=("samples", "window"),
+    _oracle_plan,
 )
-def monoid_compose_oracle(config: RunConfig) -> tuple[Deviations, dict]:
-    rng = np.random.default_rng(config.seed)
-    n = config.samples or 1000
-    lo, hi = _oracle_window(config)
+def monoid_compose_oracle(plan, seed: int) -> tuple[Deviations, dict]:
+    rng = np.random.default_rng(seed)
+    n, (lo, hi) = plan
     found = Deviations()
     window = range(lo, hi + 1)
     for _ in range(n):
@@ -200,11 +211,10 @@ def monoid_compose_oracle(config: RunConfig) -> tuple[Deviations, dict]:
     "monoid", "semidirect",
     "the shift/offset-free pair product realizes composition, and the"
     " backward shift at 0 splits into shift -1 and the forward shift at 1",
-    reads=("samples",),
+    lambda samples=500: samples,
 )
-def monoid_semidirect(config: RunConfig) -> tuple[Deviations, dict]:
-    rng = np.random.default_rng(config.seed)
-    n = config.samples or 500
+def monoid_semidirect(n: int, seed: int) -> tuple[Deviations, dict]:
+    rng = np.random.default_rng(seed)
     found = Deviations()
     for _ in range(n):
         f = random_increasing_map(rng)
@@ -223,11 +233,10 @@ def monoid_semidirect(config: RunConfig) -> tuple[Deviations, dict]:
     "monoid", "localize",
     "partial-shift words reproduce arbitrary increasing maps on windows,"
     " and interval cycles reproduce the one-step shift there",
-    reads=("samples",),
+    lambda samples=200: samples,
 )
-def monoid_localize(config: RunConfig) -> tuple[Deviations, dict]:
-    rng = np.random.default_rng(config.seed)
-    n = config.samples or 200
+def monoid_localize(n: int, seed: int) -> tuple[Deviations, dict]:
+    rng = np.random.default_rng(seed)
     found = Deviations()
     cycles: dict[tuple[int, int], list[int]] = {}  # (k, l) -> the cycle's deviations
     for _ in range(n):
@@ -252,8 +261,8 @@ def monoid_localize(config: RunConfig) -> tuple[Deviations, dict]:
 # Monotone suites
 
 
-def _relations_basis(config: RunConfig) -> MonotoneBasis:
-    basis = MonotoneBasis(config.window or (0, 7), config.depth or 4)
+def _relations_basis(window: tuple[int, int] = (0, 7), depth: int = 4) -> MonotoneBasis:
+    basis = MonotoneBasis(window, depth)
     check_space(basis.window, basis.dim)
     return basis
 
@@ -263,10 +272,9 @@ def _relations_basis(config: RunConfig) -> MonotoneBasis:
     "double creations, reversed double annihilations and mismatched"
     " annihilator-creator products vanish; the number-sum commutation identity"
     " holds away from the depth-capped columns",
-    sizes=_relations_basis, reads=("window", "depth"),
+    _relations_basis,
 )
-def monotone_relations(config: RunConfig) -> tuple[Deviations, dict]:
-    basis = _relations_basis(config)
+def monotone_relations(basis: MonotoneBasis, seed: int) -> tuple[Deviations, dict]:
     window, depth = basis.window, basis.depth
     lo, hi = window
     found = Deviations()
@@ -333,8 +341,8 @@ def smallest_singular_value(rows: list[dict[int, complex]]) -> float:
 MAX_HAMEL_WALKS = 2_000_000
 
 
-def _hamel_basis(config: RunConfig) -> MonotoneBasis:
-    basis = MonotoneBasis(config.window or (0, 4), config.depth or 4)
+def _hamel_basis(window: tuple[int, int] = (0, 4), depth: int = 4) -> MonotoneBasis:
+    basis = MonotoneBasis(window, depth)
     lo, hi = basis.window
     dim = basis.dim
     check_space(basis.window, dim)  # within the budget, dim is exact
@@ -354,10 +362,9 @@ def _hamel_basis(config: RunConfig) -> MonotoneBasis:
     "monotone", "hamel",
     "the normally-ordered words, the reversed number products and the"
     " identity are jointly linearly independent at desk scale",
-    sizes=_hamel_basis, reads=("window", "depth"),
+    _hamel_basis,
 )
-def monotone_hamel(config: RunConfig) -> tuple[Deviations, dict]:
-    basis = _hamel_basis(config)
+def monotone_hamel(basis: MonotoneBasis, seed: int) -> tuple[Deviations, dict]:
     lo, hi = basis.window
     dim = basis.dim
     words = [
@@ -383,31 +390,32 @@ def monotone_hamel(config: RunConfig) -> tuple[Deviations, dict]:
     return found, {"sigma_min": sigma_min, "threshold": 1e-8, "family_size": len(rows)}
 
 
-def _simplex_words(config: RunConfig):
-    if config.words_file:
-        path = config.words_file
-        try:
-            with open(path) as fh:
-                lines = fh.read().splitlines()
-        except OSError as exc:
-            raise ConfigError(f"cannot read words file: {exc}") from exc
-        words = []
-        for lineno, line in enumerate(lines, 1):
-            if line.strip() and not line.startswith("#"):
-                try:
-                    words.append(LambdaForm.from_text(line).word())
-                except ValueError as exc:
-                    raise ConfigError(f"{path}:{lineno}: {exc}") from exc
-        return words
-    return [f.word() for f in lambda_forms(range(-3, 4), 4, 4, max_length=4)]
+def _simplex_words(path: str | None):
+    if not path:
+        return [f.word() for f in lambda_forms(range(-3, 4), 4, 4, max_length=4)]
+    try:
+        with open(path) as fh:
+            lines = fh.read().splitlines()
+    except OSError as exc:
+        raise ValueError(f"cannot read words file: {exc}") from exc
+    words = []
+    for lineno, line in enumerate(lines, 1):
+        if line.strip() and not line.startswith("#"):
+            try:
+                words.append(LambdaForm.from_text(line).word())
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: {exc}") from exc
+    return words
 
 
-def _simplex_plan(config: RunConfig):
-    """The words, then the vacuum, the state at infinity and the one-particle
-    vector state whose non-invariance is the counterexample."""
-    words = _simplex_words(config)
-    basis = MonotoneBasis(config.window or (-6, 9), config.depth or 4)
-    return words, basis.vacuum_state(), basis.state_at_infinity(), basis.vector_state((0,))
+def _simplex_plan(window: tuple[int, int] = (-6, 9), depth: int = 4,
+                  words_file: str | None = None, tol: float = 1e-12):
+    """The words, the vacuum, the state at infinity, the one-particle vector
+    state whose non-invariance is the counterexample, and the tolerance."""
+    words = _simplex_words(words_file)
+    basis = MonotoneBasis(window, depth)
+    return (words, basis.vacuum_state(), basis.state_at_infinity(), basis.vector_state((0,)),
+            min(tol, 1e-12))
 
 
 @suite(
@@ -415,12 +423,11 @@ def _simplex_plan(config: RunConfig):
     "every mixture of the vacuum with the state at infinity is invariant"
     " under spreading relabelings of normally-ordered words, while the"
     " one-particle vector state is not",
-    sizes=_simplex_plan, reads=("window", "depth", "words_file"),
+    _simplex_plan,
 )
-def monotone_simplex(config: RunConfig) -> tuple[Deviations, dict]:
-    words, vacuum, infinity, one_particle = _simplex_plan(config)
-    family = spreading_family(-2, 2, n_random=20, seed=config.seed)
-    tol = min(config.tol, 1e-12)
+def monotone_simplex(plan, seed: int) -> tuple[Deviations, dict]:
+    words, vacuum, infinity, one_particle, tol = plan
+    family = spreading_family(-2, 2, n_random=20, seed=seed)
     found = Deviations(tol)
     per_weight = {}
     for x in (0.0, 0.25, 0.5, 1.0):
@@ -444,10 +451,11 @@ def monotone_simplex(config: RunConfig) -> tuple[Deviations, dict]:
     "qdeformed", "inner",
     "the inversion-statistic inner product agrees exactly with the"
     " head-peeling recursion on every tuple pair, in exact rationals and"
-    " in floating point"
+    " in floating point",
+    lambda q=0.5: q,
 )
-def qdeformed_inner(config: RunConfig) -> tuple[Deviations, dict]:
-    exact_q = Fraction(config.q)  # every float is a dyadic rational
+def qdeformed_inner(q: float, seed: int) -> tuple[Deviations, dict]:
+    exact_q = Fraction(q)  # every float is a dyadic rational
     alphabet = range(3)
     found = Deviations(1e-12)
     exact = Deviations()
@@ -459,21 +467,23 @@ def qdeformed_inner(config: RunConfig) -> tuple[Deviations, dict]:
                 rhs = q_inner_recursive(u, v, exact_q, memo)
                 if lhs != rhs:  # an exact 0 would change nothing
                     exact.observe(lhs - rhs)
-                value = float(q_inner(u, v, config.q))
+                value = float(q_inner(u, v, q))
                 found.add(value - float(lhs),
                           lambda _: {"u": u, "v": v, "float": value, "exact": str(lhs)})
     exact_ok = found.merge(exact)
-    return found, {"q": config.q, "exact_q": str(exact_q), "exact_match": exact_ok}
-
-
-def _gram_basis(config: RunConfig, q: float | Fraction = 0.0) -> QBasis:
-    basis = QBasis(config.window or (0, 2), config.depth or 3, q)
-    basis.check_gram()
-    return basis
+    return found, {"q": q, "exact_q": str(exact_q), "exact_match": exact_ok}
 
 
 # The deformations at which the q-deformed relations are checked, exactly.
 RELATIONS_Q = tuple(Fraction(n, 10) for n in (-9, -5, 0, 5, 9))
+
+
+def _gram_bases(window: tuple[int, int] = (0, 2), depth: int = 3) -> list[QBasis]:
+    """The basis at each deformation of :data:`RELATIONS_Q`."""
+    bases = [QBasis(window, depth, q) for q in RELATIONS_Q]
+    for basis in bases:
+        basis.check_gram()
+    return bases
 
 
 def _letter_form(basis: QBasis, letter, duals: dict) -> dict:
@@ -492,14 +502,14 @@ def _letter_form(basis: QBasis, letter, duals: dict) -> dict:
     "creation is the metric adjoint of annihilation, the deformed"
     " commutation relation holds below the depth cap, and the deformed"
     " Gram matrix stays positive definite",
-    sizes=_gram_basis, reads=("window", "depth"),
+    _gram_bases,
 )
-def qdeformed_relations(config: RunConfig) -> tuple[Deviations, dict]:
+def qdeformed_relations(bases: list[QBasis], seed: int) -> tuple[Deviations, dict]:
     adjoint = Deviations()
     commutation = Deviations()
     min_eig = np.inf
-    for q in RELATIONS_Q:
-        basis = _gram_basis(config, q)
+    for basis in bases:
+        q = basis.q
         gram = QBasis(basis.window, basis.depth, float(q)).gram
         min_eig = min(min_eig, float(np.linalg.eigvalsh(gram)[0]))
         duals = {v: q_pairings(v, q) for v in basis.labels}
@@ -526,7 +536,7 @@ def qdeformed_relations(config: RunConfig) -> tuple[Deviations, dict]:
     return found, {
         "adjoint_deviation": float(adjoint.max_deviation),
         "commutation_deviation": float(commutation.max_deviation),
-        "exact_q": [str(q) for q in RELATIONS_Q],
+        "exact_q": [str(basis.q) for basis in bases],
         "gram_min_eigenvalue": min_eig,
     }
 
@@ -537,11 +547,12 @@ def _families(lo: int, hi: int, seed: int) -> tuple:
             spreading_family(-2, 2, n_random=20, seed=seed))
 
 
-def _vacuum_states(config: RunConfig):
-    """The vacuum state, and the one-particle vector state whose
-    non-invariance is the counterexample."""
-    basis = QBasis(config.window or (-8, 8), config.depth or 3, config.q)
-    return basis.vacuum_state(), basis.vector_state(1)
+def _vacuum_states(window: tuple[int, int] = (-8, 8), depth: int = 3, q: float = 0.5,
+                   tol: float = 1e-12):
+    """The vacuum state, the one-particle vector state whose non-invariance
+    is the counterexample, the deformation and the tolerance."""
+    basis = QBasis(window, depth, q)
+    return basis.vacuum_state(), basis.vector_state(1), q, min(tol, 1e-12)
 
 
 @suite(
@@ -549,16 +560,15 @@ def _vacuum_states(config: RunConfig):
     "the deformed vacuum state is invariant under shifts, finite"
     " permutations and spreading relabelings of ladder and position words,"
     " while a one-particle vector state is not",
-    sizes=_vacuum_states, reads=("window", "depth"),
+    _vacuum_states,
 )
-def qdeformed_vacuum(config: RunConfig) -> tuple[Deviations, dict]:
-    vacuum, one_particle = _vacuum_states(config)
+def qdeformed_vacuum(plan, seed: int) -> tuple[Deviations, dict]:
+    vacuum, one_particle, q, tol = plan
     ladder = list(words_over([-2, -1, 0, 1, 2], 4, (Kind.CREATOR, Kind.ANNIHILATOR)))
     positions = list(words_over([-2, -1, 0, 1, 2], 4, (Kind.POSITION,)))
-    tol = min(config.tol, 1e-12)
     found = Deviations(tol)
     verdicts = {}
-    families = _families(-2, 2, config.seed)
+    families = _families(-2, 2, seed)
     for words in (ladder, positions):
         for family in families:
             key = f"{family.name}/{'positions' if words is positions else 'ladder'}"
@@ -568,34 +578,26 @@ def qdeformed_vacuum(config: RunConfig) -> tuple[Deviations, dict]:
     )
     counter_ok = found.merge_counterexample(counter, keep=3)
     found.require(counter_ok)
-    return found, {"q": config.q, "verdicts": verdicts, "word_count": len(ladder) + len(positions)}
+    return found, {"q": q, "verdicts": verdicts, "word_count": len(ladder) + len(positions)}
 
 
 # ---------------------------------------------------------------------------
 # Boolean suites
 
 
-def _boolean_space(default: tuple[int, int]) -> Callable[[RunConfig], bool_model.BooleanSpace]:
-    def space(config: RunConfig) -> bool_model.BooleanSpace:
-        out = bool_model.BooleanSpace(config.window or default)
-        check_space(out.window, out.dim)
-        return out
-
+def _boolean_space(window: tuple[int, int]) -> bool_model.BooleanSpace:
+    space = bool_model.BooleanSpace(window)
+    check_space(space.window, space.dim)
     return space
-
-
-_relations_space = _boolean_space((-4, 4))
-_element_space = _boolean_space((-3, 3))
 
 
 @suite(
     "boolean", "relations",
     "annihilator-creator products equal the vacuum projection times the"
     " index match, and creator-annihilator products are the matrix units",
-    sizes=_relations_space, reads=("window",),
+    lambda window=(-4, 4): _boolean_space(window),
 )
-def boolean_relations(config: RunConfig) -> tuple[Deviations, dict]:
-    space = _relations_space(config)
+def boolean_relations(space: bool_model.BooleanSpace, seed: int) -> tuple[Deviations, dict]:
     lo, hi = space.window
     # a(i) c(j) = delta(i, j) times the vacuum projection 1 - sum over k of c(k) a(k)
     vacuum = [(-1, word()), *((1, word(creator(k), annihilator(k))) for k in range(lo, hi + 1))]
@@ -620,12 +622,11 @@ def _random_boolean_element(space, rng):
     "boolean", "morphism",
     "the relabeling action composes like the maps and is a unital"
     " star-endomorphism on chained interval windows",
-    sizes=_element_space, reads=("samples", "window"),
+    lambda samples=200, window=(-3, 3): (samples, _boolean_space(window)),
 )
-def boolean_morphism(config: RunConfig) -> tuple[Deviations, dict]:
-    rng = np.random.default_rng(config.seed)
-    base = _element_space(config)
-    n = config.samples or 200
+def boolean_morphism(plan, seed: int) -> tuple[Deviations, dict]:
+    rng = np.random.default_rng(seed)
+    n, base = plan
     found = Deviations(1e-12)
     for _ in range(n):
         f = random_increasing_map(rng, (-2, 2), 3, (-6, 6))
@@ -656,8 +657,9 @@ def boolean_morphism(config: RunConfig) -> tuple[Deviations, dict]:
 MAX_SIMPLEX_PAIRS = 1_000_000
 
 
-def _simplex_space(config: RunConfig) -> bool_model.BooleanSpace:
-    space = _element_space(config)
+def _simplex_space(window: tuple[int, int] = (-3, 3), tol: float = 1e-12):
+    """The window's space and the tolerance."""
+    space = _boolean_space(window)
     lo, hi = space.window
     if not lo <= 0 <= hi:
         raise ValueError(f"window [{lo}, {hi}] misses site 0, where the site vector witness sits")
@@ -668,7 +670,7 @@ def _simplex_space(config: RunConfig) -> bool_model.BooleanSpace:
     if pairs > MAX_SIMPLEX_PAIRS:
         raise ValueError(f"window [{lo}, {hi}] checks {pairs} (word, map) pairs,"
                          f" above the budget of {MAX_SIMPLEX_PAIRS}")
-    return space
+    return space, min(tol, 1e-12)
 
 
 @suite(
@@ -676,19 +678,19 @@ def _simplex_space(config: RunConfig) -> bool_model.BooleanSpace:
     "mixtures of the vacuum-label state with the scalar-part state are"
     " invariant under the relabeling action, permutations and shifts, while"
     " a site vector state is moved off its matrix unit",
-    sizes=_simplex_space, reads=("window",),
+    _simplex_space,
 )
-def boolean_simplex(config: RunConfig) -> tuple[Deviations, dict]:
-    base = _simplex_space(config)
+def boolean_simplex(plan, seed: int) -> tuple[Deviations, dict]:
+    base, tol = plan
     lo, hi = base.window
     # With the unit, c(i)a(j) = E_ij, c(i) = E_i#, a(j) = E_#j and a(i)c(i) = E_## span
     # the window algebra, and alpha relabels each: these words check every element.
     words = list(words_over(range(lo, hi + 1), 2, (Kind.CREATOR, Kind.ANNIHILATOR)))
-    families = _families(lo, hi, config.seed)
+    families = _families(lo, hi, seed)
     # The states live on the hull of every image, so no relabeling escapes.
     ends = [g(k) for family in families for g in family.maps for k in (lo, hi)]
     hull = bool_model.BooleanSpace((min(lo, *ends), max(hi, *ends)))
-    found = Deviations(min(config.tol, 1e-12))
+    found = Deviations(tol)
     verdicts = {}
     for lam in (0.0, 0.3, 1.0):
         state = mixture(hull.infinity_state(), hull.sharp_state(), lam)
@@ -718,8 +720,8 @@ def boolean_simplex(config: RunConfig) -> tuple[Deviations, dict]:
 # Fermionic suites
 
 
-def _chain(config: RunConfig) -> car_model.FermionChain:
-    chain = car_model.FermionChain(config.window or (0, 7))
+def _chain(window: tuple[int, int] = (0, 7)) -> car_model.FermionChain:
+    chain = car_model.FermionChain(window)
     check_space(chain.window, chain.dim)
     return chain
 
@@ -728,10 +730,9 @@ def _chain(config: RunConfig) -> car_model.FermionChain:
     "car", "relations",
     "the chain operators satisfy the anticommutation relations and the"
     " position operators square to the identity and anticommute",
-    sizes=_chain, reads=("window",),
+    _chain,
 )
-def car_relations(config: RunConfig) -> tuple[Deviations, dict]:
-    chain = _chain(config)
+def car_relations(chain: car_model.FermionChain, seed: int) -> tuple[Deviations, dict]:
     lo, hi = chain.window
     found = Deviations()
     # {c(j), a(k)} = delta(j, k), {a(j), a(k)} = 0 and {x(j), x(k)} = 2 delta(j, k)
@@ -745,43 +746,35 @@ def car_relations(config: RunConfig) -> tuple[Deviations, dict]:
     return found, {"sites": hi - lo + 1, "dimension": chain.dim}
 
 
-def _kernel_window(default: tuple[int, int]) -> Callable[[RunConfig], tuple[int, int]]:
-    def window(config: RunConfig) -> tuple[int, int]:
-        lo, hi = config.window or default
-        car_model.check_index_square(lo, hi)
-        return lo, hi
+def _kernel_plan(default: tuple[int, int]):
+    def plan(window: tuple[int, int] = default, coupling: float = 1.0, diagonal: float = 0.5):
+        car_model.check_index_square(*window)
+        return car_model.TwoPointFunction(coupling, diagonal), window
 
-    return window
-
-
-_stationary_window = _kernel_window((-20, 20))
-_positivity_window = _kernel_window((-5, 5))
+    return plan
 
 
 @suite(
     "car", "stationary", "the two-point kernel is invariant under shifting both arguments",
-    sizes=_stationary_window, reads=("window",),
+    _kernel_plan((-20, 20)),
 )
-def car_stationary(config: RunConfig) -> tuple[Deviations, dict]:
-    t = car_model.TwoPointFunction(config.coupling, config.diagonal)
-    lo, hi = _stationary_window(config)
+def car_stationary(plan, seed: int) -> tuple[Deviations, dict]:
+    t, (lo, hi) = plan
     found = car_model.twopoint_stationarity(t, lo, hi)
-    return found, {"window": [lo, hi], "coupling": config.coupling}
+    return found, {"window": [lo, hi], "coupling": t.coupling}
 
 
-def _witness(config: RunConfig) -> car_model.SpreadabilityWitness:
-    t = car_model.TwoPointFunction(config.coupling, config.diagonal)
-    return car_model.spreadability_witness(t)
+def _witness(coupling: float = 1.0, diagonal: float = 0.5) -> car_model.SpreadabilityWitness:
+    return car_model.spreadability_witness(car_model.TwoPointFunction(coupling, diagonal))
 
 
 @suite(
     "car", "witness",
     "a forward partial shift straddling an index pair changes the"
     " two-point value, so the kernel is stationary but not spreadable",
-    sizes=_witness,
+    _witness,
 )
-def car_witness(config: RunConfig) -> tuple[Deviations, dict]:
-    w = _witness(config)
+def car_witness(w: car_model.SpreadabilityWitness, seed: int) -> tuple[Deviations, dict]:
     ratio = abs(w.lhs) / abs(w.rhs) if w.rhs != 0 else np.inf
     counter = Deviations()
     counter.add(w.lhs - w.rhs, lambda _: w.to_dict())
@@ -795,59 +788,63 @@ def car_witness(config: RunConfig) -> tuple[Deviations, dict]:
     "car", "positivity",
     "spectrum probe of the kernel section against the unit interval"
     " (advisory: out-of-range eigenvalues are reported, never fatal)",
-    sizes=_positivity_window, reads=("window",),
+    _kernel_plan((-5, 5)),
 )
-def car_positivity(config: RunConfig) -> tuple[Deviations, dict]:
-    t = car_model.TwoPointFunction(config.coupling, config.diagonal)
-    lo, hi = _positivity_window(config)
+def car_positivity(plan, seed: int) -> tuple[Deviations, dict]:
+    t, (lo, hi) = plan
     found = Deviations()
     found.samples = hi - lo + 1  # one sample per site; advisory, no deviations
     return found, car_model.positivity_probe(t, lo, hi).to_dict()
 
 
-def selected_suites(config: RunConfig) -> list[tuple[str, str]]:
-    """The (model, suite name) pairs a config runs, in run order; a bad model
-    or suite name is a ConfigError."""
+def selected_suites(config: RunConfig) -> list[Suite]:
+    """The suites a config runs, in run order; a bad model or suite name is a
+    ConfigError."""
     if config.model not in [*SUITES, "all"]:
         raise ConfigError(f"unknown model {config.model!r}")
     models = list(SUITES) if config.model == "all" else [config.model]
-    selected = [(model, name) for model in models for name in config.suites or SUITES[model]]
-    for model, name in selected:
-        if name not in SUITES[model]:
-            raise ConfigError(
-                f"unknown suite {name!r} for model {model!r};"
-                f" available: {', '.join(SUITES[model])}"
-            )
+    selected = []
+    for model in models:
+        for name in config.suites or SUITES[model]:
+            if name not in SUITES[model]:
+                raise ConfigError(
+                    f"unknown suite {name!r} for model {model!r};"
+                    f" available: {', '.join(SUITES[model])}"
+                )
+            selected.append(SUITES[model][name])
     return selected
 
 
 def check_read(config: RunConfig, fields) -> None:
-    """Reject each of ``fields`` that no suite the config selects reads."""
+    """Reject each suite option among ``fields`` that no suite the config
+    selects reads; no plan is built."""
     selected = selected_suites(config)
     for field in fields:
-        if not any(field in READS[pair] for pair in selected):
-            readers = [name for name in SUITES[config.model] if field in READS[config.model, name]]
-            raise ConfigError(
-                f"no selected suite reads {field!r}; "
-                + (f"{config.model} suites that do: {', '.join(readers)}" if readers
-                   else f"no {config.model} suite does")
-            )
+        if field in RUN_FIELDS or any(field in entry.reads for entry in selected):
+            continue
+        readers = [name for name, entry in SUITES[config.model].items() if field in entry.reads]
+        raise ConfigError(
+            f"no selected suite reads {field!r}; "
+            + (f"{config.model} suites that do: {', '.join(readers)}" if readers
+               else f"no {config.model} suite does")
+        )
 
 
 def run_suites(config: RunConfig) -> list[SuiteReport]:
-    """Run the selected suites; a bad model or suite name is a ConfigError first."""
+    """Build the plan of every selected suite, then run each check on its
+    plan; a bad model or suite name is a ConfigError first."""
     config.validate()
     selected = selected_suites(config)
 
-    def step(model: str, name: str, body: Callable[[RunConfig], object]):
+    def step(entry: Suite, action: Callable, *args):
         try:
-            return body(config)
+            return action(*args)
         except ValueError as exc:
             # Models and states reject windows, depths and labels that
             # do not fit together; that is bad configuration too.
-            raise ConfigError(f"{model}/{name}: {exc}") from exc
+            raise ConfigError(f"{entry.model}/{entry.name}: {exc}") from exc
 
-    for model, name in selected:  # every size budget before the first suite runs
-        if (model, name) in SIZE_CHECKS:
-            step(model, name, SIZE_CHECKS[model, name])
-    return [step(model, name, SUITES[model][name]) for model, name in selected]
+    # Every size budget before the first check runs; each plan is dropped
+    # once its check has run.
+    plans = [step(entry, entry.build, config) for entry in selected]
+    return [step(entry, entry.run, plans.pop(0), config.seed) for entry in selected]

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from spreadlab.boolean import (
     SHARP,
-    BooleanElement,
     BooleanSpace,
     WindowOverflowError,
     alpha,
@@ -412,14 +411,3 @@ def test_word_states_conjugate_symmetric(bs, rng):
         w = Word(letters)
         for phi in states:
             assert phi(w.adjoint()) == phi(w).conjugate()
-
-
-# ---------------------------------------------------------------------------
-# Serialization
-
-
-def test_element_json_roundtrip(bs, rng):
-    x = random_element(bs, rng)
-    back = BooleanElement.from_json(x.to_json())
-    assert back.home == bs
-    assert back.allclose(x, 1e-15)

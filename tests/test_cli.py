@@ -1,5 +1,7 @@
 """Command-line behavior: flags, config files, exit codes, report files."""
 
+import functools
+import inspect
 import json
 import os
 import subprocess
@@ -11,11 +13,9 @@ import pytest
 from spreadlab.cli import (
     OPTIONS, build_config, build_parser, main, parse_window, read_config_file,
 )
-from spreadlab.reports import SuiteReport
+from spreadlab.reports import Deviations
 from spreadlab import qfock, suites
-from spreadlab.suites import (
-    READS, SIZE_CHECKS, SIZE_FIELDS, SUITES, ConfigError, RunConfig, run_suites,
-)
+from spreadlab.suites import SUITES, ConfigError, RunConfig, run_suites
 
 
 def test_parse_window():
@@ -195,8 +195,8 @@ def test_boolean_simplex_window_must_hold_the_witness_site(window, suites_run, c
 def test_boolean_simplex_pair_budget_checked_before_any_suite(suites_run, capsys):
     # 51 sites check 10,507 words under 92 maps, 966,644 pairs; 52 sites
     # would check 10,921 x 93 = 1,015,653.
-    check = suites.SIZE_CHECKS["boolean", "simplex"]
-    assert check(RunConfig(model="boolean", window=(-25, 25))).window == (-25, 25)
+    space, _ = SUITES["boolean"]["simplex"].plan(window=(-25, 25))
+    assert space.window == (-25, 25)
     argv = ["boolean", "--check", "relations", "--check", "simplex", "--window", "-26..25"]
     assert main(argv) == 2
     assert capsys.readouterr().err == (
@@ -227,14 +227,14 @@ def test_every_size_budget_is_checked_before_the_first_suite(tmp_path, monkeypat
 
 @pytest.fixture
 def no_suite_runs(monkeypatch):
-    """Replace every suite by one that fails the test if it runs."""
+    """Replace every check by one that fails the test if it runs."""
 
-    def ran(config):
+    def ran(plan, seed):
         raise AssertionError("a suite ran")
 
     for table in SUITES.values():
-        for name in table:
-            monkeypatch.setitem(table, name, ran)
+        for entry in table.values():
+            monkeypatch.setattr(entry, "check", ran)
 
 
 def test_words_file_is_read_before_the_first_suite(tmp_path, no_suite_runs, capsys):
@@ -304,7 +304,7 @@ def test_default_reports_name_no_failure_reason(tmp_path):
 
 
 def test_suites_keep_their_names():
-    assert SUITES["monotone"]["simplex"].__name__ == "monotone_simplex"
+    assert SUITES["monotone"]["simplex"].check.__name__ == "monotone_simplex"
     # The table keeps definition order, which is the run order.
     assert {model: list(table) for model, table in SUITES.items()} == {
         "monoid": ["compose-oracle", "semidirect", "localize"],
@@ -317,12 +317,10 @@ def test_suites_keep_their_names():
 
 
 def test_exit_one_on_suite_failure(monkeypatch, capsys):
-    def failing(config):
-        return SuiteReport(
-            model="car", suite="witness", claim="stub", passed=False, seed=config.seed
-        )
+    def failing(plan, seed):
+        return Deviations(), {}  # zero samples
 
-    monkeypatch.setitem(SUITES["car"], "witness", failing)
+    monkeypatch.setattr(SUITES["car"]["witness"], "check", failing)
     assert main(["car", "--check", "witness"]) == 1
     assert "FAILED: car/witness" in capsys.readouterr().err
 
@@ -345,7 +343,7 @@ OPTION_CASES = {
     "window": (["monoid"], "1..3", "a..b"),
     "depth": (["monotone"], "3", "abc"),
     "q": (["qdeformed"], "-0.5", "1.5"),
-    "tol": (["monoid"], "1e-9", "2"),
+    "tol": (["qdeformed", "--check", "vacuum"], "1e-9", "2"),
     "samples": (["monoid"], "20", "0"),
     "seed": (["monoid"], "9", "1.5"),
     "fmt": (["monoid"], "json", "xml"),
@@ -392,11 +390,21 @@ def test_flags_and_config_keys_cannot_drift(option, tmp_path, capsys):
 
 @pytest.fixture
 def suites_run(monkeypatch):
-    """Replace every suite by a stub that records that it ran."""
+    """Replace every check by a stub that records that it ran and passes."""
     ran = []
+
+    def stub(key):
+        def check(plan, seed):
+            ran.append(key)
+            found = Deviations()
+            found.add(0)
+            return found, {}
+
+        return check
+
     for model, table in SUITES.items():
-        for name in table:
-            monkeypatch.setitem(table, name, lambda config, name=name: ran.append(name))
+        for name, entry in table.items():
+            monkeypatch.setattr(entry, "check", stub(f"{model}/{name}"))
     return ran
 
 
@@ -424,6 +432,14 @@ def suites_run(monkeypatch):
      "no selected suite reads 'window'; monoid suites that do: compose-oracle"),
     (["qdeformed", "--check", "inner", "--depth", "2"],
      "no selected suite reads 'depth'; qdeformed suites that do: relations, vacuum"),
+    (["car", "--check", "witness", "--q", "0.3"], "no selected suite reads 'q'; no car suite does"),
+    (["car", "--check", "witness", "--words-file", "x"],
+     "no selected suite reads 'words_file'; no car suite does"),
+    (["qdeformed", "--check", "relations", "--q", "0.3"],
+     "no selected suite reads 'q'; qdeformed suites that do: inner, vacuum"),
+    (["monoid", "--tol", "1e-9"], "no selected suite reads 'tol'; no monoid suite does"),
+    (["boolean", "--check", "relations", "--diag", "0.2"],
+     "no selected suite reads 'diagonal'; no boolean suite does"),
 ])
 def test_bad_input_is_one_config_error_line(argv, message, tmp_path, suites_run, capsys):
     (tmp_path / "file").write_text("")
@@ -447,6 +463,12 @@ def test_all_skips_one_model_keys_from_a_shared_config_file(tmp_path):
         _from_flags(["all", "--config", str(cfg)])
 
 
+@pytest.mark.parametrize("flag, value", [("--q", "0.3"), ("--tol", "1e-13")])
+def test_all_takes_an_option_that_some_suite_reads(flag, value, suites_run):
+    assert main(["all", flag, value]) == 0
+    assert suites_run == [f"{m}/{n}" for m, table in SUITES.items() for n in table]
+
+
 def test_size_flags_read_by_one_selected_suite_pass(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("samples=5\ndepth=2\n")  # keys that no selected suite reads
@@ -456,23 +478,48 @@ def test_size_flags_read_by_one_selected_suite_pass(tmp_path):
     assert _from_flags(["boolean", "--samples", "3"]).samples == 3
 
 
+SUITE_OPTIONS = ("window", "depth", "samples", "words_file", "q", "tol", "coupling", "diagonal")
+
+
 class RecordingConfig(RunConfig):
-    """A config that records which of the suites' input fields are read."""
+    """A config that records which of the suite options are read."""
 
     def __getattribute__(self, name):
-        if name in (*SIZE_FIELDS, "words_file"):
+        if name in SUITE_OPTIONS:
             object.__getattribute__(self, "read").add(name)
         return object.__getattribute__(self, name)
 
 
 def test_each_suite_declares_the_fields_it_reads():
-    for (model, name), declared in READS.items():
-        config = RecordingConfig(model=model, suites=(name,), window=(-1, 1), depth=2, samples=2)
-        config.read = set()
-        if (model, name) in SIZE_CHECKS:
-            SIZE_CHECKS[model, name](config)
-        SUITES[model][name](config)
-        assert config.read == set(declared), (model, name)
+    # A suite reads the config only through its plan, whose parameters name
+    # exactly the options it reads.
+    for model, table in SUITES.items():
+        for name, entry in table.items():
+            config = RecordingConfig(model=model, suites=(name,), window=(-1, 1), depth=2,
+                                     samples=2)
+            config.read = set()
+            entry(config)
+            assert config.read == set(inspect.signature(entry.plan).parameters), (model, name)
+
+
+def test_each_plan_is_built_once_per_run(monkeypatch):
+    built = []
+
+    def counted(key, plan):
+        @functools.wraps(plan)  # keeps the signature the options are read from
+        def counting(**options):
+            built.append(key)
+            return plan(**options)
+
+        return counting
+
+    keys = []
+    for model, table in SUITES.items():
+        for name, entry in table.items():
+            keys.append(f"{model}/{name}")
+            monkeypatch.setattr(entry, "plan", counted(keys[-1], entry.plan))
+    reports = run_suites(RunConfig(model="all"))
+    assert built == keys and all(report.passed for report in reports)
 
 
 def test_all_rejects_one_model_fields_in_run_config():

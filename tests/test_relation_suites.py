@@ -1,4 +1,4 @@
-"""Pinned report texts of the walked relation suites and the harness suites.
+"""Pinned report texts of every suite.
 
 The relation suites and the Hamel rows apply words through the walker only;
 their pinned reports are the texts these suites gave when they still
@@ -13,6 +13,9 @@ relabeled word afresh, and the array-driven harness must reproduce them byte
 for byte too.  The exact monoid suites and ``qdeformed/inner`` are pinned to
 the texts they gave when the compose oracle evaluated one point at a time,
 words built a map for every letter and ``q_inner`` enumerated every pair.
+The other six suites are pinned to the texts they gave when each suite still
+read its run configuration directly; one BLAS thread and the default give the
+same bytes for each.
 """
 
 import json
@@ -30,6 +33,8 @@ PINNED = json.loads((Path(__file__).parent / "pinned_reports.json").read_text())
 WALKED = ["monotone/relations", "monotone/hamel", "car/relations", "boolean/relations"]
 HARNESS = ["monotone/simplex", "qdeformed/vacuum"]
 EXACT = ["monoid/compose-oracle", "monoid/semidirect", "monoid/localize", "qdeformed/inner"]
+REST = ["qdeformed/relations", "boolean/morphism", "boolean/simplex",
+        "car/stationary", "car/witness", "car/positivity"]
 
 
 def _run(key):
@@ -37,7 +42,7 @@ def _run(key):
     return run_suites(RunConfig(model=model, suites=(name,), seed=SEED))[0]
 
 
-@pytest.mark.parametrize("key", WALKED + HARNESS + EXACT)
+@pytest.mark.parametrize("key", WALKED + HARNESS + EXACT + REST)
 def test_report_is_pinned(key):
     assert _run(key).to_json(include_wall_time=False) == PINNED[key]
 

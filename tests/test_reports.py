@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from conftest import FakeState
 from spreadlab.monoid import tau_pow
 from spreadlab.operators import creator, word
-from spreadlab.reports import COVERAGE_FLOOR, Deviations
+from spreadlab.reports import COVERAGE_FLOOR, Deviations, _magnitude
 from spreadlab.symmetry import SymmetryFamily, check_symmetry
 
 TOLS = (0.0, 1e-12, 0.25)
@@ -92,6 +92,15 @@ def test_tuple_of_parts_takes_the_largest():
     found = Deviations(0.5)
     size = found.add((np.array([0.25]), np.array([[-2.0, 1.0]]), 0.0))
     assert size == 2.0 and found.max_deviation == 2.0 and found.samples == 1
+
+
+def test_list_deviations_stay_exact_and_keep_nan():
+    assert _magnitude([2**53 + 1, -3]) == 2**53 + 1
+    assert math.isnan(_magnitude([1, math.nan, 2]))
+    found = Deviations()
+    found.add([0, {1: [-3, 1]}])
+    found.add([1, math.nan, 2])
+    assert math.isnan(found.max_deviation) and not found.passed
 
 
 def test_merge_keeps_counts_worst_verdict_and_cap():
