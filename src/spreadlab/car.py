@@ -28,6 +28,7 @@ from .operators import (
     TruncatedSpace,
     annihilator_matrix,
     budget_count,
+    check_budget,
     check_space,
     creator_matrix,
     position_matrix,
@@ -113,14 +114,9 @@ MAX_INDEX_PAIRS = 1_000_000
 def check_index_square(lo: int, hi: int) -> None:
     """Reject an empty window, or one with more than :data:`MAX_INDEX_PAIRS`
     index pairs, before any kernel value is computed."""
-    if lo > hi:
-        raise ValueError(f"empty window [{lo}, {hi}]")
+    check_space((lo, hi))
     pairs = (hi - lo + 1) ** 2
-    if pairs > MAX_INDEX_PAIRS:
-        raise ValueError(
-            f"window [{lo}, {hi}] has {pairs} index pairs, above the budget of"
-            f" {MAX_INDEX_PAIRS}"
-        )
+    check_budget((lo, hi), pairs, MAX_INDEX_PAIRS, f"has {pairs} index pairs")
 
 
 def twopoint_stationarity(t: TwoPointFunction, lo: int, hi: int) -> Deviations:

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Iterable, Mapping, Sequence
 
 
 @dataclass(frozen=True)
@@ -285,29 +285,21 @@ def factor_E(e: IncreasingMap) -> GeneratorWord:
     )
 
 
-def localize(
-    values: Union[Mapping[int, int], Sequence[int]], k: int, l: int
-) -> GeneratorWord:
+def localize(values: Sequence[int], k: int, l: int) -> GeneratorWord:
     """A partial-shift word agreeing with the given values on the window [k, l].
 
-    ``values`` is either a mapping j -> f(j) covering [k, l] or a sequence
-    aligned with k, k+1, ..., l; it must be strictly increasing.  The word is
-    built greedily: pending displacements of a strictly increasing map are
-    nondecreasing along the window, so repeatedly shifting up from the first
-    too-low position (theta at its current value) and down from the last
-    too-high position (psi at its current value) converges without ever
-    disturbing already-settled positions.
+    ``values`` is a sequence aligned with k, k+1, ..., l; it must be strictly
+    increasing.  The word is built greedily: pending displacements of a
+    strictly increasing map are nondecreasing along the window, so repeatedly
+    shifting up from the first too-low position (theta at its current value)
+    and down from the last too-high position (psi at its current value)
+    converges without ever disturbing already-settled positions.
     """
     if k > l:
         raise ValueError(f"empty window [{k}, {l}]")
-    if isinstance(values, Mapping):
-        targets = [int(values[j]) for j in range(k, l + 1)]
-    else:
-        targets = [int(v) for v in values]
-        if len(targets) != l - k + 1:
-            raise ValueError(
-                f"expected {l - k + 1} values for [{k}, {l}], got {len(targets)}"
-            )
+    targets = [int(v) for v in values]
+    if len(targets) != l - k + 1:
+        raise ValueError(f"expected {l - k + 1} values for [{k}, {l}], got {len(targets)}")
     if any(a >= b for a, b in zip(targets, targets[1:])):
         raise ValueError("window values must be strictly increasing")
 

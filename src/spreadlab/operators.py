@@ -208,15 +208,23 @@ _PARTS = {
 MAX_DENSE_DIM = 4096
 
 
-def budget_count(counts: Iterable[int]) -> int:
-    """Sum of label counts, stopped once above :data:`MAX_DENSE_DIM`: exact
-    within the budget, a lower bound above it, in bounded work."""
+def budget_count(counts: Iterable[int], budget: int = MAX_DENSE_DIM) -> int:
+    """Sum of ``counts``, stopped once above ``budget``: exact within the
+    budget, a lower bound above it, in bounded work."""
     total = 0
     for count in counts:
         total += count
-        if total > MAX_DENSE_DIM:
+        if total > budget:
             break
     return total
+
+
+def check_budget(window: tuple[int, int], count: int, budget: int, what: str) -> None:
+    """The one size-budget rule: reject a ``count`` above ``budget`` before
+    anything is allocated, with ``what`` telling what the window's count is."""
+    if count > budget:
+        lo, hi = window
+        raise ValueError(f"window [{lo}, {hi}] {what}, above the budget of {budget}")
 
 
 def check_space(window: tuple[int, int], dim: int | None = None) -> None:
@@ -225,11 +233,8 @@ def check_space(window: tuple[int, int], dim: int | None = None) -> None:
     lo, hi = window
     if lo > hi:
         raise ValueError(f"empty window [{lo}, {hi}]")
-    if dim is not None and dim > MAX_DENSE_DIM:
-        raise ValueError(
-            f"window [{lo}, {hi}] needs dense dimension {dim} or more,"
-            f" above the budget of {MAX_DENSE_DIM}"
-        )
+    if dim is not None:
+        check_budget(window, dim, MAX_DENSE_DIM, f"needs dense dimension {dim} or more")
 
 
 def check_window(model, index: int) -> None:
@@ -337,7 +342,7 @@ def label_state(model, label: Hashable) -> StateFunctional:
     label's coordinate in its walked image."""
     if not model.has_label(label):
         raise ValueError(f"{label!r} is not a basis label")
-    return StateFunctional(model.window, (Term(1, model, label),))
+    return StateFunctional(model.window, (Term(1, model, label, ((label, 1),), 1),))
 
 
 # ---------------------------------------------------------------------------
@@ -346,16 +351,16 @@ def label_state(model, label: Hashable) -> StateFunctional:
 
 class Term(NamedTuple):
     """One weighted vector-state readout of the image v = w e_label walked
-    on ``model``: ``weight`` times the coordinate v[label] or, given a
-    ``dual`` of (u, <e_u, e_label>) pairs, times
-    sum(v[u] * <e_u, e_label>) / ``norm``.  The dual lists every label u
-    with a nonzero pairing."""
+    on ``model``: ``weight`` times sum(v[u] * <e_u, e_label>) / ``norm``
+    over the ``dual``'s (u, <e_u, e_label>) pairs, which list every label u
+    with a nonzero pairing.  On an orthonormal basis the dual is
+    ((label, 1),) and the norm 1: the label's coordinate."""
 
     weight: Any
     model: Any
     label: Hashable
-    dual: tuple[tuple[Hashable, Any], ...] | None = None
-    norm: Any = 1
+    dual: tuple[tuple[Hashable, Any], ...]
+    norm: Any
 
 
 @dataclass(frozen=True)
@@ -378,10 +383,6 @@ class StateFunctional:
         ``Word`` is built."""
         lo, hi = self.window
         parts = [_PARTS[kind] for kind in reversed(kinds)]
-        terms = [
-            (t.weight, t.model, t.label, None if t.dual is None else dict(t.dual), t.norm)
-            for t in self.terms
-        ]
         out = []
         for row in rows:
             if len(row) != len(parts):
@@ -391,18 +392,15 @@ class StateFunctional:
                     raise IndexError(f"index {i} outside state window [{lo}, {hi}]")
             pairs = list(zip(parts, reversed(row)))
             value = None
-            for weight, model, label, dual, norm in terms:
+            for weight, model, label, dual, norm in self.terms:
                 image = walk_pairs(model, pairs, {label: 1.0})
-                if dual is None:
-                    read = image.get(label, 0.0)
-                else:
-                    total = 0.0 + 0.0j
-                    for target, coeff in image.items():
-                        pairing = dual.get(target)
-                        if pairing is not None:
-                            total += coeff * pairing
-                    read = total / norm
-                value = weight * read if value is None else value + weight * read
+                total = 0
+                for target, pairing in dual:
+                    coeff = image.get(target)
+                    if coeff is not None:
+                        total += coeff * pairing
+                read = weight * (total / norm)
+                value = read if value is None else value + read
             out.append(complex(value))
         return out
 

@@ -32,6 +32,7 @@ from .operators import (
     Word,
     annihilator_matrix,
     budget_count,
+    check_budget,
     check_space,
     creator_matrix,
     label_state,
@@ -135,14 +136,14 @@ class QBasis:
         for each label of length n)."""
         check_space(self.window, self.dim)
         lo, hi = self.window
-        count = 0
-        for n in range(self.depth + 1):  # within the dense budget, depth < 4096
-            count += (hi - lo + 1) ** n * math.factorial(n)
-            if count > MAX_GRAM_PERMUTATIONS:
-                raise ValueError(
-                    f"window [{lo}, {hi}] at depth {self.depth} needs {count} or more"
-                    f" Gram permutations, above the budget of {MAX_GRAM_PERMUTATIONS}"
-                )
+        count = budget_count(  # within the dense budget, depth < 4096
+            ((hi - lo + 1) ** n * math.factorial(n) for n in range(self.depth + 1)),
+            MAX_GRAM_PERMUTATIONS,
+        )
+        check_budget(
+            self.window, count, MAX_GRAM_PERMUTATIONS,
+            f"at depth {self.depth} needs {count} or more Gram permutations",
+        )
 
     @cached_property
     def gram(self) -> np.ndarray:
@@ -206,15 +207,14 @@ class QBasis:
         # coordinate is the deformed inner product.
         return label_state(self, VACUUM)
 
-    def vector_state(self, label: Label | int) -> StateFunctional:
+    def vector_state(self, label: Label) -> StateFunctional:
         """w -> <e, w e>_q / <e, e>_q for the basis vector e of the label."""
-        base: Label = (label,) if isinstance(label, int) else tuple(label)
-        if not self.has_label(base):
-            raise ValueError(f"{base!r} is not a basis label")
-        pairings = q_pairings(base, self.q)
+        if not self.has_label(label):
+            raise ValueError(f"{label!r} is not a basis label")
+        pairings = q_pairings(label, self.q)
         dual = tuple((u, float(value)) for u, value in pairings.items())
-        norm = float(pairings[base])  # positive for |q| < 1
-        return StateFunctional(self.window, (Term(1, self, base, dual, norm),))
+        norm = float(pairings[label])  # positive for |q| < 1
+        return StateFunctional(self.window, (Term(1, self, label, dual, norm),))
 
 
 def words_over(

@@ -120,12 +120,9 @@ CSV_HEADER = "model,suite,verdict,samples,skipped,max_deviation,seed,wall_time_s
 
 def _magnitude(deviation: Any) -> Any:
     """Size of a deviation: ``abs`` of a scalar (exact for ints and
-    Fractions), the largest entry size of a list or nested dict (a sparse map;
-    exact) or of an array, the largest over a tuple of such parts.  A NaN
-    anywhere gives NaN."""
-    if isinstance(deviation, tuple):
-        return float(np.max([_magnitude(part) for part in deviation]))
-    if isinstance(deviation, (dict, list)):  # a NaN ranks above every number
+    Fractions), the largest entry size of a list, a tuple of parts or a nested
+    dict (a sparse map; exact), or of an array.  A NaN anywhere gives NaN."""
+    if isinstance(deviation, (dict, list, tuple)):  # a NaN ranks above every number
         entries = deviation.values() if isinstance(deviation, dict) else deviation
         return max(map(_magnitude, entries), key=lambda size: (size != size, size), default=0)
     if isinstance(deviation, np.ndarray):

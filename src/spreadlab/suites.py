@@ -43,7 +43,7 @@ from .monotone import (
     lambda_forms,
 )
 from .operators import (
-    Kind, annihilator, check_space, creator, mixture, position, sparse_map, word,
+    Kind, annihilator, check_budget, check_space, creator, mixture, position, sparse_map, word,
 )
 from .qfock import QBasis, q_inner, q_inner_recursive, q_pairings, words_over
 from .reports import Deviations, SuiteReport
@@ -175,11 +175,7 @@ MAX_ORACLE_POINTS = 10_000
 
 def _oracle_plan(samples: int = 1000, window: tuple[int, int] = (-50, 50)):
     lo, hi = window
-    if hi - lo + 1 > MAX_ORACLE_POINTS:
-        raise ValueError(
-            f"window [{lo}, {hi}] has {hi - lo + 1} points, above the budget of"
-            f" {MAX_ORACLE_POINTS}"
-        )
+    check_budget(window, hi - lo + 1, MAX_ORACLE_POINTS, f"has {hi - lo + 1} points")
     return samples, window
 
 
@@ -350,11 +346,9 @@ def _hamel_basis(window: tuple[int, int] = (0, 4), depth: int = 4) -> MonotoneBa
     # swapped for the reversed products and the empty pair is the identity.
     width = hi - lo + 1
     family_size = (1 + width + math.comb(width, 2)) ** 2
-    if family_size * dim > MAX_HAMEL_WALKS:
-        raise ValueError(
-            f"window [{lo}, {hi}] walks {family_size} words over {dim} labels,"
-            f" {family_size * dim} pairs, above the budget of {MAX_HAMEL_WALKS}"
-        )
+    walks = family_size * dim
+    check_budget(basis.window, walks, MAX_HAMEL_WALKS,
+                 f"walks {family_size} words over {dim} labels, {walks} pairs")
     return basis
 
 
@@ -552,7 +546,7 @@ def _vacuum_states(window: tuple[int, int] = (-8, 8), depth: int = 3, q: float =
     """The vacuum state, the one-particle vector state whose non-invariance
     is the counterexample, the deformation and the tolerance."""
     basis = QBasis(window, depth, q)
-    return basis.vacuum_state(), basis.vector_state(1), q, min(tol, 1e-12)
+    return basis.vacuum_state(), basis.vector_state((1,)), q, min(tol, 1e-12)
 
 
 @suite(
@@ -667,9 +661,7 @@ def _simplex_space(window: tuple[int, int] = (-3, 3), tol: float = 1e-12):
     # W - 1 + 10 permutations and 10 + 20 spreading maps.
     width = hi - lo + 1
     pairs = ((2 * width) ** 2 + 2 * width + 1) * (width + 41)
-    if pairs > MAX_SIMPLEX_PAIRS:
-        raise ValueError(f"window [{lo}, {hi}] checks {pairs} (word, map) pairs,"
-                         f" above the budget of {MAX_SIMPLEX_PAIRS}")
+    check_budget(space.window, pairs, MAX_SIMPLEX_PAIRS, f"checks {pairs} (word, map) pairs")
     return space, min(tol, 1e-12)
 
 

@@ -4,7 +4,7 @@ A symmetry family is a finite sampled set of index maps (shifts, finite
 permutations, or increasing maps).  ``check_symmetry`` compares a state on
 each word against the state on each relabeled word; relabelings that escape
 the state's index window are skipped and counted, never fatal.  Sampling is
-deterministic from the seed each family records.
+deterministic from the seed a family is built with.
 """
 
 from __future__ import annotations
@@ -34,11 +34,10 @@ SPREADING = "spreading"
 
 @dataclass(frozen=True)
 class SymmetryFamily:
-    """Named finite family of index maps, with the seed that produced it."""
+    """Named finite family of index maps."""
 
     name: str
     maps: tuple
-    seed: int = 0
 
 
 def shift_family() -> SymmetryFamily:
@@ -56,7 +55,7 @@ def permutation_family(
     rng = np.random.default_rng(seed)
     for _ in range(n_random):
         maps.append(random_permutation(rng, lo, hi))
-    return SymmetryFamily(PERMUTATIONS, tuple(maps), seed)
+    return SymmetryFamily(PERMUTATIONS, tuple(maps))
 
 
 def spreading_family(
@@ -77,11 +76,7 @@ def spreading_family(
     rng = np.random.default_rng(seed)
     for _ in range(n_random):
         maps.append(random_increasing_map(rng, offset_range, max_gaps, gap_range))
-    return SymmetryFamily(SPREADING, tuple(maps), seed)
-
-
-def empty_family(name: str = SPREADING) -> SymmetryFamily:
-    return SymmetryFamily(name, ())
+    return SymmetryFamily(SPREADING, tuple(maps))
 
 
 def describe_map(g) -> str:

@@ -1,7 +1,10 @@
 """Space/operator scaffolding, word evaluation, and the symmetry checker."""
 
+import inspect
 import json
 from fractions import Fraction
+from itertools import permutations
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,6 +25,8 @@ from spreadlab.operators import (
     TruncatedSpace,
     Word,
     annihilator,
+    budget_count,
+    check_budget,
     creator,
     evaluate_word,
     letter_matrix,
@@ -35,8 +40,8 @@ from spreadlab.operators import (
 )
 from spreadlab.qfock import QBasis, q_inner
 from spreadlab.symmetry import (
+    SymmetryFamily,
     check_symmetry,
-    empty_family,
     permutation_family,
     shift_family,
     spreading_family,
@@ -217,7 +222,7 @@ def test_states_are_unital_and_conjugate_symmetric(rng):
 def test_empty_family_is_vacuous_pass():
     basis = MonotoneBasis((0, 4), 3)
     report = check_symmetry(
-        basis.vacuum_state(), [word(creator(0))], empty_family(), tol=1e-12
+        basis.vacuum_state(), [word(creator(0))], SymmetryFamily("spreading", ()), tol=1e-12
     )
     assert report.passed and report.samples == 0 and report.max_deviation == 0.0
 
@@ -311,7 +316,7 @@ def test_spreading_maps_factor_through_localized_words(rng):
     for g in maps:
         for w in words:
             k, l = min(w.indices()), max(w.indices())
-            r = localize({j: g(j) for j in range(k, l + 1)}, k, l)
+            r = localize([g(j) for j in range(k, l + 1)], k, l)
             assert relabel(w, g) == relabel(w, r)
 
 
@@ -403,6 +408,29 @@ def test_gram_checks_the_budget_first():
     assert "labels" not in vars(basis)
 
 
+def test_budget_admits_its_bound_and_rejects_one_more():
+    check_budget((-2, 5), 1000, 1000, "has 1000 things")
+    with pytest.raises(ValueError) as err:
+        check_budget((-2, 5), 1001, 1000, "has 1001 things")
+    assert str(err.value) == "window [-2, 5] has 1001 things, above the budget of 1000"
+
+
+def test_budget_count_stops_reading_once_past_the_budget():
+    def counts():
+        yield from (4, 3, 4)  # 11 passes a budget of 10
+        raise AssertionError("read past the budget")
+
+    assert budget_count(counts(), 10) == 11
+    assert budget_count((4, 3, 3), 10) == 10
+
+
+def test_only_check_budget_words_the_budget_error():
+    src = Path(__file__).resolve().parent.parent / "src" / "spreadlab"
+    counts = {path.name: path.read_text().count("above the budget of") for path in src.glob("*.py")}
+    assert {name: n for name, n in counts.items() if n} == {"operators.py": 1}
+    assert "above the budget of" in inspect.getsource(check_budget)
+
+
 # ---------------------------------------------------------------------------
 # The walker's label maps against the dense products
 
@@ -480,10 +508,13 @@ def reference_label(model, label):
 
 
 def reference_deformed(basis, base):
+    # Summed over the rearrangements of the base label, in the order a dual
+    # lists them, so that the float sums match exactly.
     def read(w):
         total = 0.0 + 0.0j
-        for image, coeff in reference_walk(basis, w, {base: 1.0}).items():
-            total += coeff * float(q_inner(image, base, basis.q))
+        image = reference_walk(basis, w, {base: 1.0})
+        for u in dict.fromkeys(permutations(base)):
+            total += image.get(u, 0.0) * float(q_inner(u, base, basis.q))
         return total / float(q_inner(base, base, basis.q))
 
     return read
@@ -492,8 +523,9 @@ def reference_deformed(basis, base):
 def reference_dual(model, label, dual, norm):
     def read(w):
         total = 0.0 + 0.0j
-        for image, coeff in reference_walk(model, w, {label: 1.0}).items():
-            total += coeff * dual.get(image, 0.0)
+        image = reference_walk(model, w, {label: 1.0})
+        for u, pairing in dual.items():
+            total += image.get(u, 0.0) * pairing
         return total / norm
 
     return read

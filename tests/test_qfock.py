@@ -486,7 +486,7 @@ def test_vacuum_invariance_all_families():
 
 def test_vector_state_fails_shift_with_witness():
     basis = QBasis((-3, 3), 3, 0.5)
-    phi = basis.vector_state(1)
+    phi = basis.vector_state((1,))
     w = word(creator(1), annihilator(1))
     report = check_symmetry(phi, [w], shift_family(), tol=1e-12)
     assert not report.passed
@@ -496,7 +496,7 @@ def test_vector_state_fails_shift_with_witness():
 
 def test_states_unital_and_conjugate_symmetric():
     basis = QBasis((0, 2), 3, -0.5)
-    for phi in (basis.vacuum_state(), basis.vector_state(1)):
+    for phi in (basis.vacuum_state(), basis.vector_state((1,))):
         assert phi(Word(())) == 1
         for w in words_over([0, 1], 3, (Kind.CREATOR, Kind.ANNIHILATOR)):
             assert phi(w.adjoint()) == pytest.approx(phi(w).conjugate(), abs=1e-12)
@@ -512,6 +512,12 @@ def test_vector_states_on_repeated_labels_are_normalized(q, label):
     assert phi(Word(())) == pytest.approx(1, abs=1e-12)
     for w in words_over([0, 1, 2], 3, (Kind.CREATOR, Kind.ANNIHILATOR)):
         assert phi(w.adjoint()) == pytest.approx(phi(w).conjugate(), abs=1e-12)
+
+
+@pytest.mark.parametrize("label", [np.int64(1), 1, [1]], ids=["np.int64", "int", "list"])
+def test_vector_state_takes_only_a_tuple_label(label):
+    with pytest.raises(ValueError, match="is not a basis label"):
+        QBasis((0, 2), 3, 0.5).vector_state(label)
 
 
 @pytest.mark.parametrize("q", Q_GRID)
