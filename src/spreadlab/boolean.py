@@ -28,9 +28,8 @@ from .operators import (
     Kind,
     StateFunctional,
     TruncatedSpace,
-    annihilator_matrix,
     check_space,
-    creator_matrix,
+    check_window,
     label_state,
     walk,
 )
@@ -82,22 +81,29 @@ class BooleanSpace:
     def element(self, compact: np.ndarray, scalar: complex = 0.0) -> "BooleanElement":
         return BooleanElement(self, np.asarray(compact, dtype=complex), complex(scalar))
 
+    def _square(self) -> np.ndarray:
+        """A zero dim x dim matrix, allocated once the dim fits the budget."""
+        check_space(self.window, self.dim)
+        return np.zeros((self.dim, self.dim), dtype=complex)
+
     def zero(self) -> "BooleanElement":
-        return self.element(np.zeros((self.dim, self.dim)))
+        return self.element(self._square())
 
     def identity(self) -> "BooleanElement":
-        return self.element(np.zeros((self.dim, self.dim)), 1.0)
+        return self.element(self._square(), 1.0)
 
     def matrix_unit(self, k: Label, l: Label) -> "BooleanElement":
-        m = np.zeros((self.dim, self.dim), dtype=complex)
+        m = self._square()
         m[self.index(k), self.index(l)] = 1.0
         return self.element(m)
 
     def creator(self, j: int) -> "BooleanElement":
-        return self.element(creator_matrix(self, j).matrix)
+        check_window(self, j)  # a site, never the vacuum label
+        return self.matrix_unit(j, SHARP)
 
     def annihilator(self, j: int) -> "BooleanElement":
-        return self.element(annihilator_matrix(self, j).matrix)
+        check_window(self, j)
+        return self.matrix_unit(SHARP, j)
 
     # -- label action; walker and letter matrices are derived from it -------
 
@@ -208,6 +214,6 @@ def alpha(f: IncreasingMap | FinitePermutation, x: BooleanElement) -> BooleanEle
     else:
         space_out = BooleanSpace(image_window(f, space_in.window))
     rows = [space_out.index(SHARP), *(space_out.index(f(k)) for k in range(lo, hi + 1))]
-    compact = np.zeros((space_out.dim, space_out.dim), dtype=complex)
+    compact = space_out._square()
     compact[np.ix_(rows, rows)] = x.compact
     return BooleanElement(space_out, compact, x.scalar)

@@ -108,27 +108,20 @@ def tau_pow(n: int) -> IncreasingMap:
 
 
 def evaluate(f: IncreasingMap, k: int) -> int:
-    """Value f(k) of the canonical form at k.
-
-    f is the unique increasing bijection from Z onto Z minus the gap set
-    whose rank function x -> x - #{gaps below x} satisfies rank(f(k)) =
-    k + offset.  Starting from x = k + offset, one sweep over the sorted gaps
-    steps x past every gap at or below it.
-    """
-    x = k + f.offset
-    for gap in f.gaps:
-        if gap > x:
-            break
-        x += 1
-    return x
+    """Value f(k): :func:`evaluate_increasing` at one point."""
+    return evaluate_increasing(f, (k,))[0]
 
 
 def evaluate_increasing(f: IncreasingMap, ks: Iterable[int]) -> list[int]:
     """Values of f at the increasing integers ``ks``, in one merge pass.
 
-    The gaps that :func:`evaluate` steps past at k are a prefix of the sorted
-    gaps, and the prefix only grows as k does; so a gap pointer that only
-    moves forward gives f(k) = k + offset + (gaps passed so far).
+    f is the unique increasing bijection from Z onto Z minus the gap set
+    whose rank function x -> x - #{gaps below x} satisfies rank(f(k)) =
+    k + offset.  Starting from x = k + offset, a sweep over the sorted gaps
+    steps x past every gap at or below it.  The gaps stepped past at k are a
+    prefix of the sorted gaps, and the prefix only grows as k does; so a gap
+    pointer that only moves forward gives f(k) = k + offset + (gaps passed so
+    far) at every k in turn.
     """
     gaps, offset = f.gaps, f.offset
     n = len(gaps)

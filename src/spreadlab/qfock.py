@@ -5,9 +5,9 @@ Basis labels are all integer tuples over the window of length at most
 vacuum.  The inner product is deformed by counting permutation inversions;
 it is computed by explicit enumeration over the symmetric group, which is
 the obviously-correct route at desk scale (tuple lengths stay small).  It is
-block-diagonal by multiset: only a pair of tuples that are rearrangements of
-each other is enumerated, and every other pair is 0.  The convention
-0**0 = 1 makes q = 0 the free Fock inner product.
+block-diagonal by multiset: one enumeration (:func:`q_pairings`) gives a
+tuple's pairing with every rearrangement of it, and every other pair is 0.
+The convention 0**0 = 1 makes q = 0 the free Fock inner product.
 
 Deformation parameters may be floats or ``fractions.Fraction`` values; the
 arithmetic is generic, so exact rational cross-checks cost nothing.
@@ -16,7 +16,7 @@ arithmetic is generic, so exact rational cross-checks cost nothing.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from itertools import permutations, product
 from typing import Iterator
@@ -56,27 +56,19 @@ def inversions(pi: tuple[int, ...]) -> int:
 
 
 def q_inner(u: Label, v: Label, q) -> complex | float:
-    """Deformed inner product of two basis tuples.
-
-    Sum of q**inversions(pi) over all permutations pi matching u against v
-    entrywise.  No permutation matches unless v rearranges u, so every other
-    pair (different lengths included) is zero without enumerating.  Works
-    for float or Fraction q.
+    """Deformed inner product of two basis tuples, read from v's
+    :func:`q_pairings` column.  No permutation matches unless v rearranges u,
+    so every other pair (different lengths included) is zero without
+    enumerating.  Works for float or Fraction q.
     """
     if sorted(u) != sorted(v):
         return 0 * q**0
-    n = len(u)
-    total = 0 * q**0
-    for pi in permutations(range(n)):
-        if all(u[k] == v[pi[k]] for k in range(n)):
-            total += q ** inversions(pi)
-    return total
+    return q_pairings(v, q)[tuple(u)]
 
 
 def q_pairings(v: Label, q) -> dict[Label, complex | float]:
-    """<u, v>_q for every rearrangement u of v, from one enumeration of the
-    permutations: each pi adds q**inversions(pi) to the u it matches, so each
-    value is summed in the order :func:`q_inner` sums it, and equals it."""
+    """<u, v>_q for every rearrangement u of v, from the one enumeration of
+    the permutations: each pi adds q**inversions(pi) to the u it matches."""
     out: dict = {}
     for pi in permutations(range(len(v))):
         u = tuple(v[k] for k in pi)
@@ -87,7 +79,7 @@ def q_pairings(v: Label, q) -> dict[Label, complex | float]:
 def q_inner_recursive(u: Label, v: Label, q, memo: dict | None = None) -> complex | float:
     """Same inner product by peeling the head of u through the annihilator
     slot weights instead of enumerating permutations; must agree with
-    :func:`q_inner` exactly.
+    :func:`q_pairings` exactly.
 
     ``memo`` is a table of the sub-pairs' values at this same q, fresh for
     each call without one: each sub-pair (u[1:], v without one slot) is read
@@ -208,13 +200,13 @@ class QBasis:
         return label_state(self, VACUUM)
 
     def vector_state(self, label: Label) -> StateFunctional:
-        """w -> <e, w e>_q / <e, e>_q for the basis vector e of the label."""
-        if not self.has_label(label):
-            raise ValueError(f"{label!r} is not a basis label")
+        """w -> <e, w e>_q / <e, e>_q for the basis vector e of the label: the
+        label state (and its label check), read through its q_pairings dual."""
+        state = label_state(self, label)
         pairings = q_pairings(label, self.q)
         dual = tuple((u, float(value)) for u, value in pairings.items())
         norm = float(pairings[label])  # positive for |q| < 1
-        return StateFunctional(self.window, (Term(1, self, label, dual, norm),))
+        return replace(state, terms=(Term(1, self, label, dual, norm),))
 
 
 def words_over(

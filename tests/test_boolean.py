@@ -110,6 +110,19 @@ def test_label_outside_window_rejected(bs):
         bs.creator(-1)
 
 
+@pytest.mark.parametrize("build", [
+    lambda s: s.zero(),
+    lambda s: s.identity(),
+    lambda s: s.matrix_unit(0, 0),
+    lambda s: s.creator(0),
+    lambda s: s.annihilator(0),
+])
+def test_every_builder_checks_the_budget_before_allocating(build):
+    # Dimension 5,002: a complex square of it would take 400 MB.
+    with pytest.raises(ValueError, match="dense dimension 5002 or more, above the budget of 4096"):
+        build(BooleanSpace((0, 5000)))
+
+
 def test_commutation_relation_exact(bs):
     lo, hi = bs.window
     number_sum = bs.zero()

@@ -440,10 +440,13 @@ def suites_run(monkeypatch):
     (["monoid", "--tol", "1e-9"], "no selected suite reads 'tol'; no monoid suite does"),
     (["boolean", "--check", "relations", "--diag", "0.2"],
      "no selected suite reads 'diagonal'; no boolean suite does"),
+    (["monotone", "--check", "simplex", "--words-file", "{file}"],
+     "monotone/simplex: {file}: no words"),
 ])
 def test_bad_input_is_one_config_error_line(argv, message, tmp_path, suites_run, capsys):
-    (tmp_path / "file").write_text("")
+    (tmp_path / "file").write_text("# a comment and no word\n\n")
     argv = [arg.format(file=tmp_path / "file") for arg in argv]
+    message = message.format(file=tmp_path / "file")
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.err.startswith(f"config error: {message}")

@@ -465,12 +465,15 @@ def test_window_sweep_matches_scalar_evaluate(data, gap_base, offset_base):
     near = gap_base - offset_base
     ks = sorted(data.draw(st.sets(st.integers(near - 45, near + 45), max_size=40)))
     assert evaluate_increasing(f, ks) == [evaluate(f, k) for k in ks]
+    assert evaluate_increasing(f, ks) == [rank_equation_value(f, k) for k in ks]
     assert evaluate_increasing(f, []) == []
     g = data.draw(maps_near(near))
     window = range(-40, 41)
     values = evaluate_increasing(g, window)
     assert values == [evaluate(g, k) for k in window]
+    assert values == [rank_equation_value(g, k) for k in window]
     assert evaluate_increasing(f, values) == [evaluate(f, v) for v in values]
+    assert evaluate_increasing(f, values) == [rank_equation_value(f, v) for v in values]
 
 
 words = st.lists(

@@ -1,15 +1,17 @@
 """Deformed Fock truncation: inner product, relations, vacuum invariance."""
 
+import ast
 import math
 from fractions import Fraction
 from itertools import permutations, product
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spreadlab import suites
+from spreadlab import qfock, suites
 from spreadlab.operators import (
     Kind,
     Letter,
@@ -155,12 +157,14 @@ def test_multiset_guard_matches_full_enumeration(u, v, q):
 @settings(max_examples=200)
 def test_pairings_are_q_inner_of_every_rearrangement(v, q):
     # One enumeration gives every pairing the vector state reads, each equal
-    # to q_inner in value, type and sign of zero.
+    # to the pairwise enumeration in value, type and sign of zero, and q_inner
+    # reads it.
     v = tuple(v)
     pairings = q_pairings(v, q)
     assert set(pairings) == set(permutations(v))
     for u, value in pairings.items():
-        assert same_value(value, q_inner(u, v, q))
+        assert same_value(value, enumerated_inner(u, v, q))
+        assert same_value(q_inner(u, v, q), value)
 
 
 def test_inversions():
@@ -193,10 +197,10 @@ def test_gram_triple_repeat_value():
 @pytest.mark.parametrize("window, depth", [((0, 1), 3), ((-1, 1), 3)])
 @pytest.mark.parametrize("q", Q_GRID)
 def test_gram_is_q_inner_entrywise(window, depth, q):
-    # The column-by-column enumeration against the pairwise inner product,
-    # on every pair of labels, lengths that differ included.
+    # The column-by-column enumeration against the pairwise enumeration, on
+    # every pair of labels, lengths that differ included.
     basis = QBasis(window, depth, q)
-    expected = [[float(q_inner(u, v, q)) for v in basis.labels] for u in basis.labels]
+    expected = [[float(enumerated_inner(u, v, q)) for v in basis.labels] for u in basis.labels]
     assert np.array_equal(basis.gram, np.array(expected))
 
 
@@ -392,15 +396,44 @@ def test_inner_suite_compares_floats_at_the_same_q(q):
 
 
 def test_inner_suite_float_mismatch_names_its_pair(monkeypatch):
-    exact = suites.q_inner
+    exact = suites.q_pairings
 
-    def drifted(u, v, q):
-        return exact(u, v, q) + (1e-9 if isinstance(q, float) else 0)
+    def drifted(v, q):
+        return {u: x + (1e-9 if isinstance(q, float) else 0) for u, x in exact(v, q).items()}
 
-    monkeypatch.setattr(suites, "q_inner", drifted)
+    monkeypatch.setattr(suites, "q_pairings", drifted)
     report = _inner_report(0.5)
     assert not report.passed and report.details["exact_match"]
     assert report.witnesses[0] == {"u": (), "v": (), "float": 1.0 + 1e-9, "exact": "1"}
+
+
+def test_inner_suite_catches_a_pairings_defect(monkeypatch):
+    # A defect in the one enumeration, planted where every caller finds it:
+    # q**3 more on every proper rearrangement, in exact and float q alike.
+    exact = qfock.q_pairings
+
+    def planted(v, q):
+        return {u: x + (q**3 if u != tuple(v) else 0) for u, x in exact(v, q).items()}
+
+    monkeypatch.setattr(qfock, "q_pairings", planted)
+    monkeypatch.setattr(suites, "q_pairings", planted)
+    report = _inner_report(0.5)
+    assert not report.passed and not report.details["exact_match"]
+
+
+def test_only_q_pairings_enumerates_permutations():
+    # The inner product has one enumeration in the package: every line that
+    # calls permutations( sits inside q_pairings.
+    found = []
+    for path in sorted(Path(qfock.__file__).parent.glob("*.py")):
+        source = path.read_text()
+        functions = [node for node in ast.walk(ast.parse(source))
+                     if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))]
+        for lineno, line in enumerate(source.splitlines(), 1):
+            if "permutations(" in line:
+                inside = [f.name for f in functions if f.lineno <= lineno <= f.end_lineno]
+                found.append((path.name, inside))
+    assert found == [("qfock.py", ["q_pairings"])]
 
 
 @pytest.mark.parametrize("q", Q_GRID)
