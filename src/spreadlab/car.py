@@ -22,7 +22,7 @@ from itertools import product
 
 import numpy as np
 
-from .monoid import IncreasingMap, theta
+from .monoid import theta
 from .operators import (
     Kind,
     TruncatedSpace,
@@ -78,6 +78,16 @@ class FermionChain:
     position = position_matrix
 
 
+def coupling_error(coupling: float) -> str | None:
+    """Why a coupling is bad, if it is: it must be finite, nonnegative and at
+    most float max / 3 (about 5.99e307), so that 3C and every kernel value stay finite."""
+    if not 0 <= coupling < math.inf:
+        return f"coupling must be finite and nonnegative, got {coupling}"
+    if 3.0 * coupling == math.inf:
+        return f"coupling must be at most float max / 3, where 3C stays finite, got {coupling}"
+    return None
+
+
 @dataclass(frozen=True)
 class TwoPointFunction:
     """Hermitian translation-invariant kernel with purely imaginary
@@ -87,8 +97,8 @@ class TwoPointFunction:
     diagonal: float = 0.5
 
     def __post_init__(self) -> None:
-        if not 0 <= self.coupling < math.inf:
-            raise ValueError("coupling must be finite and nonnegative")
+        if error := coupling_error(self.coupling):
+            raise ValueError(error)
         if not 0.0 <= self.diagonal <= 1.0:
             raise ValueError("diagonal value must lie in [0, 1]")
 
@@ -130,35 +140,14 @@ def twopoint_stationarity(t: TwoPointFunction, lo: int, hi: int) -> Deviations:
     return found
 
 
-@dataclass(frozen=True)
-class SpreadabilityWitness:
-    map: IncreasingMap
-    m: int
-    n: int
-    lhs: complex
-    rhs: complex
-
-    @property
-    def deviation(self) -> float:
-        return abs(self.lhs - self.rhs)
-
-    def to_dict(self) -> dict:
-        return {
-            "map": self.map.to_text(),
-            "m": self.m,
-            "n": self.n,
-            "lhs": [self.lhs.real, self.lhs.imag],
-            "rhs": [self.rhs.real, self.rhs.imag],
-            "deviation": self.deviation,
-        }
-
-
-def spreadability_witness(t: TwoPointFunction) -> SpreadabilityWitness:
+def spreadability_witness(t: TwoPointFunction) -> dict:
     """A spreading map and index pair on which the kernel is not invariant.
 
     The forward shift pivoted between the pair (1, -1) stretches the
     separation from 2 to 3, scaling the off-diagonal value by 4/9; this
-    always witnesses non-spreadability when the coupling is positive.
+    always witnesses non-spreadability when the coupling is positive.  At a
+    subnormal coupling both values of that pair can underflow to 0, and a
+    later pair is the witness.
     """
     f = theta(0)
     candidates = [(1, -1)] + [(m, n) for m, n in product(range(-3, 4), repeat=2) if m > n]
@@ -166,31 +155,14 @@ def spreadability_witness(t: TwoPointFunction) -> SpreadabilityWitness:
         lhs = t.value(m, n)
         rhs = t.value(f(m), f(n))
         if lhs != rhs:
-            return SpreadabilityWitness(f, m, n, lhs, rhs)
+            return {"map": f.to_text(), "m": m, "n": n, "lhs": lhs, "rhs": rhs,
+                    "deviation": abs(lhs - rhs)}
     raise ValueError("kernel is spreading invariant on the probed pairs (coupling 0?)")
 
 
-@dataclass(frozen=True)
-class PositivityReport:
-    """Advisory spectrum probe of a finite kernel section against [0, 1]."""
-
-    window: tuple[int, int]
-    eigenvalues: tuple[float, ...]
-
-    @property
-    def in_unit_interval(self) -> bool:
-        return self.eigenvalues[0] >= 0.0 and self.eigenvalues[-1] <= 1.0
-
-    def to_dict(self) -> dict:
-        return {
-            "window": list(self.window),
-            "min_eigenvalue": self.eigenvalues[0],
-            "max_eigenvalue": self.eigenvalues[-1],
-            "in_unit_interval": self.in_unit_interval,
-        }
-
-
-def positivity_probe(t: TwoPointFunction, lo: int, hi: int) -> PositivityReport:
+def positivity_probe(t: TwoPointFunction, lo: int, hi: int) -> dict:
+    """Advisory spectrum probe of the kernel section on [lo, hi] against [0, 1]."""
     check_index_square(lo, hi)
-    eigenvalues = np.linalg.eigvalsh(t.section(lo, hi))
-    return PositivityReport((lo, hi), tuple(float(e) for e in eigenvalues))
+    least, greatest = map(float, np.linalg.eigvalsh(t.section(lo, hi))[[0, -1]])
+    return {"window": [lo, hi], "min_eigenvalue": least, "max_eigenvalue": greatest,
+            "in_unit_interval": least >= 0.0 and greatest <= 1.0}

@@ -60,8 +60,8 @@ OPTIONS = (
     Option("depth", ("--depth",), ("depth",), int),
     Option("q", ("--q",), ("q",), float, "deformation in (-1, 1)"),
     Option("tol", ("--tol",), ("tol",), float,
-           "tightens the 1e-12 bound of monotone/simplex, qdeformed/vacuum and"
-           " boolean/simplex to min(tol, 1e-12)"),
+           "bound in (0, 1e-12] of monotone/simplex, qdeformed/vacuum and"
+           " boolean/simplex (default 1e-12)"),
     Option("samples", ("--samples",), ("samples",), int),
     Option("seed", ("--seed",), ("seed",), int),
     Option("fmt", ("--format",), ("fmt", "format"), str, metavar="{json,text,csv}"),

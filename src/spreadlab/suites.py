@@ -98,8 +98,9 @@ class RunConfig:
                     raise all_rejects(field)
         if self.window is not None and self.window[0] > self.window[1]:
             raise ConfigError(f"empty window {self.window}")
-        if self.tol is not None and not 0 < self.tol < 1:
-            raise ConfigError(f"tolerance must lie in (0, 1), got {self.tol}")
+        if self.tol is not None and not 0 < self.tol <= 1e-12:
+            # The suites that read it check at min(tol, 1e-12): --tol only tightens.
+            raise ConfigError(f"tolerance must lie in (0, 1e-12], got {self.tol}")
         if self.q is not None and not abs(self.q) < 1:
             raise ConfigError(f"deformation must satisfy |q| < 1, got {self.q}")
         if self.depth is not None and self.depth < 1:
@@ -110,8 +111,8 @@ class RunConfig:
             raise ConfigError(f"sample count must be positive, got {self.samples}")
         if self.fmt not in ("json", "text", "csv"):
             raise ConfigError(f"unknown format {self.fmt!r}")
-        if self.coupling is not None and not 0 <= self.coupling < math.inf:
-            raise ConfigError(f"coupling must be finite and nonnegative, got {self.coupling}")
+        if self.coupling is not None and (error := car_model.coupling_error(self.coupling)):
+            raise ConfigError(error)
         if self.diagonal is not None and not 0 <= self.diagonal <= 1:
             raise ConfigError(f"diagonal must lie in [0, 1], got {self.diagonal}")
 
@@ -393,10 +394,10 @@ def _simplex_words(path: str | None):
     except OSError as exc:
         raise ValueError(f"cannot read words file: {exc}") from exc
     words = []
-    for lineno, line in enumerate(lines, 1):
-        if line.strip() and not line.startswith("#"):
+    for lineno, text in enumerate(map(str.strip, lines), 1):
+        if text and not text.startswith("#"):
             try:
-                words.append(LambdaForm.from_text(line).word())
+                words.append(LambdaForm.from_text(text).word())
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: {exc}") from exc
     if not words:
@@ -404,11 +405,23 @@ def _simplex_words(path: str | None):
     return words
 
 
+def _spreading(seed: int):
+    """theta(h) and psi(h) for each pivot h in -2..2, and 20 seeded maps."""
+    return spreading_family(-2, 2, n_random=20, seed=seed)
+
+
+# Most (word, map) pairs a `simplex` suite may check: `monotone/simplex` checks its
+# 1,470 default words under 30 maps, `boolean/simplex` at -3..3 211 words under 48.
+MAX_SIMPLEX_PAIRS = 1_000_000
+
+
 def _simplex_plan(window: tuple[int, int] = (-6, 9), depth: int = 4,
                   words_file: str | None = None, tol: float = 1e-12):
     """The words, the vacuum, the state at infinity, the one-particle vector
     state whose non-invariance is the counterexample, and the tolerance."""
     words = _simplex_words(words_file)
+    pairs = len(words) * len(_spreading(0).maps)
+    check_budget(window, pairs, MAX_SIMPLEX_PAIRS, f"checks {pairs} (word, map) pairs")
     basis = MonotoneBasis(window, depth)
     return (words, basis.vacuum_state(), basis.state_at_infinity(), basis.vector_state((0,)),
             min(tol, 1e-12))
@@ -423,7 +436,7 @@ def _simplex_plan(window: tuple[int, int] = (-6, 9), depth: int = 4,
 )
 def monotone_simplex(plan, seed: int) -> tuple[Deviations, dict]:
     words, vacuum, infinity, one_particle, tol = plan
-    family = spreading_family(-2, 2, n_random=20, seed=seed)
+    family = _spreading(seed)
     found = Deviations(tol)
     per_weight = {}
     for x in (0.0, 0.25, 0.5, 1.0):
@@ -542,7 +555,7 @@ def qdeformed_relations(bases: list[QBasis], seed: int) -> tuple[Deviations, dic
 def _families(lo: int, hi: int, seed: int) -> tuple:
     """Both shifts, permutations of [lo, hi] and spreading maps around 0."""
     return (shift_family(), permutation_family(lo, hi, n_random=10, seed=seed),
-            spreading_family(-2, 2, n_random=20, seed=seed))
+            _spreading(seed))
 
 
 def _vacuum_states(window: tuple[int, int] = (-8, 8), depth: int = 3, q: float = 0.5,
@@ -650,11 +663,6 @@ def boolean_morphism(plan, seed: int) -> tuple[Deviations, dict]:
     return found, {}
 
 
-# Most (word, map) pairs `boolean/simplex` may check: the default window
-# -3..3 checks 211 words under 48 maps, 10,128 pairs.
-MAX_SIMPLEX_PAIRS = 1_000_000
-
-
 def _simplex_space(window: tuple[int, int] = (-3, 3), tol: float = 1e-12):
     """The window's space and the tolerance."""
     space = _boolean_space(window)
@@ -760,20 +768,18 @@ def car_stationary(plan, seed: int) -> tuple[Deviations, dict]:
     return found, {"window": [lo, hi], "coupling": t.coupling}
 
 
-def _witness(coupling: float = 1.0, diagonal: float = 0.5) -> car_model.SpreadabilityWitness:
-    return car_model.spreadability_witness(car_model.TwoPointFunction(coupling, diagonal))
-
-
 @suite(
     "car", "witness",
     "a forward partial shift straddling an index pair changes the"
     " two-point value, so the kernel is stationary but not spreadable",
-    _witness,
+    lambda coupling=1.0, diagonal=0.5: car_model.spreadability_witness(
+        car_model.TwoPointFunction(coupling, diagonal)),
 )
-def car_witness(w: car_model.SpreadabilityWitness, seed: int) -> tuple[Deviations, dict]:
-    ratio = abs(w.lhs) / abs(w.rhs) if w.rhs != 0 else np.inf
+def car_witness(w: dict, seed: int) -> tuple[Deviations, dict]:
+    lhs, rhs = w["lhs"], w["rhs"]
+    ratio = abs(lhs) / abs(rhs) if rhs != 0 else np.inf
     counter = Deviations()
-    counter.add(w.lhs - w.rhs, lambda _: w.to_dict())
+    counter.add(lhs - rhs, lambda _: w)
     found = Deviations()
     counter_ok = found.merge_counterexample(counter, keep=1)
     found.require(counter_ok and ratio >= 2.0)
@@ -790,7 +796,7 @@ def car_positivity(plan, seed: int) -> tuple[Deviations, dict]:
     t, (lo, hi) = plan
     found = Deviations()
     found.samples = hi - lo + 1  # one sample per site; advisory, no deviations
-    return found, car_model.positivity_probe(t, lo, hi).to_dict()
+    return found, car_model.positivity_probe(t, lo, hi)
 
 
 def selected_suites(config: RunConfig) -> list[Suite]:

@@ -58,24 +58,16 @@ def permutation_family(
     return SymmetryFamily(PERMUTATIONS, tuple(maps))
 
 
-def spreading_family(
-    h_lo: int,
-    h_hi: int,
-    n_random: int = 20,
-    seed: int = 0,
-    offset_range: tuple[int, int] = (-2, 2),
-    max_gaps: int = 3,
-    gap_range: tuple[int, int] = (-8, 8),
-) -> SymmetryFamily:
+def spreading_family(h_lo: int, h_hi: int, n_random: int = 20, seed: int = 0) -> SymmetryFamily:
     """All partial shifts with pivot in [h_lo, h_hi] plus seeded random
-    cofinite-range increasing maps."""
+    cofinite-range increasing maps: offset in -2..2, up to 3 gaps in -8..8."""
     maps: list[IncreasingMap] = []
     for h in range(h_lo, h_hi + 1):
         maps.append(theta(h))
         maps.append(psi(h))
     rng = np.random.default_rng(seed)
     for _ in range(n_random):
-        maps.append(random_increasing_map(rng, offset_range, max_gaps, gap_range))
+        maps.append(random_increasing_map(rng, (-2, 2), 3, (-8, 8)))
     return SymmetryFamily(SPREADING, tuple(maps))
 
 

@@ -153,10 +153,10 @@ def test_shift_example_values():
 def test_witness_found_with_canonical_ratio():
     t = TwoPointFunction(1.0, 0.5)
     w = spreadability_witness(t)
-    assert w.map == theta(0)
-    assert (w.m, w.n) == (1, -1)
-    assert abs(w.lhs) / abs(w.rhs) == pytest.approx(9 / 4, abs=1e-15)
-    assert w.deviation > 0
+    assert w["map"] == theta(0).to_text()
+    assert (w["m"], w["n"]) == (1, -1)
+    assert abs(w["lhs"]) / abs(w["rhs"]) == pytest.approx(9 / 4, abs=1e-15)
+    assert w["deviation"] > 0
 
 
 def test_pure_shift_is_not_a_witness():
@@ -171,6 +171,14 @@ def test_shift_above_support_is_not_a_witness():
     assert t.value(f(1), f(-1)) == t.value(1, -1)
 
 
+def test_largest_coupling_keeps_every_kernel_value_finite():
+    t = TwoPointFunction(5.99e307, 0.5)
+    assert np.isfinite(t.section(-2, 2)).all()
+    for coupling in (6e307, 1e308):
+        with pytest.raises(ValueError, match="at most float max / 3"):
+            TwoPointFunction(coupling, 0.5)
+
+
 def test_zero_coupling_has_no_witness():
     with pytest.raises(ValueError):
         spreadability_witness(TwoPointFunction(0.0, 0.5))
@@ -182,21 +190,20 @@ def test_zero_coupling_has_no_witness():
 
 def test_probe_scalar_case():
     report = positivity_probe(TwoPointFunction(0.0, 0.5), -3, 3)
-    assert np.allclose(report.eigenvalues, 0.5)
-    assert report.in_unit_interval
+    assert report["window"] == [-3, 3]
+    assert np.allclose([report["min_eigenvalue"], report["max_eigenvalue"]], 0.5)
+    assert report["in_unit_interval"]
 
 
 def test_probe_small_coupling_within_unit_interval():
     report = positivity_probe(TwoPointFunction(0.05, 0.5), -5, 5)
-    assert report.in_unit_interval
-    assert report.eigenvalues[0] > 0.4
+    assert report["in_unit_interval"]
+    assert report["min_eigenvalue"] > 0.4
 
 
 def test_probe_large_coupling_reports_out_of_range():
     report = positivity_probe(TwoPointFunction(50.0, 0.5), -5, 5)
-    assert not report.in_unit_interval  # reported, not raised
-    data = report.to_dict()
-    assert data["in_unit_interval"] is False
+    assert report["in_unit_interval"] is False  # reported, not raised
 
 
 # ---------------------------------------------------------------------------

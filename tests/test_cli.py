@@ -3,10 +3,6 @@
 import functools
 import inspect
 import json
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import pytest
 
@@ -97,6 +93,28 @@ def test_exit_two_on_nonfinite_coupling(coupling, capsys):
     assert main(["car", "--check", "stationary", "--C", coupling]) == 2
     err = capsys.readouterr().err
     assert err == f"config error: coupling must be finite and nonnegative, got {coupling}\n"
+
+
+@pytest.mark.parametrize("argv, coupling", [
+    (["car"], "6e307"),
+    (["car", "--check", "stationary"], "1e308"),
+])
+def test_exit_two_on_a_coupling_whose_kernel_overflows(argv, coupling, no_suite_runs, capsys):
+    # 3 * coupling is above the largest float: every off-diagonal value is nan+inf*j.
+    assert main([*argv, "--C", coupling]) == 2
+    assert capsys.readouterr().err == (
+        "config error: coupling must be at most float max / 3, where 3C stays finite,"
+        f" got {float(coupling)}\n"
+    )
+
+
+@pytest.mark.parametrize("tol", ["1e-9", "2e-12", "0.5", "0"])
+def test_exit_two_on_a_tolerance_that_would_not_tighten(tol, no_suite_runs, capsys):
+    # The suites check at min(tol, 1e-12), so a looser --tol would do nothing.
+    assert main(["qdeformed", "--check", "vacuum", "--tol", tol]) == 2
+    assert capsys.readouterr().err == (
+        f"config error: tolerance must lie in (0, 1e-12], got {float(tol)}\n"
+    )
 
 
 @pytest.mark.parametrize("model, window", [("car", "0..20"), ("boolean", "0..5000")])
@@ -284,16 +302,17 @@ def test_kernel_index_budget_checked_before_the_first_suite(check, tmp_path, no_
     assert list(out.iterdir()) == []
 
 
-def test_positivity_scan_script_rejects_an_over_budget_window():
-    root = Path(__file__).resolve().parent.parent
-    proc = subprocess.run(
-        [sys.executable, str(root / "scripts" / "twopoint_positivity_scan.py"), "0..1000"],
-        capture_output=True, text=True, timeout=60,
-        env={**os.environ, "PYTHONPATH": str(root / "src")},
-    )
-    assert proc.returncode == 2 and proc.stdout == ""
-    assert proc.stderr == (
-        "config error: window [0, 1000] has 1002001 index pairs, above the budget of 1000000\n"
+def test_simplex_words_budget_checked_before_the_first_suite(tmp_path, no_suite_runs, capsys):
+    # Each word is checked under the 10 partial shifts and 20 sampled maps.
+    words = tmp_path / "words.txt"
+    words.write_text("D[0]A[0]\n" * 33_333)
+    plan = SUITES["monotone"]["simplex"].plan(words_file=str(words))
+    assert len(plan[0]) == 33_333
+    words.write_text("D[0]A[0]\n" * 33_334)
+    assert main(["monotone", "--check", "simplex", "--words-file", str(words)]) == 2
+    assert capsys.readouterr().err == (
+        "config error: monotone/simplex: window [-6, 9] checks 1000020 (word, map) pairs,"
+        " above the budget of 1000000\n"
     )
 
 
@@ -343,7 +362,7 @@ OPTION_CASES = {
     "window": (["monoid"], "1..3", "a..b"),
     "depth": (["monotone"], "3", "abc"),
     "q": (["qdeformed"], "-0.5", "1.5"),
-    "tol": (["qdeformed", "--check", "vacuum"], "1e-9", "2"),
+    "tol": (["qdeformed", "--check", "vacuum"], "1e-13", "2"),
     "samples": (["monoid"], "20", "0"),
     "seed": (["monoid"], "9", "1.5"),
     "fmt": (["monoid"], "json", "xml"),
@@ -437,7 +456,7 @@ def suites_run(monkeypatch):
      "no selected suite reads 'words_file'; no car suite does"),
     (["qdeformed", "--check", "relations", "--q", "0.3"],
      "no selected suite reads 'q'; qdeformed suites that do: inner, vacuum"),
-    (["monoid", "--tol", "1e-9"], "no selected suite reads 'tol'; no monoid suite does"),
+    (["monoid", "--tol", "1e-13"], "no selected suite reads 'tol'; no monoid suite does"),
     (["boolean", "--check", "relations", "--diag", "0.2"],
      "no selected suite reads 'diagonal'; no boolean suite does"),
     (["monotone", "--check", "simplex", "--words-file", "{file}"],
@@ -466,7 +485,7 @@ def test_all_skips_one_model_keys_from_a_shared_config_file(tmp_path):
         _from_flags(["all", "--config", str(cfg)])
 
 
-@pytest.mark.parametrize("flag, value", [("--q", "0.3"), ("--tol", "1e-13")])
+@pytest.mark.parametrize("flag, value", [("--q", "0.3"), ("--tol", "1e-13"), ("--tol", "1e-12")])
 def test_all_takes_an_option_that_some_suite_reads(flag, value, suites_run):
     assert main(["all", flag, value]) == 0
     assert suites_run == [f"{m}/{n}" for m, table in SUITES.items() for n in table]
@@ -622,7 +641,7 @@ def test_deformation_flag_reaches_the_suite(tmp_path):
 
 def test_words_file_fixture(tmp_path, capsys):
     words = tmp_path / "words.txt"
-    words.write_text("D[]A[]\nD[0]A[0]\nD[0,1]A[]\n# comment\n")
+    words.write_text("D[]A[]\nD[0]A[0]\nD[0,1]A[]\n# comment\n  # an indented comment\n")
     code = main(
         ["monotone", "--check", "simplex", "--words-file", str(words), "--seed", "2"]
     )

@@ -509,7 +509,7 @@ def test_vacuum_invariance_all_families():
     families = (
         shift_family(),
         permutation_family(-2, 2, n_random=6, seed=5),
-        spreading_family(-1, 1, n_random=8, seed=5, gap_range=(-4, 4)),
+        spreading_family(-1, 1, n_random=8, seed=5),
     )
     for words in (ladder, pos):
         for family in families:
