@@ -20,7 +20,8 @@ from typing import Callable, NamedTuple
 
 from .reports import CSV_HEADER, SuiteReport
 from .suites import (
-    ONE_MODEL_FIELDS, SUITES, ConfigError, RunConfig, all_rejects, check_read, run_suites,
+    ONE_MODEL_FIELDS, SUITES, ConfigError, RunConfig, all_rejects, check_read, read_lines,
+    run_suites,
 )
 
 _WINDOW_RE = re.compile(r"(-?\d+)\.\.(-?\d+)")
@@ -34,16 +35,21 @@ def parse_window(text: str) -> tuple[int, int]:
 
 
 class Option(NamedTuple):
-    """A :class:`RunConfig` field, its flag and config-key spellings and the one
-    parser both go through (a repeated flag's values are joined with commas)."""
+    """A :class:`RunConfig` field, its flags (its config keys are the field and
+    each flag without dashes, ``-`` read as ``_``) and the one parser flags and
+    keys go through (a repeated flag's values are joined with commas)."""
 
     field: str
     flags: tuple[str, ...]
-    keys: tuple[str, ...]
     parse: Callable[[str], object]
     help: str | None = None
     metavar: str | None = None
     repeatable: bool = False
+
+    @property
+    def keys(self) -> tuple[str, ...]:
+        spellings = (flag.lstrip("-").replace("-", "_") for flag in self.flags)
+        return tuple(dict.fromkeys([self.field, *spellings]))
 
     def read(self, raw: str):
         try:
@@ -52,42 +58,41 @@ class Option(NamedTuple):
             raise ConfigError(f"bad value for {self.field!r}: {exc}") from exc
 
 
+def parse_suites(text: str) -> tuple[str, ...]:
+    if names := tuple(s.strip() for s in text.split(",") if s.strip()):
+        return names
+    raise ValueError(f"no suite name in {text!r}")
+
+
 OPTIONS = (
-    Option("suites", ("--suite", "--check"), ("suites", "suite", "check"),
-           lambda v: tuple(s.strip() for s in v.split(",") if s.strip()),
+    Option("suites", ("--suite", "--check"), parse_suites,
            "suite to run (repeatable); default runs all suites of the model", "NAME", True),
-    Option("window", ("--window",), ("window",), parse_window, metavar="LO..HI"),
-    Option("depth", ("--depth",), ("depth",), int),
-    Option("q", ("--q",), ("q",), float, "deformation in (-1, 1)"),
-    Option("tol", ("--tol",), ("tol",), float,
+    Option("window", ("--window",), parse_window, metavar="LO..HI"),
+    Option("depth", ("--depth",), int),
+    Option("q", ("--q",), float, "deformation in (-1, 1)"),
+    Option("tol", ("--tol",), float,
            "bound in (0, 1e-12] of monotone/simplex, qdeformed/vacuum and"
            " boolean/simplex (default 1e-12)"),
-    Option("samples", ("--samples",), ("samples",), int),
-    Option("seed", ("--seed",), ("seed",), int),
-    Option("fmt", ("--format",), ("fmt", "format"), str, metavar="{json,text,csv}"),
-    Option("out", ("--out",), ("out",), str, metavar="DIR"),
-    Option("coupling", ("--C",), ("coupling", "C"), float, "kernel coupling"),
-    Option("diagonal", ("--diag",), ("diagonal", "diag"), float),
-    Option("words_file", ("--words-file",), ("words_file",), str,
+    Option("samples", ("--samples",), int),
+    Option("seed", ("--seed",), int),
+    Option("fmt", ("--format",), str, metavar="{json,text,csv}"),
+    Option("out", ("--out",), str, metavar="DIR"),
+    Option("coupling", ("--C",), float, "kernel coupling"),
+    Option("diagonal", ("--diag",), float),
+    Option("words_file", ("--words-file",), str,
            "fixture of normally-ordered words, one D[..]A[..] per line", "FILE"),
 )
 
 _BY_KEY = {key: option for option in OPTIONS for key in option.keys}
+_VALUE_FLAGS = {flag for option in OPTIONS for flag in option.flags} | {"--config"}
 
 
 def read_config_file(path: str) -> dict[str, str]:
     """key=value lines; blank lines and #-comments ignored."""
-    try:
-        text = Path(path).read_text()
-    except (OSError, UnicodeDecodeError) as exc:
-        raise ConfigError(f"cannot read config file: {exc}") from exc
     values: dict[str, str] = {}
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    for _, line in read_lines(path, "config file"):
         if "=" not in line:
-            raise ConfigError(f"bad config line {raw!r}; expected key=value")
+            raise ConfigError(f"bad config line {line!r}; expected key=value")
         key, _, value = line.partition("=")
         values[key.strip()] = value.strip()
     return values
@@ -100,12 +105,13 @@ class _Parser(argparse.ArgumentParser):
 
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
-        prog="spreadlab",
+        prog="spreadlab", allow_abbrev=False,
         description="Run invariance and relation check suites for the operator models.",
     )
     sub = parser.add_subparsers(dest="model", required=True)
     for model in [*SUITES, "all"]:
-        p = sub.add_parser(model, help=f"suites: {', '.join(SUITES.get(model, ['everything']))}")
+        suites = ", ".join(SUITES.get(model, ["everything"]))
+        p = sub.add_parser(model, allow_abbrev=False, help=f"suites: {suites}")
         for option in OPTIONS:
             p.add_argument(
                 *option.flags, dest=option.field, metavar=option.metavar, help=option.help,
@@ -173,25 +179,20 @@ def emit(reports: list[SuiteReport], config: RunConfig) -> None:
         (out_dir / "summary.csv").write_text("\n".join(csv_lines) + "\n")
 
 
-def _merge_window_values(argv: list[str]) -> list[str]:
-    """Join ``--window -4..4`` into ``--window=-4..4`` so argparse does not
-    mistake a negative lower bound for an option."""
-    out = []
-    it = iter(argv)
-    for token in it:
-        if token == "--window":
-            value = next(it, None)
-            if value is None:
-                out.append(token)
-            else:
-                out.append(f"--window={value}")
+def _bind_values(argv: list[str]) -> list[str]:
+    """Join each value flag to the next token (``--q -1e-3`` to ``--q=-1e-3``)
+    unless that is an option string, whose flag argparse then finds valueless."""
+    out: list[str] = []
+    for token in argv:
+        if out and out[-1] in _VALUE_FLAGS and token not in _VALUE_FLAGS | {"-h", "--help"}:
+            out[-1] += "=" + token
         else:
             out.append(token)
     return out
 
 
 def main(argv: list[str] | None = None) -> int:
-    argv = _merge_window_values(argv if argv is not None else sys.argv[1:])
+    argv = _bind_values(argv if argv is not None else sys.argv[1:])
     try:
         args = build_parser().parse_args(argv)
         config = build_config(args)
@@ -201,10 +202,13 @@ def main(argv: list[str] | None = None) -> int:
             except OSError as exc:
                 raise ConfigError(f"cannot create output directory: {exc}") from exc
         reports = run_suites(config)
+        try:
+            emit(reports, config)
+        except OSError as exc:
+            raise ConfigError(f"cannot write reports: {exc}") from exc
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    emit(reports, config)
     failed = [r for r in reports if not r.passed]
     if failed:
         names = ", ".join(f"{r.model}/{r.suite}" for r in failed)

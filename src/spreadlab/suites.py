@@ -43,7 +43,8 @@ from .monotone import (
     lambda_forms,
 )
 from .operators import (
-    Kind, annihilator, check_budget, check_space, creator, mixture, position, sparse_map, word,
+    MAX_DENSE_DIM, Kind, annihilator, check_budget, check_space, creator, mixture, position,
+    sparse_map, word,
 )
 from .qfock import QBasis, q_inner_recursive, q_pairings, words_over
 from .reports import Deviations, SuiteReport
@@ -109,6 +110,9 @@ class RunConfig:
             raise ConfigError(f"seed must be nonnegative, got {self.seed}")
         if self.samples is not None and self.samples < 1:
             raise ConfigError(f"sample count must be positive, got {self.samples}")
+        for field in ("out", "words_file"):
+            if getattr(self, field) == "":
+                raise ConfigError(f"{field!r} must name a path, got ''")
         if self.fmt not in ("json", "text", "csv"):
             raise ConfigError(f"unknown format {self.fmt!r}")
         if self.coupling is not None and (error := car_model.coupling_error(self.coupling)):
@@ -385,21 +389,25 @@ def monotone_hamel(basis: MonotoneBasis, seed: int) -> tuple[Deviations, dict]:
     return found, {"sigma_min": sigma_min, "threshold": 1e-8, "family_size": len(rows)}
 
 
-def _simplex_words(path: str | None):
-    if not path:
-        return [f.word() for f in lambda_forms(range(-3, 4), 4, 4, max_length=4)]
+def read_lines(path: str, what: str) -> list[tuple[int, str]]:
+    """(number, stripped text) of each line of ``path`` neither blank nor a ``#`` comment."""
     try:
         with open(path) as fh:
             lines = fh.read().splitlines()
-    except OSError as exc:
-        raise ValueError(f"cannot read words file: {exc}") from exc
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read {what}: {exc}") from exc
+    return [(n, t) for n, t in enumerate(map(str.strip, lines), 1) if t and not t.startswith("#")]
+
+
+def _simplex_words(path: str | None):
+    if path is None:
+        return [f.word() for f in lambda_forms(range(-3, 4), 4, 4, max_length=4)]
     words = []
-    for lineno, text in enumerate(map(str.strip, lines), 1):
-        if text and not text.startswith("#"):
-            try:
-                words.append(LambdaForm.from_text(text).word())
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: {exc}") from exc
+    for lineno, text in read_lines(path, "words file"):
+        try:
+            words.append(LambdaForm.from_text(text).word())
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: {exc}") from exc
     if not words:
         raise ValueError(f"{path}: no words")
     return words
@@ -629,11 +637,25 @@ def _random_boolean_element(space, rng):
     return space.element(k, complex(rng.standard_normal(), rng.standard_normal()))
 
 
+# Dense dim x dim arrays alive at the peak of one `boolean/morphism` sample, by
+# tracemalloc: 16.0 at 201 and 401 sites, 15.7 at 601 (the budget admits 1,023).
+MORPHISM_LIVE_ARRAYS = 16
+
+
+def _morphism_plan(samples: int = 200, window: tuple[int, int] = (-3, 3)):
+    """The sample count and the window's space, whose live dense entries stay
+    within those of one matrix of :data:`MAX_DENSE_DIM` rows."""
+    space = _boolean_space(window)
+    entries = MORPHISM_LIVE_ARRAYS * space.dim ** 2
+    check_budget(space.window, entries, MAX_DENSE_DIM ** 2, f"keeps {entries} dense entries alive")
+    return samples, space
+
+
 @suite(
     "boolean", "morphism",
     "the relabeling action composes like the maps and is a unital"
     " star-endomorphism on chained interval windows",
-    lambda samples=200, window=(-3, 3): (samples, _boolean_space(window)),
+    _morphism_plan,
 )
 def boolean_morphism(plan, seed: int) -> tuple[Deviations, dict]:
     rng = np.random.default_rng(seed)

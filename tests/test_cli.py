@@ -3,6 +3,8 @@
 import functools
 import inspect
 import json
+import re
+from pathlib import Path
 
 import pytest
 
@@ -473,6 +475,90 @@ def test_bad_input_is_one_config_error_line(argv, message, tmp_path, suites_run,
     assert suites_run == []
 
 
+VALUE_FLAGS = [flag for option in OPTIONS for flag in option.flags] + ["--config"]
+
+
+@pytest.mark.parametrize("value", ["-1e-3", "-1e3", "-0.5", "-4..4", "-x"])
+@pytest.mark.parametrize("flag", VALUE_FLAGS)
+def test_a_value_flag_takes_the_next_token_as_its_value(
+    flag, value, tmp_path, monkeypatch, suites_run, capsys
+):
+    # The arguments before the flag select a suite that reads it.
+    prefix = next((OPTION_CASES[o.field][0] for o in OPTIONS if flag in o.flags), ["monoid"])
+    monkeypatch.chdir(tmp_path)  # --out makes a directory named by the value
+    results = []
+    for argv in ([*prefix, f"{flag}={value}"], [*prefix, flag, value]):
+        results.append((main(argv), capsys.readouterr().err))
+    assert results[1] == results[0]
+
+
+@pytest.mark.parametrize("argv", [
+    ["monoid", "--check", "localize", "--samp", "3"],
+    ["monoid", "--wind", "-4..4"],
+    ["monoid", "--check", "localize", "--form", "json"],
+])
+def test_a_flag_prefix_is_an_unknown_flag(argv, suites_run, capsys):
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: unrecognized arguments: --")
+    assert err.count("\n") == 1 and suites_run == []
+
+
+def test_a_value_flag_before_another_flag_misses_its_value(suites_run, capsys):
+    assert main(["monotone", "--window", "--depth", "3"]) == 2
+    assert capsys.readouterr().err == "config error: argument --window: expected one argument\n"
+
+
+def test_a_binary_words_file_cannot_be_read(tmp_path, suites_run, capsys):
+    words = tmp_path / "words.bin"
+    words.write_bytes(b"D[0]A[0]\n\xff\xfe\n")
+    assert main(["monotone", "--check", "simplex", "--words-file", str(words)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: monotone/simplex: cannot read words file: ")
+    assert err.count("\n") == 1 and suites_run == []
+
+
+@pytest.mark.parametrize("prefix, flag, line, message", [
+    (["monotone", "--check", "simplex"], ["--words-file="], "words_file=",
+     "'words_file' must name a path, got ''"),
+    (["monoid", "--check", "localize", "--format", "csv"], ["--out="], "out=",
+     "'out' must name a path, got ''"),
+    (["monoid"], ["--check", ","], "check=,", "bad value for 'suites': no suite name in ','"),
+    (["monoid"], ["--check="], "suites=", "bad value for 'suites': no suite name in ''"),
+], ids=["words-file", "out", "check", "check-empty"])
+def test_an_empty_value_is_bad_config(prefix, flag, line, message, tmp_path, suites_run, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(line + "\n")
+    for argv in ([*prefix, *flag], [*prefix, "--config", str(cfg)]):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"config error: {message}\n" and captured.out == ""
+    assert suites_run == []
+
+
+def test_a_report_that_cannot_be_written_is_bad_config(tmp_path, suites_run, capsys):
+    out = tmp_path / "out"
+    (out / "monoid_localize.json").mkdir(parents=True)
+    assert main(["monoid", "--check", "localize", "--format", "json", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: cannot write reports: ") and err.count("\n") == 1
+
+
+def test_boolean_morphism_dense_entries_checked_before_allocating(suites_run, capsys):
+    # 1023 sites: 16 live arrays of 1024 x 1024 entries, those of one
+    # MAX_DENSE_DIM x MAX_DENSE_DIM matrix.
+    samples, space = SUITES["boolean"]["morphism"].plan(window=(-511, 511))
+    assert (samples, space.dim) == (200, 1024)
+    with pytest.raises(ValueError, match=r"window \[-2000, 2000\] keeps 256256064 dense"):
+        SUITES["boolean"]["morphism"].plan(window=(-2000, 2000))
+    assert main(["boolean", "--check", "morphism", "--window", "-511..512"]) == 2
+    assert capsys.readouterr().err == (
+        "config error: boolean/morphism: window [-511, 512] keeps 16810000 dense entries"
+        " alive, above the budget of 16777216\n"
+    )
+    assert suites_run == []
+
+
 def test_all_skips_one_model_keys_from_a_shared_config_file(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("seed=7\nwindow=0..3\ndepth=2\nsamples=5\ncheck=simplex\n")
@@ -670,3 +756,16 @@ def test_every_report_carries_a_claim():
             report = run_suites(config)[0]
             assert report.claim, f"{model}/{name} has no claim"
             assert report.to_dict()["schema"] == "report_v1"
+
+
+def test_the_readme_error_examples_hold(suites_run, capsys):
+    # Each `spreadlab ...` example followed by its `config error: ...` line,
+    # with the README's line breaks read as spaces.
+    readme = " ".join((Path(__file__).parents[1] / "README.md").read_text().split())
+    examples = re.findall(r"`spreadlab ([^`]*)`[^`]*(?:`2`[^`]*)?`config error: ([^`]*)`", readme)
+    assert len(examples) >= 11
+    for command, message in examples:
+        assert main(command.split()) == 2, command
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {message}"), (command, err)
+    assert suites_run == []
