@@ -17,8 +17,9 @@ Everything else is derived here once: the window check, position letters
 :func:`walk_pairs` with its ``Word`` adapter :func:`walk` and its label maps
 :func:`sparse_map` (the route by which suites apply words), dense letter
 matrices (oracles) and the vector states, which are data: a model, a window
-and weighted basis labels.  Labels and dense matrices are built only when
-the model's ``dim`` is within :data:`MAX_DENSE_DIM`.
+and weighted basis labels, read on many words at once by a walk of their
+suffix trie.  Labels and dense matrices are built only when the model's
+``dim`` is within :data:`MAX_DENSE_DIM`.
 """
 
 from __future__ import annotations
@@ -362,6 +363,51 @@ class Term(NamedTuple):
     dual: tuple[tuple[Hashable, Any], ...]
     norm: Any
 
+    def read(self, image: dict) -> Any:
+        """The readout of one walked image; ``read({})`` is the zero readout
+        ``weight * (0 / norm)`` of a word that sends the label to 0."""
+        total = 0
+        for target, pairing in self.dual:
+            coeff = image.get(target)
+            if coeff is not None:
+                total += coeff * pairing
+        return self.weight * (total / self.norm)
+
+
+def _suffix_walk(term: Term, columns: list, new: list, shared: list, lengths: list,
+                 letters: list) -> list:
+    """One term's readouts on rows sorted by their letters read from the
+    right, walked as their suffix trie (see :meth:`StateFunctional.values`):
+    ``columns[d][k]`` is the letter of row ``k`` at depth ``d``, counted
+    from the right.  ``images[d]`` is the image of the current path's first
+    ``d`` nodes and ``dead`` the least depth at which it is empty; a new row
+    takes one :func:`walk_pairs` letter per node below the ``shared``
+    depth."""
+    model = term.model
+    zero = term.read({})
+    width = len(columns)
+    images = [{term.label: 1.0}] * (width + 1)
+    dead = width + 1
+    read = zero
+    out = []
+    for k, (is_new, depth, length) in enumerate(zip(new, shared, lengths)):
+        if is_new:
+            if depth < dead:  # below a live node: walk on from it
+                dead = width + 1
+                vec = images[depth]
+                while depth < length:
+                    vec = walk_pairs(model, (letters[columns[depth][k]],), vec)
+                    depth += 1
+                    images[depth] = vec
+                    if not vec:
+                        dead = depth
+                        break
+                read = term.read(vec) if vec else zero
+            else:  # below an empty node: not descended
+                read = zero
+        out.append(read)
+    return out
+
 
 @dataclass(frozen=True)
 class StateFunctional:
@@ -376,36 +422,56 @@ class StateFunctional:
     window: tuple[int, int]
     terms: tuple[Term, ...]
 
-    def values(self, kinds: Sequence[Kind], rows: Iterable[Sequence[int]]) -> list[complex]:
-        """Values on the words whose letters have the given ``kinds``, each
-        word given as the row of its letters' indices, left to right.  Every
-        row is walked once per term, straight through :func:`walk_pairs`: no
-        ``Word`` is built."""
+    def values(self, alphabet: Sequence[tuple[Kind, int]], rows) -> list[complex]:
+        """Values on the words given as ``rows`` of letter ids into
+        ``alphabet``, a sequence of (kind, index) letters.  A row lists its
+        word's letters left to right, right-aligned and padded on the left
+        with -1 (a 2-d integer array, or lists of one width); a letter outside
+        the state window raises IndexError.
+
+        The rows are sorted by their letters read from the right
+        (``np.lexsort``), which lists the words' suffix trie depth-first:
+        each row is a path from the root, and shares its first ``shared``
+        nodes with the row before.  Each term walks the trie once, one
+        :func:`walk_pairs` letter per node, with one image per depth on its
+        stack.  A
+        node whose image is empty is not descended: every row under it reads
+        the term's zero readout ``weight * (0 / norm)``.  A run of equal rows
+        reads each term's dual once (:meth:`Term.read`).  Terms are summed
+        in order, so every float is the one a walk of each row on its own
+        gives."""
+        if len(rows) == 0:
+            return []
+        rows = np.asarray(rows, np.int64)
+        n, width = rows.shape
         lo, hi = self.window
-        parts = [_PARTS[kind] for kind in reversed(kinds)]
-        out = []
-        for row in rows:
-            if len(row) != len(parts):
-                raise ValueError(f"{len(row)} indices for {len(parts)} letters")
-            for i in row:
-                if not lo <= i <= hi:
-                    raise IndexError(f"index {i} outside state window [{lo}, {hi}]")
-            pairs = list(zip(parts, reversed(row)))
-            value = None
-            for weight, model, label, dual, norm in self.terms:
-                image = walk_pairs(model, pairs, {label: 1.0})
-                total = 0
-                for target, pairing in dual:
-                    coeff = image.get(target)
-                    if coeff is not None:
-                        total += coeff * pairing
-                read = weight * (total / norm)
-                value = read if value is None else value + read
-            out.append(complex(value))
+        outside = np.array([not lo <= index <= hi for _, index in alphabet] + [False])
+        bad = np.flatnonzero(outside[rows])  # the padding reads the last entry
+        if len(bad):
+            index = alphabet[rows.flat[bad[0]]][1]
+            raise IndexError(f"index {index} outside state window [{lo}, {hi}]")
+        order = np.lexsort(rows.T) if width else np.arange(n)
+        ordered = rows[order]
+        # Row k against row k - 1, letters read from the right: the first
+        # depth where they differ, or ``width`` where they are equal.
+        differ = np.ones((n, width + 1), bool)
+        differ[1:, :width] = ordered[1:, ::-1] != ordered[:-1, ::-1]
+        shared = differ.argmax(axis=1)
+        new = (shared < width) | (np.arange(n) == 0)
+        args = (ordered[:, ::-1].T.tolist(), new.tolist(), shared.tolist(),
+                (ordered >= 0).sum(axis=1).tolist(),
+                [(_PARTS[kind], index) for kind, index in alphabet])
+        reads = [_suffix_walk(term, *args) for term in self.terms]
+        out = [0j] * n
+        for k, values in zip(order.tolist(), zip(*reads)):
+            value = values[0]
+            for read in values[1:]:
+                value = value + read
+            out[k] = complex(value)
         return out
 
     def __call__(self, w: Word) -> complex:
-        return self.values(tuple(letter.kind for letter in w.letters), [w.indices()])[0]
+        return self.values([(l.kind, l.index) for l in w.letters], [list(range(len(w)))])[0]
 
     def admits(self, w: Word) -> bool:
         lo, hi = self.window

@@ -9,8 +9,9 @@ deterministic from the seed a family is built with.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -24,7 +25,7 @@ from .monoid import (
     tau_pow,
     theta,
 )
-from .operators import StateFunctional, Word
+from .operators import Letter, StateFunctional, Word
 from .reports import Deviations
 
 SHIFT = "shift"
@@ -88,6 +89,32 @@ def _codes(digits: np.ndarray, base: int) -> np.ndarray:
     return code
 
 
+# Input words per batch of a check: whole kind groups are stacked until the
+# next one would pass this many, so only a kind group larger than this makes
+# a larger batch.  Each batch has its own table of word codes and values.
+BATCH = 2048
+
+# A map's letter table entry for an image outside the state window.
+_OUTSIDE = -2
+
+
+def _batches(groups: Iterable[tuple[tuple, tuple]]) -> Iterator[list]:
+    """Kind groups, as (kinds, (positions, rows)) pairs, stacked in order
+    into batches of at most :data:`BATCH` input words, or of one larger
+    group."""
+    batch: list = []
+    size = 0
+    for group in groups:
+        count = len(group[1][0])
+        if batch and size + count > BATCH:
+            yield batch
+            batch, size = [], 0
+        batch.append(group)
+        size += count
+    if batch:
+        yield batch
+
+
 def check_symmetry(
     state: StateFunctional,
     words: Iterable[Word],
@@ -102,55 +129,78 @@ def check_symmetry(
     first 10 cases beyond ``tol``, in (word, map) order, are kept as
     witnesses.
 
-    Admitted words are grouped by their letters' kinds.  A group's indices
-    are stacked as digits (ranks among every index its words and their
-    images take) and relabeled one map at a time through the map's table
-    over the group's distinct indices.  Each row then has an exact integer
-    code, so one code is one word: values are looked up by code, never by a
-    word's pattern, and each distinct word, in the list or not, is evaluated
-    once per check.  A word is evaluated straight from its group's kinds and
-    its row of indices (:meth:`StateFunctional.values`); the rows of a map's
-    new words come out of one array step, and no ``Word`` is built for them.
-    ``words`` is read into a list first, since it is walked twice.
+    ``words`` is read once.  Each letter of an admitted word becomes an id
+    into the check's alphabet of (kind, index) letters, and each word a row
+    of ids, right-aligned and padded on the left with -1.  A map acts on the
+    alphabet once, as a table from each input letter to its image's id, so
+    relabeling a row is one array lookup.  Maps keep kinds, so the words of
+    one kind pattern (a kind group) go only to words of that pattern: whole
+    kind groups are stacked into batches of about :data:`BATCH` input words,
+    and one batch never needs another's values.  In a batch every row, input
+    or image, has an exact integer code (int64 while it fits, Python ints
+    past that), so one code is one word: values are looked up by code in the
+    batch's sorted table, never by a word's pattern, and each distinct word,
+    in the list or not, is evaluated once per check.  The rows a table lacks
+    are evaluated in one :meth:`StateFunctional.values` call per map, which
+    walks them as a suffix trie; no ``Word`` is built but a witness's.
     """
-    words = list(words)
     lo, hi = state.window
     maps = family.maps
     found = Deviations(tol, 10)
-    groups: dict[tuple, list[int]] = {}  # kinds -> input positions
+    ids: dict[tuple, int] = {}  # (kind, index) -> the letter's id
+    # kinds -> the group's input positions and its rows, flat (4 bytes an id)
+    groups: dict[tuple, tuple[array, array]] = {}
     for pos, w in enumerate(words):
-        if all(lo <= i <= hi for i in w.indices()):
-            groups.setdefault(tuple(l.kind for l in w.letters), []).append(pos)
+        letters = w.letters
+        if all(lo <= l.index <= hi for l in letters):
+            kinds = tuple(l.kind for l in letters)
+            if kinds not in groups:
+                groups[kinds] = (array("q"), array("i"))
+            positions, rows = groups[kinds]
+            positions.append(pos)
+            rows.extend([ids.setdefault((l.kind, l.index), len(ids)) for l in letters])
         else:
             found.skipped += len(maps)
-    kept = []  # the first cases beyond tol: (position, map, lhs, rhs)
-    for kinds, positions in groups.items():
-        rows = [words[pos].indices() for pos in positions]  # one group's at a time
-        uniq = sorted(set().union(*rows))
-        at_uniq = {i: r for r, i in enumerate(uniq)}
-        digits = np.array([[at_uniq[i] for i in row] for row in rows], np.int64)
-        images = [[int(g(i)) for i in uniq] for g in maps]
-        every = {i: r for r, i in enumerate(sorted(set(uniq).union(*images)))}
-        base = len(every)
-        codes = _codes(np.array([every[i] for i in uniq], np.int64)[digits], base)
+    inputs = list(ids)
+    indices = {i for _, i in inputs}
+    tables = []  # per map: each input letter's image id, then -1 for the padding
+    for g in maps:
+        image = {i: int(g(i)) for i in indices}
+        tables.append(np.array([
+            ids.setdefault((kind, image[i]), len(ids)) if lo <= image[i] <= hi else _OUTSIDE
+            for kind, i in inputs
+        ] + [-1], np.int64))
+    alphabet = list(ids)
+    base = len(alphabet) + 1  # digit 0 is the padding
+    kept = []  # the first cases beyond tol: (position, map, lhs, rhs, row)
+    for batch in _batches(groups.items()):
+        positions = np.concatenate([np.frombuffer(where, np.int64) for _, (where, _) in batch])
+        width = max(len(kinds) for kinds, _ in batch)
+        letters = np.full((len(positions), width), -1, np.int64)
+        start = 0
+        for kinds, (where, rows) in batch:
+            stop = start + len(where)
+            letters[start:stop, width - len(kinds):] = np.frombuffer(rows, np.intc).reshape(
+                len(where), len(kinds))
+            start = stop
+        codes = _codes(letters + 1, base)
         known, first, inverse = np.unique(codes, return_index=True, return_inverse=True)
-        values = np.array(state.values(kinds, [rows[r] for r in first]), complex)
+        values = np.array(state.values(alphabet, letters[first]), complex)
         before = values[inverse]  # the value of each row's own word
-        for m, (g, image) in enumerate(zip(maps, images)):
-            inside = np.flatnonzero(
-                np.array([lo <= j <= hi for j in image], bool)[digits].all(axis=1)
-            )
+        for m, table in enumerate(tables):
+            moved = table[letters]  # the padding stays -1
+            inside = np.flatnonzero((moved != _OUTSIDE).all(axis=1))
             found.samples += len(inside)
-            found.skipped += len(rows) - len(inside)
-            code = _codes(np.array([every[j] for j in image], np.int64)[digits[inside]], base)
+            found.skipped += len(letters) - len(inside)
+            moved = moved[inside]
+            code = _codes(moved + 1, base)
             at = np.searchsorted(known, code)
             miss = np.flatnonzero(known[np.minimum(at, len(known) - 1)] != code)
             if len(miss):
                 new, seen = np.unique(code[miss], return_index=True)
-                moved = np.array(image, object)[digits[inside[miss[seen]]]].tolist()
                 slots = np.searchsorted(known, new)
                 known = np.insert(known, slots, new)
-                values = np.insert(values, slots, state.values(kinds, moved))
+                values = np.insert(values, slots, state.values(alphabet, moved[miss[seen]]))
                 at = np.searchsorted(known, code)
             dev = before[inside] - values[at]
             # Rounded as Python's complex abs rounds (np.abs may differ in the
@@ -161,14 +211,15 @@ def check_symmetry(
             found.observe(abs(complex(dev[np.argmax(size)])))  # argmax finds a NaN
             for r in np.flatnonzero(~(size <= tol))[:10]:
                 row = inside[r]
-                kept.append((positions[row], m, complex(before[row]), complex(values[at[r]])))
+                kept.append((int(positions[row]), m, complex(before[row]), complex(values[at[r]]),
+                             letters[row].tolist()))
             kept.sort(key=lambda case: case[:2])
             del kept[10:]
-    for pos, m, lhs, rhs in kept:
+    for pos, m, lhs, rhs, row in kept:
         found.observe(
             abs(lhs - rhs),
             lambda size: {
-                "word": words[pos].to_text(),
+                "word": Word(tuple(Letter(*alphabet[c]) for c in row if c >= 0)).to_text(),
                 "map": describe_map(maps[m]),
                 "lhs": [lhs.real, lhs.imag],
                 "rhs": [rhs.real, rhs.imag],

@@ -41,7 +41,8 @@ def rng():
 class FakeState:
     """A state for the symmetry harness whose value on a word is
     ``read(word)``.  It has the harness's one evaluation method, ``values``,
-    which rebuilds each word from its kinds and row of indices; the
+    which rebuilds each word from its row of letter ids into the alphabet of
+    (kind, index) letters, skipping the -1 padding on the left; the
     reference loop calls it on words directly.  ``calls`` records every
     word it is asked for."""
 
@@ -50,11 +51,13 @@ class FakeState:
         self.read = read
         self.calls = calls
 
-    def values(self, kinds, rows):
+    def values(self, alphabet, rows):
         out = []
         for row in rows:
-            assert len(row) == len(kinds)
-            out.append(self(Word(tuple(map(Letter, kinds, row)))))
+            row = list(row)
+            padding = row.count(-1)
+            assert row[:padding] == [-1] * padding  # right-aligned
+            out.append(self(Word(tuple(Letter(*alphabet[c]) for c in row[padding:]))))
         return out
 
     def __call__(self, w):

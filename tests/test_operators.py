@@ -36,6 +36,7 @@ from spreadlab.operators import (
     relabel,
     sparse_map,
     walk,
+    walk_pairs,
     word,
 )
 from spreadlab.qfock import QBasis, q_inner
@@ -632,6 +633,106 @@ def test_pair_walker_and_rows_match_the_word_route(name, lo, width, depth, data)
         for w in words:
             admitted = all(wlo <= i <= whi for i in w.indices())
             expected = complex(read(w)) if admitted else IndexError
-            row = outcome(state.values, tuple(l.kind for l in w.letters), [w.indices()])
+            alphabet = [(l.kind, l.index) for l in w.letters]
+            row = outcome(state.values, alphabet, [list(range(len(w)))])
             assert outcome(state, w) == expected
             assert row == ([expected] if admitted else IndexError)
+
+
+# ---------------------------------------------------------------------------
+# The suffix-trie walk of StateFunctional.values against the plain walk
+
+
+def plain_values(state, alphabet, rows):
+    """``StateFunctional.values`` as it was before the suffix-trie walk:
+    every row on its own, walked through ``walk_pairs`` once per term, each
+    term's dual read on every row."""
+    lo, hi = state.window
+    out = []
+    for row in rows:
+        letters = [alphabet[c] for c in row if c >= 0]
+        for _, i in letters:
+            if not lo <= i <= hi:
+                raise IndexError(f"index {i} outside state window [{lo}, {hi}]")
+        pairs = [(_REFERENCE_PARTS[kind], index) for kind, index in reversed(letters)]
+        value = None
+        for weight, model, label, dual, norm in state.terms:
+            image = walk_pairs(model, pairs, {label: 1.0})
+            total = 0
+            for target, pairing in dual:
+                coeff = image.get(target)
+                if coeff is not None:
+                    total += coeff * pairing
+            read = weight * (total / norm)
+            value = read if value is None else value + read
+        out.append(complex(value))
+    return out
+
+
+def bits(values):
+    """Each value's type and the exact bits of its parts (-0.0 is not 0.0)."""
+    return [(type(v), v.real.hex(), v.imag.hex()) for v in values]
+
+
+@given(
+    name=st.sampled_from(sorted(CROSS_MODELS)),
+    lo=st.integers(-2, 1),
+    width=st.integers(1, 3),
+    depth=st.integers(1, 3),
+    data=st.data(),
+)
+@settings(max_examples=200, deadline=None)
+def test_suffix_trie_matches_the_plain_walk(name, lo, width, depth, data):
+    model = CROSS_MODELS[name]((lo, lo + width - 1), depth)
+    first, last = model.window
+    stray = data.draw(st.integers(0, 9)) == 0  # then some rows leave the window
+    index = st.integers(first - 1, last + 1) if stray else st.integers(first, last)
+    kinds = st.sampled_from([Kind.CREATOR, Kind.ANNIHILATOR, Kind.POSITION])
+    drawn = data.draw(st.lists(st.lists(st.tuples(kinds, index), max_size=5), min_size=1, max_size=6))
+    # Every suffix of a word ends at a trie node the word passes through.
+    suffixes = [w[k:] for w in drawn for k in data.draw(st.sets(st.integers(0, len(w))))]
+    words = drawn + suffixes + data.draw(st.lists(st.sampled_from(drawn + [[]]), max_size=3))
+    words = data.draw(st.permutations(words))  # mixed lengths and kinds, duplicates, maybe 1
+    alphabet = data.draw(st.permutations(sorted({l for w in words for l in w}, key=str)))
+    alphabet = list(alphabet) + [(Kind.CREATOR, last + 5)]  # an unused letter outside
+    ids = {letter: c for c, letter in enumerate(alphabet)}
+    padded = max(map(len, words)) + data.draw(st.integers(0, 2))
+    rows = np.full((len(words), padded), -1, np.int64)
+    for row, w in zip(rows, words):
+        row[padded - len(w):] = [ids[l] for l in w]
+    for state, _, _ in states_and_references(model, data):
+        expected = outcome(plain_values, state, alphabet, rows)
+        got = outcome(state.values, alphabet, rows)
+        if expected is IndexError:
+            assert got is IndexError
+        else:
+            assert bits(got) == bits(expected)
+            assert bits(state.values(alphabet, rows.tolist())) == bits(expected)
+
+
+def test_suffix_trie_reads_a_word_that_others_pass_through():
+    # c(1) ends at the node that a(0).c(1) and c(0).c(1) pass through: each
+    # has its own value, and each term's dual is read once per distinct live
+    # word.
+    basis = MonotoneBasis((0, 2), 2)
+    state = mixture(basis.vector_state((1,)), basis.vacuum_state(), 0.5)
+    alphabet = [(Kind.CREATOR, 1), (Kind.ANNIHILATOR, 1), (Kind.CREATOR, 0)]
+    rows = [[-1, 0], [1, 0], [-1, 0], [2, 0], [-1, -1]]
+    reads = []
+    original = Term.read
+
+    def counted(term, image):
+        reads.append(term.label)
+        return original(term, image)
+
+    try:
+        Term.read = counted
+        got = state.values(alphabet, rows)
+    finally:
+        Term.read = original
+    assert bits(got) == bits(plain_values(state, alphabet, rows))
+    assert got == [0j, 0.5 + 0j, 0j, 0j, 1 + 0j]
+    # Each term reads its zero readout once, then once per distinct live
+    # word: c(1) sends (1,) to 0, so that term reads only the empty word; the
+    # vacuum term reads all four words, c(1) once for its two rows.
+    assert sorted(reads) == [()] * 5 + [(1,)] * 2

@@ -37,6 +37,7 @@ from spreadlab.operators import (
     word,
 )
 from spreadlab.qfock import words_over
+from spreadlab import symmetry
 from spreadlab.reports import Deviations
 from spreadlab.symmetry import (
     SymmetryFamily,
@@ -291,3 +292,54 @@ def test_maps_that_agree_on_a_word_share_its_value():
     # The duplicate input is read once; the three maps send c(0).a(1) to one
     # word outside the list, read once per check.
     assert sorted(w.to_text() for w in calls) == ["c(0).a(1)", "c(1).a(2)"]
+
+
+class BatchRecorder(FakeState):
+    """A fake state that also records the kind patterns of each ``values``
+    call's words."""
+
+    def __init__(self, window, read):
+        super().__init__(window, read)
+        self.patterns = []
+
+    def values(self, alphabet, rows):
+        self.patterns.append({tuple(alphabet[c][0] for c in row if c >= 0) for row in rows})
+        return super().values(alphabet, rows)
+
+
+def test_values_calls_stay_inside_kind_closed_batches(monkeypatch):
+    # With a cap of 5 input words, kind groups of 3, 2, 4, 7, 1, 1 and 2
+    # words, in the order their patterns first appear, stack into the
+    # batches 3 + 2, 4, 7 and 1 + 1 + 2: only the group of 7 passes the cap,
+    # alone.
+    monkeypatch.setattr(symmetry, "BATCH", 5)
+    C, A, X = Kind.CREATOR, Kind.ANNIHILATOR, Kind.POSITION
+    patterns = [(C,), (A,), (C, A), (A, C), (C, C), (X,), (A, A, C)]
+    sizes = [2, 2, 4, 7, 1, 1, 2]
+    batches = [[(C,), (A,)], [(C, A)], [(A, C)], [(C, C), (X,), (A, A, C)]]
+    rng = np.random.default_rng(23)
+    heads, tails = [], []
+    for kinds, size in zip(patterns, sizes):
+        rows = rng.choice(np.arange(-3, 4), (size, len(kinds))).tolist()
+        group = [Word(tuple(map(Letter, kinds, row))) for row in rows]
+        heads.append(group[0])
+        tails += group[1:]
+    tails += [heads[0], word(creator(9))]  # a duplicate counts; a word outside has no group
+    words = heads + [tails[k] for k in rng.permutation(len(tails))]
+    counts = {p: sum(1 for w in words if tuple(l.kind for l in w.letters) == p) for p in patterns}
+    counts[(C,)] -= 1  # c(9)
+    assert [counts[p] for p in patterns] == [3, 2, 4, 7, 1, 1, 2]
+    for batch in batches:
+        assert sum(counts[p] for p in batch) <= 5 or len(batch) == 1
+    read = lambda w: sum((i + 7) * 3**k for k, i in enumerate(w.indices()))  # noqa: E731
+    state = BatchRecorder((-5, 5), read)
+    family = spreading_family(-2, 2, 4, seed=1)
+    fast = check_symmetry(state, words, family, tol=1e-12)
+    slow = reference_check_symmetry(FakeState((-5, 5), read), words, family, tol=1e-12)
+    assert_same_check(fast, slow)
+    # Every call stays inside one batch, the batches come in order, and a
+    # batch's first call reads all of its groups.
+    home = [next(k for k, b in enumerate(batches) if called <= set(b)) for called in state.patterns]
+    assert home == sorted(home)
+    for k, batch in enumerate(batches):
+        assert state.patterns[home.index(k)] == set(batch)
