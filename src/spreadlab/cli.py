@@ -18,7 +18,7 @@ import sys
 from pathlib import Path
 from typing import Callable, NamedTuple
 
-from .reports import CSV_HEADER, SuiteReport
+from .reports import CSV_HEADER, SCHEMA, SuiteReport
 from .suites import (
     ONE_MODEL_FIELDS, SUITES, ConfigError, RunConfig, all_rejects, check_read, read_lines,
     run_suites,
@@ -169,7 +169,7 @@ def emit(reports: list[SuiteReport], config: RunConfig) -> None:
                 print()
     if out_dir:
         summary = {
-            "schema": "report_v1",
+            "schema": SCHEMA,
             "passed": all(r.passed for r in reports),
             "suites": [r.to_dict() for r in reports],
         }

@@ -39,7 +39,7 @@ class IncreasingMap:
     gaps: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
-        gaps = tuple(int(g) for g in self.gaps)
+        gaps = tuple([int(g) for g in self.gaps])
         if any(a >= b for a, b in zip(gaps, gaps[1:])):
             raise ValueError(f"gaps must be strictly increasing, got {gaps!r}")
         object.__setattr__(self, "gaps", gaps)
@@ -81,7 +81,7 @@ class IncreasingMap:
         if m is None:
             raise ValueError(f"not an increasing-map literal: {text!r}")
         body = m.group(2).strip()
-        gaps = tuple(int(g) for g in body.split(",")) if body else ()
+        gaps = tuple([int(g) for g in body.split(",")]) if body else ()
         return cls(int(m.group(1)), gaps)
 
     def __str__(self) -> str:
@@ -261,7 +261,7 @@ def factor_D(d: IncreasingMap) -> GeneratorWord:
     """
     if d.offset != 0:
         raise ValueError(f"not offset-free: offset {d.offset}")
-    return GeneratorWord(tuple(ShiftLetter("T", g - i) for i, g in enumerate(d.gaps)))
+    return GeneratorWord(tuple([ShiftLetter("T", g - i) for i, g in enumerate(d.gaps)]))
 
 
 def factor_E(e: IncreasingMap) -> GeneratorWord:
@@ -273,20 +273,18 @@ def factor_E(e: IncreasingMap) -> GeneratorWord:
     if e.right_offset != 0:
         raise ValueError(f"not right-offset-free: right offset {e.right_offset}")
     m = len(e.gaps)
-    return GeneratorWord(
-        tuple(ShiftLetter("P", e.gaps[m - 1 - i] + i) for i in range(m))
-    )
+    return GeneratorWord(tuple([ShiftLetter("P", e.gaps[m - 1 - i] + i) for i in range(m)]))
 
 
 def localize(values: Sequence[int], k: int, l: int) -> GeneratorWord:
     """A partial-shift word agreeing with the given values on the window [k, l].
 
     ``values`` is a sequence aligned with k, k+1, ..., l; it must be strictly
-    increasing.  The word is built greedily: pending displacements of a
-    strictly increasing map are nondecreasing along the window, so repeatedly
-    shifting up from the first too-low position (theta at its current value)
-    and down from the last too-high position (psi at its current value)
-    converges without ever disturbing already-settled positions.
+    increasing.  They extend to the map h that is j - down below k and j + up
+    above l, with down, up >= 0 as small as the values allow; its gaps are the
+    points of [k - down, l + up] that are not values.  h = e ∘ d, with e
+    right-offset-free on the lowest down gaps and d offset-free on the others,
+    since e fixes each point above its gaps: the word is factor_E(e) + factor_D(d).
     """
     if k > l:
         raise ValueError(f"empty window [{k}, {l}]")
@@ -296,33 +294,13 @@ def localize(values: Sequence[int], k: int, l: int) -> GeneratorWord:
     if any(a >= b for a, b in zip(targets, targets[1:])):
         raise ValueError("window values must be strictly increasing")
 
-    current = list(range(k, l + 1))
-    n = len(current)
-    applied: list[ShiftLetter] = []  # first applied first
-    while True:
-        # The first too-low and the last too-high position, both found before
-        # either letter moves anything.
-        low = high = None
-        for i in range(n):
-            if targets[i] > current[i]:
-                low = i
-                break
-        for i in range(n - 1, -1, -1):
-            if targets[i] < current[i]:
-                high = i
-                break
-        if low is None and high is None:
-            break
-        # current stays strictly increasing, so theta at current[low] moves
-        # exactly the positions from low on, and psi at current[high] those
-        # up to high.
-        if low is not None:
-            applied.append(ShiftLetter("T", current[low]))
-            current[low:] = [c + 1 for c in current[low:]]
-        if high is not None:
-            applied.append(ShiftLetter("P", current[high]))
-            current[: high + 1] = [c - 1 for c in current[: high + 1]]
-    return GeneratorWord(tuple(reversed(applied)))
+    down = max(0, k - targets[0])
+    up = max(0, targets[-1] - l)
+    taken = set(targets)
+    gaps = [j for j in range(k - down, l + up + 1) if j not in taken]
+    e = IncreasingMap._canonical(-down, tuple(gaps[:down]))
+    d = IncreasingMap._canonical(0, tuple(gaps[down:]))
+    return factor_E(e) + factor_D(d)
 
 
 # ---------------------------------------------------------------------------
@@ -354,7 +332,7 @@ class FinitePermutation:
         if len(set(cycle)) != len(cycle):
             raise ValueError("cycle entries must be distinct")
         n = len(cycle)
-        return cls(tuple((cycle[i], cycle[(i + 1) % n]) for i in range(n)))
+        return cls(tuple([(cycle[i], cycle[(i + 1) % n]) for i in range(n)]))
 
     @property
     def support(self) -> frozenset[int]:
@@ -364,11 +342,11 @@ class FinitePermutation:
         return self._lookup.get(k, k)  # type: ignore[attr-defined]
 
     def inverse(self) -> "FinitePermutation":
-        return FinitePermutation(tuple((b, a) for a, b in self.pairs))
+        return FinitePermutation(tuple([(b, a) for a, b in self.pairs]))
 
     def __mul__(self, other: "FinitePermutation") -> "FinitePermutation":
         keys = self.support | other.support
-        return FinitePermutation(tuple((k, self(other(k))) for k in keys))
+        return FinitePermutation(tuple([(k, self(other(k))) for k in keys]))
 
     def is_identity(self) -> bool:
         return not self.pairs

@@ -282,9 +282,10 @@ def walk(model, w: Word, vec: dict) -> dict:
 def sparse_map(model, combination: list[tuple[complex, Word]]) -> dict:
     """Label -> image (label -> weight) of the combination sum(c * w) of
     (c, w) pairs, walked one basis label at a time; zero weights and labels
-    with a zero image are dropped.  The empty word is the unit."""
+    with a zero image are dropped.  The empty word is the unit.  A term with
+    a zero coefficient is never walked, so its letters are not window-checked."""
     check_space(model.window, model.dim)
-    walks = [(coeff, letter_pairs(w)) for coeff, w in combination]
+    walks = [(coeff, letter_pairs(w)) for coeff, w in combination if coeff != 0]
     out = {}
     for label in model.labels:
         image: dict = {}

@@ -1,5 +1,8 @@
 """Exact combinatorics of the increasing-map monoids and finite permutations."""
 
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -36,7 +39,7 @@ from spreadlab.monoid import (
     theta,
 )
 from spreadlab.reports import Deviations
-from spreadlab import suites
+from spreadlab import monoid, suites
 
 increasing_maps = st.builds(
     IncreasingMap,
@@ -609,8 +612,60 @@ def test_localize_builds_the_three_list_word(data, base):
     l = k + data.draw(st.integers(0, 10))
     values = evaluate_increasing(f, range(k, l + 1))
     word = localize(values, k, l)
-    assert word == three_list_localize(values, k, l)
-    assert [word(j) for j in range(k, l + 1)] == values
+    greedy = three_list_localize(values, k, l)
+    assert [word(j) for j in range(k, l + 1)] == [greedy(j) for j in range(k, l + 1)] == values
+    assert len(word) == len(greedy)
+
+
+@given(f=increasing_maps, k=st.integers(-10, 10), size=st.integers(0, 8))
+@settings(max_examples=200)
+def test_localize_is_the_partial_shift_factorization(f, k, size):
+    l = k + size
+    values = [f(j) for j in range(k, l + 1)]
+    down, up = max(0, k - values[0]), max(0, values[-1] - l)
+    word = localize(values, k, l)
+    h = word.realize()
+    assert (h.offset, h.right_offset) == (-down, up)
+    # h extends the values by j - down below k and j + up above l.
+    assert h.gaps == tuple(sorted(set(range(k - down, l + up + 1)) - set(values)))
+    e = IncreasingMap(-down, h.gaps[:down])
+    d = IncreasingMap(0, h.gaps[down:])
+    assert word.letters == factor_E(e).letters + factor_D(d).letters
+    # Each window point, letter by letter, stays in the hull of the window
+    # and its images.
+    lo, hi = min(k, values[0]), max(l, values[-1])
+    for j in range(k, l + 1):
+        for n in range(len(word) + 1):
+            assert lo <= GeneratorWord(word.letters[n:])(j) <= hi
+
+
+def second_pivot_moved(factor):
+    """``factor`` with its second letter's pivot one higher."""
+    def planted(f):
+        letters = list(factor(f).letters)
+        if len(letters) > 1:
+            letters[1] = ShiftLetter(letters[1].kind, letters[1].h + 1)
+        return GeneratorWord(tuple(letters))
+    return planted
+
+
+@pytest.mark.parametrize("name", ["factor_D", "factor_E"])
+def test_a_factorization_defect_fails_monoid_localize(name, monkeypatch):
+    monkeypatch.setattr(monoid, name, second_pivot_moved(getattr(monoid, name)))
+    report = suites.SUITES["monoid"]["localize"](suites.RunConfig(model="monoid", seed=20230526))
+    assert not report.passed and report.max_deviation >= 1 and report.witnesses
+
+
+def test_monoid_builds_no_tuple_from_a_generator():
+    """tuple() of a generator allocates a guessed size and shrinks it; the
+    exact-monoid run's peak memory rose with it (see IncreasingMap._canonical)."""
+    tree = ast.parse(Path(monoid.__file__).read_text())
+    offending = [
+        node.lineno for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+        and node.func.id == "tuple" and any(isinstance(a, ast.GeneratorExp) for a in node.args)
+    ]
+    assert offending == []
 
 
 def rebuilt_cycle_localize(config):

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from spreadlab import operators
 from spreadlab.boolean import BooleanSpace
 from spreadlab.car import FermionChain
 from spreadlab.monoid import psi, theta, tau_pow, cycle_for_interval, localize
@@ -30,6 +31,7 @@ from spreadlab.operators import (
     creator,
     evaluate_word,
     letter_matrix,
+    letter_pairs,
     metric_adjoint,
     mixture,
     position,
@@ -474,6 +476,25 @@ def test_sparse_map_of_the_unit_is_the_identity():
     basis = MonotoneBasis((0, 2), 2)
     assert sparse_map(basis, [(1, word())]) == {t: {t: 1} for t in basis.labels}
     assert sparse_map(basis, [(1, word()), (-1, word())]) == {}
+
+
+def test_sparse_map_never_walks_a_zero_term(monkeypatch):
+    basis = MonotoneBasis((0, 2), 2)
+    combination = [(1, word(annihilator(1), creator(1))), (-1, word())]
+    want = sparse_map(basis, combination)
+    zero = word(creator(2), annihilator(0))
+    walked = []
+
+    def counting(model, pairs, vec):
+        walked.append(pairs)
+        return walk_pairs(model, pairs, vec)
+
+    monkeypatch.setattr(operators, "walk_pairs", counting)
+    for coeff in (0, 0.0, 0j):
+        walked.clear()
+        assert sparse_map(basis, [combination[0], (coeff, zero), combination[1]]) == want
+        assert len(walked) == len(combination) * len(basis.labels)
+        assert letter_pairs(zero) not in walked
 
 
 # ---------------------------------------------------------------------------
