@@ -13,13 +13,18 @@ label to, plus an inclusive index ``window`` and its ``labels``/``space``;
 a model with vector states also tests label membership in closed form
 (``has_label``), without enumerating its labels.
 Everything else is derived here once: the window check, position letters
-(creator images, then annihilator images), the dict walker
-:func:`walk_pairs` with its ``Word`` adapter :func:`walk` and its label maps
-:func:`sparse_map` (the route by which suites apply words), dense letter
-matrices (oracles) and the vector states, which are data: a model, a window
-and weighted basis labels, read on many words at once by a walk of their
-suffix trie.  Labels and dense matrices are built only when the model's
-``dim`` is within :data:`MAX_DENSE_DIM`.
+(creator images, then annihilator images), the one dict walk loop
+:func:`walk_steps`, dense letter matrices (oracles) and the vector states.
+The walk reads each letter through one lookup, label -> images, which
+:func:`letter_images` builds from ``act``; only the dense oracle
+:func:`letter_matrix` reads ``act`` otherwise.  The label maps of
+:func:`sparse_map` (the route by which suites apply words) look letters up
+in per-model tables (:func:`letter_table`), each filled over the labels the
+first time its letter is used; :func:`walk_pairs`, its ``Word`` adapter
+:func:`walk` and the vector states look them up through ``act``.  The
+states are data: a model, a window and weighted basis labels, read on many
+words at once by a walk of their suffix trie.  Labels and dense matrices
+are built only when the model's ``dim`` is within :data:`MAX_DENSE_DIM`.
 """
 
 from __future__ import annotations
@@ -27,6 +32,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from enum import Enum
+from functools import partial
 from typing import Any, Hashable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -36,6 +42,10 @@ class Kind(Enum):
     CREATOR = "c"
     ANNIHILATOR = "a"
     POSITION = "x"
+
+    # Members are singletons, so the identity hash is exact; Enum's own
+    # hashes the name in Python, and kinds are hashed on every letter coded.
+    __hash__ = object.__hash__
 
 
 _ADJOINT_KIND = {
@@ -244,28 +254,66 @@ def check_window(model, index: int) -> None:
         raise IndexError(f"index {index} outside window [{lo}, {hi}]")
 
 
-def walk_pairs(model, pairs: Iterable[tuple[tuple[Kind, ...], int]], vec: dict) -> dict:
-    """Push a superposition (label -> coefficient) through a word given as
-    (parts, index) pairs, rightmost letter first, where ``parts`` lists the
-    actions the letter is made of (see :data:`_PARTS`).  Products equal to
-    zero are dropped.  This is the one walk loop; :func:`walk` and the
-    states feed it."""
+def letter_images(model, parts: tuple[Kind, ...], index: int):
+    """The lookup of one letter, label -> [(image, weight)], from the model's
+    label action: the images of the actions in ``parts`` (see :data:`_PARTS`)
+    concatenated in that order, so that every walked sum is made in the order
+    of the parts.  Nothing is computed before a label is looked up."""
     act = model.act
+    if len(parts) == 1:
+        return partial(act, parts[0], index)
+    return lambda label: [pair for part in parts for pair in act(part, index, label)]
+
+
+def letter_table(model, kind: Kind, index: int) -> dict:
+    """label -> ((image, weight), ...) of the letter at ``index`` over every
+    one of ``model.labels``, filled the first time it is asked for.  The
+    tables are kept in the model's instance dict, as its cached labels are,
+    so they die with the model.  Rows are tuples and images are the label
+    objects themselves, so a table copies no label.  A letter outside the
+    window raises IndexError and fills nothing."""
+    check_window(model, index)
+    tables = vars(model).setdefault("_letter_tables", {})
+    key = (kind, index)
+    if key not in tables:
+        images = letter_images(model, _PARTS[kind], index)
+        same = {label: label for label in model.labels}
+        tables[key] = {label: tuple([(same.get(image, image), weight)
+                                     for image, weight in images(label)])
+                       for label in model.labels}
+    return tables[key]
+
+
+def walk_steps(model, steps: Iterable[tuple[Any, int]], vec: dict) -> dict:
+    """Push a superposition (label -> coefficient) through a word given as
+    (images, index) steps, rightmost letter first, where ``images`` is the
+    letter's lookup label -> [(image, weight)]: a :func:`letter_images`
+    lookup or a :func:`letter_table` row.  Every letter is window-checked,
+    also once the vector is empty; products equal to zero are dropped.  This
+    is the one walk loop: :func:`walk_pairs`, :func:`sparse_map` and the
+    states feed it."""
     lo, hi = model.window
-    for parts, index in pairs:
+    for images, index in steps:
         if not lo <= index <= hi:
             check_window(model, index)  # raises
         if not vec:
             continue
         out: dict = {}
         for label, coeff in vec.items():
-            for kind in parts:
-                for image, weight in act(kind, index, label):
-                    c = weight * coeff
-                    if c != 0:
-                        out[image] = out.get(image, 0) + c
+            for image, weight in images(label):
+                c = weight * coeff
+                if c != 0:
+                    out[image] = out.get(image, 0) + c
         vec = out
     return vec
+
+
+def walk_pairs(model, pairs: Iterable[tuple[tuple[Kind, ...], int]], vec: dict) -> dict:
+    """:func:`walk_steps` on a word given as (parts, index) pairs, rightmost
+    letter first, where ``parts`` lists the actions the letter is made of
+    (see :data:`_PARTS`), each letter looked up through the model's action."""
+    steps = [(letter_images(model, parts, index), index) for parts, index in pairs]
+    return walk_steps(model, steps, vec)
 
 
 def letter_pairs(w: Word) -> list[tuple[tuple[Kind, ...], int]]:
@@ -281,16 +329,22 @@ def walk(model, w: Word, vec: dict) -> dict:
 
 def sparse_map(model, combination: list[tuple[complex, Word]]) -> dict:
     """Label -> image (label -> weight) of the combination sum(c * w) of
-    (c, w) pairs, walked one basis label at a time; zero weights and labels
-    with a zero image are dropped.  The empty word is the unit.  A term with
-    a zero coefficient is never walked, so its letters are not window-checked."""
+    (c, w) pairs, walked one basis label at a time through the model's
+    letter tables (:func:`letter_table`), so each letter acts on each label
+    once per model; zero weights and labels with a zero image are dropped.
+    The empty word is the unit.  A term with a zero coefficient is never
+    walked, so its letters are not window-checked."""
     check_space(model.window, model.dim)
-    walks = [(coeff, letter_pairs(w)) for coeff, w in combination if coeff != 0]
+    walks = [
+        (coeff, [(letter_table(model, l.kind, l.index).__getitem__, l.index)
+                 for l in reversed(w.letters)])
+        for coeff, w in combination if coeff != 0
+    ]
     out = {}
     for label in model.labels:
         image: dict = {}
-        for coeff, pairs in walks:
-            for target, weight in walk_pairs(model, pairs, {label: coeff}).items():
+        for coeff, steps in walks:
+            for target, weight in walk_steps(model, steps, {label: coeff}).items():
                 image[target] = image.get(target, 0) + weight
         nonzero = {target: weight for target, weight in image.items() if weight != 0}
         if nonzero:
@@ -376,15 +430,18 @@ class Term(NamedTuple):
 
 
 def _suffix_walk(term: Term, columns: list, new: list, shared: list, lengths: list,
-                 letters: list) -> list:
+                 alphabet: Sequence[tuple[Kind, int]]) -> list:
     """One term's readouts on rows sorted by their letters read from the
     right, walked as their suffix trie (see :meth:`StateFunctional.values`):
     ``columns[d][k]`` is the letter of row ``k`` at depth ``d``, counted
-    from the right.  ``images[d]`` is the image of the current path's first
-    ``d`` nodes and ``dead`` the least depth at which it is empty; a new row
-    takes one :func:`walk_pairs` letter per node below the ``shared``
-    depth."""
+    from the right, an id into ``alphabet``.  ``images[d]`` is the image of
+    the current path's first ``d`` nodes and ``dead`` the least depth at
+    which it is empty; a new row takes one :func:`walk_steps` letter per
+    node below the ``shared`` depth, looked up through the model's action
+    (:func:`letter_images`, built for the letters the walk meets), never
+    cached per label."""
     model = term.model
+    steps: list = [None] * len(alphabet)
     zero = term.read({})
     width = len(columns)
     images = [{term.label: 1.0}] * (width + 1)
@@ -397,7 +454,12 @@ def _suffix_walk(term: Term, columns: list, new: list, shared: list, lengths: li
                 dead = width + 1
                 vec = images[depth]
                 while depth < length:
-                    vec = walk_pairs(model, (letters[columns[depth][k]],), vec)
+                    letter = columns[depth][k]
+                    step = steps[letter]
+                    if step is None:
+                        kind, index = alphabet[letter]
+                        step = steps[letter] = (letter_images(model, _PARTS[kind], index), index)
+                    vec = walk_steps(model, (step,), vec)
                     depth += 1
                     images[depth] = vec
                     if not vec:
@@ -434,13 +496,12 @@ class StateFunctional:
         (``np.lexsort``), which lists the words' suffix trie depth-first:
         each row is a path from the root, and shares its first ``shared``
         nodes with the row before.  Each term walks the trie once, one
-        :func:`walk_pairs` letter per node, with one image per depth on its
-        stack.  A
-        node whose image is empty is not descended: every row under it reads
-        the term's zero readout ``weight * (0 / norm)``.  A run of equal rows
-        reads each term's dual once (:meth:`Term.read`).  Terms are summed
-        in order, so every float is the one a walk of each row on its own
-        gives."""
+        :func:`walk_steps` letter per node, with one image per depth on its
+        stack.  A node whose image is empty is not descended: every row
+        under it reads the term's zero readout ``weight * (0 / norm)``.  A
+        run of equal rows reads each term's dual once (:meth:`Term.read`).
+        Terms are summed in order, so every float is the one a walk of each
+        row on its own gives."""
         if len(rows) == 0:
             return []
         rows = np.asarray(rows, np.int64)
@@ -460,8 +521,7 @@ class StateFunctional:
         shared = differ.argmax(axis=1)
         new = (shared < width) | (np.arange(n) == 0)
         args = (ordered[:, ::-1].T.tolist(), new.tolist(), shared.tolist(),
-                (ordered >= 0).sum(axis=1).tolist(),
-                [(_PARTS[kind], index) for kind, index in alphabet])
+                (ordered >= 0).sum(axis=1).tolist(), alphabet)
         reads = [_suffix_walk(term, *args) for term in self.terms]
         out = [0j] * n
         for k, values in zip(order.tolist(), zip(*reads)):

@@ -49,6 +49,7 @@ from .operators import (
 from .qfock import QBasis, q_inner_recursive, q_pairings, words_over
 from .reports import Deviations, SuiteReport
 from .symmetry import (
+    check_symmetries,
     check_symmetry,
     permutation_family,
     shift_family,
@@ -446,11 +447,10 @@ def monotone_simplex(plan, seed: int) -> tuple[Deviations, dict]:
     words, vacuum, infinity, one_particle, tol = plan
     family = _spreading(seed)
     found = Deviations(tol)
-    per_weight = {}
-    for x in (0.0, 0.25, 0.5, 1.0):
-        check = check_symmetry(mixture(infinity, vacuum, x), words, family, tol=tol)
-        per_weight[f"x={x}"] = found.merge(check)
-    counter = check_symmetry(one_particle, words, family, tol=tol)
+    weights = (0.0, 0.25, 0.5, 1.0)
+    states = [mixture(infinity, vacuum, x) for x in weights] + [one_particle]
+    *mixtures, (counter,) = check_symmetries(states, words, [family], tol=tol)
+    per_weight = {f"x={x}": found.merge(check) for x, (check,) in zip(weights, mixtures)}
     counter_ok = found.merge_counterexample(counter, keep=3)
     found.require(counter_ok)
     return found, {
@@ -589,9 +589,10 @@ def qdeformed_vacuum(plan, seed: int) -> tuple[Deviations, dict]:
     verdicts = {}
     families = _families(-2, 2, seed)
     for words in (ladder, positions):
-        for family in families:
+        (checks,) = check_symmetries([vacuum], words, families, tol=tol)
+        for family, check in zip(families, checks):
             key = f"{family.name}/{'positions' if words is positions else 'ladder'}"
-            verdicts[key] = found.merge(check_symmetry(vacuum, words, family, tol=tol))
+            verdicts[key] = found.merge(check)
     counter = check_symmetry(
         one_particle, [word(creator(1), annihilator(1))], shift_family(), tol=tol
     )
@@ -718,10 +719,10 @@ def boolean_simplex(plan, seed: int) -> tuple[Deviations, dict]:
     hull = bool_model.BooleanSpace((min(lo, *ends), max(hi, *ends)))
     found = Deviations(tol)
     verdicts = {}
-    for lam in (0.0, 0.3, 1.0):
-        state = mixture(hull.infinity_state(), hull.sharp_state(), lam)
-        for family in families:
-            check = check_symmetry(state, words, family, tol=found.tol)
+    weights = (0.0, 0.3, 1.0)
+    states = [mixture(hull.infinity_state(), hull.sharp_state(), lam) for lam in weights]
+    for lam, checks in zip(weights, check_symmetries(states, words, families, tol=found.tol)):
+        for family, check in zip(families, checks):
             verdicts[f"{family.name}/x={lam}"] = found.merge(check)
     moved_unit = bool_model.alpha(theta(0), base.matrix_unit(0, 0))
     witness_ok = moved_unit.allclose(moved_unit.home.matrix_unit(1, 1))
@@ -739,7 +740,7 @@ def boolean_simplex(plan, seed: int) -> tuple[Deviations, dict]:
     )
     counter_ok = found.merge_counterexample(counter, keep=1)
     found.require(witness_ok and counter_ok and counter_dev == 1.0)
-    return found, {"weights": [0.0, 0.3, 1.0], "verdicts": verdicts, "word_count": len(words)}
+    return found, {"weights": list(weights), "verdicts": verdicts, "word_count": len(words)}
 
 
 # ---------------------------------------------------------------------------

@@ -3,15 +3,17 @@
 A symmetry family is a finite sampled set of index maps (shifts, finite
 permutations, or increasing maps).  ``check_symmetry`` compares a state on
 each word against the state on each relabeled word; relabelings that escape
-the state's index window are skipped and counted, never fatal.  Sampling is
-deterministic from the seed a family is built with.
+the state's index window are skipped and counted, never fatal.
+``check_symmetries`` does the same for several states under several
+families in one pass over the words.  Sampling is deterministic from the
+seed a family is built with.
 """
 
 from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -89,24 +91,27 @@ def _codes(digits: np.ndarray, base: int) -> np.ndarray:
     return code
 
 
-# Input words per batch of a check: whole kind groups are stacked until the
-# next one would pass this many, so only a kind group larger than this makes
-# a larger batch.  Each batch has its own table of word codes and values.
+# Input words per batch of a check of one state: whole kind groups are
+# stacked until the next one would pass this many, so only a kind group larger
+# than this makes a larger batch.  Each batch has its own table of word codes
+# and, per state, of values; with k states on one window a batch takes about
+# BATCH // k input words, so that it holds about as many values as one
+# state's batch.  The images a batch lacks are read about this many
+# relabeled rows at a time.
 BATCH = 2048
 
 # A map's letter table entry for an image outside the state window.
 _OUTSIDE = -2
 
 
-def _batches(groups: Iterable[tuple[tuple, tuple]]) -> Iterator[list]:
-    """Kind groups, as (kinds, (positions, rows)) pairs, stacked in order
-    into batches of at most :data:`BATCH` input words, or of one larger
-    group."""
+def _batches(groups: list[tuple], cap: int) -> Iterator[list]:
+    """Kind groups, as (kinds, positions, rows) triples, stacked in order
+    into batches of at most ``cap`` input words, or of one larger group."""
     batch: list = []
     size = 0
     for group in groups:
-        count = len(group[1][0])
-        if batch and size + count > BATCH:
+        count = len(group[1])
+        if batch and size + count > cap:
             yield batch
             batch, size = [], 0
         batch.append(group)
@@ -129,101 +134,165 @@ def check_symmetry(
     first 10 cases beyond ``tol``, in (word, map) order, are kept as
     witnesses.
 
-    ``words`` is read once.  Each letter of an admitted word becomes an id
-    into the check's alphabet of (kind, index) letters, and each word a row
-    of ids, right-aligned and padded on the left with -1.  A map acts on the
-    alphabet once, as a table from each input letter to its image's id, so
-    relabeling a row is one array lookup.  Maps keep kinds, so the words of
-    one kind pattern (a kind group) go only to words of that pattern: whole
-    kind groups are stacked into batches of about :data:`BATCH` input words,
-    and one batch never needs another's values.  In a batch every row, input
-    or image, has an exact integer code (int64 while it fits, Python ints
-    past that), so one code is one word: values are looked up by code in the
-    batch's sorted table, never by a word's pattern, and each distinct word,
-    in the list or not, is evaluated once per check.  The rows a table lacks
-    are evaluated in one :meth:`StateFunctional.values` call per map, which
-    walks them as a suffix trie; no ``Word`` is built but a witness's.
+    This is the one-pair form of :func:`check_symmetries`, which does the
+    work: ``words`` is read once, and each distinct word, in the list or
+    not, is evaluated once per check.
     """
-    lo, hi = state.window
-    maps = family.maps
-    found = Deviations(tol, 10)
+    return check_symmetries([state], words, [family], tol)[0][0]
+
+
+def check_symmetries(
+    states: Sequence[StateFunctional],
+    words: Iterable[Word],
+    families: Sequence[SymmetryFamily],
+    tol: float = 1e-10,
+) -> list[list[Deviations]]:
+    """:func:`check_symmetry` of every state under every family in one pass:
+    row ``s``, column ``f`` is the check of ``states[s]`` under
+    ``families[f]``, equal case for case to the separate call.
+
+    ``words`` is read once, whatever the windows.  Each letter becomes an
+    id into the pass's alphabet of (kind, index) letters, and each word a
+    row of ids, right-aligned and padded on the left with -1.  States that
+    share a window share the rest of the work but their values: which words
+    the window admits, and, for every map of every family, its relabeling,
+    taken on the alphabet once as a table from each input letter to its
+    image's id (so relabeling a row is one array lookup).  Maps keep kinds,
+    so the words of one kind pattern (a kind group) go only to words of that
+    pattern: whole kind groups are stacked into batches of about
+    :data:`BATCH` input words, divided by the number of states on the
+    window, and one batch never needs another's values.  In a batch every
+    row, input or image, has an exact integer code (int64 while it fits,
+    Python ints past that), so one code is one word: values are looked up
+    by code in the batch's sorted table of known codes, never by a word's
+    pattern, and each state evaluates each distinct word, in the list or
+    not, once per pass, whichever family's map reached it first.  Each
+    state's values come from :meth:`StateFunctional.values`, which walks its
+    rows as a suffix trie: one call on a batch's words, then one on the
+    images the table lacks per about :data:`BATCH` relabeled rows.  No
+    ``Word`` is built but a witness's.
+    """
+    found = [[Deviations(tol, 10) for _ in families] for _ in states]
     ids: dict[tuple, int] = {}  # (kind, index) -> the letter's id
     # kinds -> the group's input positions and its rows, flat (4 bytes an id)
     groups: dict[tuple, tuple[array, array]] = {}
     for pos, w in enumerate(words):
         letters = w.letters
-        if all(lo <= l.index <= hi for l in letters):
-            kinds = tuple(l.kind for l in letters)
-            if kinds not in groups:
-                groups[kinds] = (array("q"), array("i"))
-            positions, rows = groups[kinds]
-            positions.append(pos)
-            rows.extend([ids.setdefault((l.kind, l.index), len(ids)) for l in letters])
-        else:
-            found.skipped += len(maps)
+        kinds = tuple(l.kind for l in letters)
+        if kinds not in groups:
+            groups[kinds] = (array("q"), array("i"))
+        positions, rows = groups[kinds]
+        positions.append(pos)
+        rows.extend([ids.setdefault((l.kind, l.index), len(ids)) for l in letters])
     inputs = list(ids)
-    indices = {i for _, i in inputs}
-    tables = []  # per map: each input letter's image id, then -1 for the padding
-    for g in maps:
-        image = {i: int(g(i)) for i in indices}
-        tables.append(np.array([
-            ids.setdefault((kind, image[i]), len(ids)) if lo <= image[i] <= hi else _OUTSIDE
-            for kind, i in inputs
-        ] + [-1], np.int64))
+    windows: dict[tuple[int, int], list[int]] = {}
+    for s, state in enumerate(states):
+        windows.setdefault(tuple(state.window), []).append(s)
+    plans = []  # per window: its states, admitted kind groups and map tables
+    for (lo, hi), members in windows.items():
+        inside = np.array([lo <= i <= hi for _, i in inputs], bool)
+        admitted = []
+        for kinds, (where, flat) in groups.items():
+            rows = np.frombuffer(flat, np.intc).reshape(len(where), len(kinds))
+            ok = inside[rows].all(axis=1)
+            out = len(where) - int(ok.sum())
+            for s in members:
+                for f, family in enumerate(families):
+                    found[s][f].skipped += out * len(family.maps)
+            if ok.any():
+                admitted.append((kinds, np.frombuffer(where, np.int64)[ok], rows[ok]))
+        indices = {i for (_, i), ok in zip(inputs, inside) if ok}
+        tables = []  # (family, map, each input letter's image id, then -1 for the padding)
+        for f, family in enumerate(families):
+            for m, g in enumerate(family.maps):
+                image = {i: int(g(i)) for i in indices}
+                tables.append((f, m, np.array([
+                    ids.setdefault((kind, image[i]), len(ids))
+                    if ok and lo <= image[i] <= hi else _OUTSIDE
+                    for (kind, i), ok in zip(inputs, inside)
+                ] + [-1], np.int64)))
+        plans.append((members, admitted, tables))
     alphabet = list(ids)
     base = len(alphabet) + 1  # digit 0 is the padding
-    kept = []  # the first cases beyond tol: (position, map, lhs, rhs, row)
-    for batch in _batches(groups.items()):
-        positions = np.concatenate([np.frombuffer(where, np.int64) for _, (where, _) in batch])
-        width = max(len(kinds) for kinds, _ in batch)
-        letters = np.full((len(positions), width), -1, np.int64)
-        start = 0
-        for kinds, (where, rows) in batch:
-            stop = start + len(where)
-            letters[start:stop, width - len(kinds):] = np.frombuffer(rows, np.intc).reshape(
-                len(where), len(kinds))
-            start = stop
-        codes = _codes(letters + 1, base)
-        known, first, inverse = np.unique(codes, return_index=True, return_inverse=True)
-        values = np.array(state.values(alphabet, letters[first]), complex)
-        before = values[inverse]  # the value of each row's own word
-        for m, table in enumerate(tables):
-            moved = table[letters]  # the padding stays -1
-            inside = np.flatnonzero((moved != _OUTSIDE).all(axis=1))
-            found.samples += len(inside)
-            found.skipped += len(letters) - len(inside)
-            moved = moved[inside]
-            code = _codes(moved + 1, base)
-            at = np.searchsorted(known, code)
-            miss = np.flatnonzero(known[np.minimum(at, len(known) - 1)] != code)
-            if len(miss):
-                new, seen = np.unique(code[miss], return_index=True)
-                slots = np.searchsorted(known, new)
-                known = np.insert(known, slots, new)
-                values = np.insert(values, slots, state.values(alphabet, moved[miss[seen]]))
+    # per (state, family): the first cases beyond tol, as (position, map, lhs, rhs, row)
+    kept: list[list[list]] = [[[] for _ in families] for _ in states]
+    for members, admitted, tables in plans:
+        for batch in _batches(admitted, max(1, BATCH // len(members))):
+            positions = np.concatenate([where for _, where, _ in batch])
+            width = max(len(kinds) for kinds, _, _ in batch)
+            letters = np.full((len(positions), width), -1, np.int64)
+            start = 0
+            for kinds, where, rows in batch:
+                stop = start + len(where)
+                letters[start:stop, width - len(kinds):] = rows
+                start = stop
+            codes = _codes(letters + 1, base)
+            known, first, inverse = np.unique(codes, return_index=True, return_inverse=True)
+            # One row of values per state, one column per known word.
+            values = np.array([states[s].values(alphabet, letters[first]) for s in members],
+                              complex)
+            before = values[:, inverse]  # the value of each row's own word
+            # Maps are relabeled in order and queued, with the images the table
+            # lacks, until about BATCH relabeled rows are queued (each map of a
+            # full batch, every k-th map at k states); then each state reads
+            # the lacking images in one call, and the queued maps are compared.
+            queued: list = []  # (family, map, inside rows, their codes, their slots)
+            lacking: list = []  # (codes, rows) of images the table lacks
+            pending = 0  # relabeled rows queued
+            for number, (f, m, table) in enumerate(tables):
+                moved = table[letters]  # the padding stays -1
+                inside = np.flatnonzero((moved != _OUTSIDE).all(axis=1))
+                moved = moved[inside]
+                code = _codes(moved + 1, base)
+                for s in members:
+                    found[s][f].samples += len(inside)
+                    found[s][f].skipped += len(letters) - len(inside)
                 at = np.searchsorted(known, code)
-            dev = before[inside] - values[at]
-            # Rounded as Python's complex abs rounds (np.abs may differ in the
-            # last place); NaN and inf - inf count as nonzero.
-            size = np.hypot(dev.real, dev.imag)
-            if not size.any():
-                continue
-            found.observe(abs(complex(dev[np.argmax(size)])))  # argmax finds a NaN
-            for r in np.flatnonzero(~(size <= tol))[:10]:
-                row = inside[r]
-                kept.append((int(positions[row]), m, complex(before[row]), complex(values[at[r]]),
-                             letters[row].tolist()))
-            kept.sort(key=lambda case: case[:2])
-            del kept[10:]
-    for pos, m, lhs, rhs, row in kept:
-        found.observe(
-            abs(lhs - rhs),
-            lambda size: {
-                "word": Word(tuple(Letter(*alphabet[c]) for c in row if c >= 0)).to_text(),
-                "map": describe_map(maps[m]),
-                "lhs": [lhs.real, lhs.imag],
-                "rhs": [rhs.real, rhs.imag],
-                "deviation": size,
-            },
-        )
+                miss = np.flatnonzero(known[np.minimum(at, len(known) - 1)] != code)
+                if len(miss):
+                    lacking.append((code[miss], moved[miss]))
+                queued.append((f, m, inside, code, at))
+                pending += len(inside)
+                if pending < BATCH and number < len(tables) - 1:
+                    continue
+                if lacking:
+                    new, seen = np.unique(np.concatenate([c for c, _ in lacking]),
+                                          return_index=True)
+                    rows = np.concatenate([r for _, r in lacking])[seen]
+                    slots = np.searchsorted(known, new)
+                    known = np.insert(known, slots, new)
+                    values = np.insert(values, slots, np.array(
+                        [states[s].values(alphabet, rows) for s in members], complex), axis=1)
+                    queued = [(f, m, inside, code, np.searchsorted(known, code))
+                              for f, m, inside, code, _ in queued]
+                for f, m, inside, _, at in queued:
+                    dev = before[:, inside] - values[:, at]
+                    # Rounded as Python's complex abs rounds (np.abs may differ
+                    # in the last place); NaN and inf - inf count as nonzero.
+                    sizes = np.hypot(dev.real, dev.imag)
+                    for j in np.flatnonzero(sizes.any(axis=1)):
+                        s = members[j]
+                        # argmax finds a NaN
+                        found[s][f].observe(abs(complex(dev[j, np.argmax(sizes[j])])))
+                        cases = kept[s][f]
+                        for r in np.flatnonzero(~(sizes[j] <= tol))[:10]:
+                            row = inside[r]
+                            cases.append((int(positions[row]), m, complex(before[j, row]),
+                                          complex(values[j, at[r]]), letters[row].tolist()))
+                        cases.sort(key=lambda case: case[:2])
+                        del cases[10:]
+                queued, lacking, pending = [], [], 0
+    for checks, cases_of in zip(found, kept):
+        for check, family, cases in zip(checks, families, cases_of):
+            for pos, m, lhs, rhs, row in cases:
+                check.observe(
+                    abs(lhs - rhs),
+                    lambda size: {
+                        "word": Word(tuple(Letter(*alphabet[c]) for c in row if c >= 0)).to_text(),
+                        "map": describe_map(family.maps[m]),
+                        "lhs": [lhs.real, lhs.imag],
+                        "rhs": [rhs.real, rhs.imag],
+                        "deviation": size,
+                    },
+                )
     return found

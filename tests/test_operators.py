@@ -1,7 +1,12 @@
 """Space/operator scaffolding, word evaluation, and the symmetry checker."""
 
+import ast
+import gc
 import inspect
 import json
+import tracemalloc
+import weakref
+from collections import Counter
 from fractions import Fraction
 from itertools import permutations
 from pathlib import Path
@@ -11,7 +16,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spreadlab import operators
 from spreadlab.boolean import BooleanSpace
 from spreadlab.car import FermionChain
 from spreadlab.monoid import psi, theta, tau_pow, cycle_for_interval, localize
@@ -31,7 +35,7 @@ from spreadlab.operators import (
     creator,
     evaluate_word,
     letter_matrix,
-    letter_pairs,
+    letter_table,
     metric_adjoint,
     mixture,
     position,
@@ -53,6 +57,13 @@ from spreadlab.symmetry import (
 
 # ---------------------------------------------------------------------------
 # Letters and words
+
+
+def test_kinds_hash_by_identity():
+    # Enum's own hash runs in Python on every letter coded; members are
+    # singletons, so the identity hash gives equal kinds equal hashes.
+    assert Kind.__hash__ is object.__hash__
+    assert {Kind.CREATOR: 1}[Kind("c")] == 1
 
 
 def test_letter_validation():
@@ -479,22 +490,68 @@ def test_sparse_map_of_the_unit_is_the_identity():
 
 
 def test_sparse_map_never_walks_a_zero_term(monkeypatch):
-    basis = MonotoneBasis((0, 2), 2)
     combination = [(1, word(annihilator(1), creator(1))), (-1, word())]
-    want = sparse_map(basis, combination)
-    zero = word(creator(2), annihilator(0))
-    walked = []
+    want = sparse_map(MonotoneBasis((0, 2), 2), combination)
+    zero = word(creator(2), annihilator(9))  # a(9) lies outside the window
+    act = MonotoneBasis.act
+    acted = []
 
-    def counting(model, pairs, vec):
-        walked.append(pairs)
-        return walk_pairs(model, pairs, vec)
+    def counting(model, kind, index, label):
+        acted.append((kind, index))
+        return act(model, kind, index, label)
 
-    monkeypatch.setattr(operators, "walk_pairs", counting)
+    monkeypatch.setattr(MonotoneBasis, "act", counting)
     for coeff in (0, 0.0, 0j):
-        walked.clear()
+        basis = MonotoneBasis((0, 2), 2)  # with tables of its own
+        acted.clear()
         assert sparse_map(basis, [combination[0], (coeff, zero), combination[1]]) == want
-        assert len(walked) == len(combination) * len(basis.labels)
-        assert letter_pairs(zero) not in walked
+        # Each letter of the walked term fills its table, one action per
+        # label; the zero term's letters fill none.
+        size = len(basis.labels)
+        assert Counter(acted) == {(Kind.ANNIHILATOR, 1): size, (Kind.CREATOR, 1): size}
+        assert sparse_map(basis, combination) == want
+        assert len(acted) == 2 * size  # read from the filled tables
+
+
+def test_letter_tables_die_with_their_model():
+    # The tables live on the model: nothing at module level keeps the model
+    # or its tables alive once the last reference goes.
+    letters = [word(position(k)) for k in range(8)]
+    gc.collect()
+    tracemalloc.start()
+    try:
+        chain = FermionChain((0, 7))
+        sparse_map(chain, [(1, w) for w in letters])
+        assert letter_table(chain, Kind.POSITION, 3) is letter_table(chain, Kind.POSITION, 3)
+        held = tracemalloc.get_traced_memory()[0]
+        alive = weakref.ref(chain)
+        del chain
+        gc.collect()
+        left = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert alive() is None
+    assert held > 200_000 and left < held / 20, (held, left)
+
+
+def test_only_the_letter_lookup_and_the_dense_oracle_read_the_action():
+    # One walk loop: every walk reads letters through the lookup that
+    # letter_images builds (a letter table row is filled through it), and
+    # only the dense oracle letter_matrix reads the action on its own.
+    src = Path(__file__).resolve().parent.parent / "src" / "spreadlab"
+    readers = set()
+
+    def visit(node, module, owner):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            owner = node.name
+        if isinstance(node, ast.Attribute) and node.attr == "act":
+            readers.add((module, owner))
+        for child in ast.iter_child_nodes(node):
+            visit(child, module, owner)
+
+    for path in sorted(src.glob("*.py")):
+        visit(ast.parse(path.read_text()), path.name, None)
+    assert readers == {("operators.py", "letter_images"), ("operators.py", "letter_matrix")}
 
 
 # ---------------------------------------------------------------------------
@@ -561,6 +618,64 @@ CROSS_MODELS = {
     **MODELS,
     "qdeformed-exact": lambda window, depth: QBasis(window, depth, Fraction(1, 3)),
 }
+
+
+def reference_sparse_map(model, combination):
+    """``sparse_map`` as a plain walk: every nonzero term walked from every
+    label through the model's action."""
+    out = {}
+    for label in model.labels:
+        image = {}
+        for coeff, w in combination:
+            if coeff != 0:
+                for target, weight in reference_walk(model, w, {label: coeff}).items():
+                    image[target] = image.get(target, 0) + weight
+        nonzero = {target: weight for target, weight in image.items() if weight != 0}
+        if nonzero:
+            out[label] = nonzero
+    return out
+
+
+def exact_map(label_map):
+    """Every entry of a label map, in order, with each weight's type."""
+    return [(label, [(t, type(x), x) for t, x in image.items()])
+            for label, image in label_map.items()]
+
+
+@given(
+    name=st.sampled_from(sorted(CROSS_MODELS)),
+    lo=st.integers(-2, 1),
+    width=st.integers(1, 3),
+    depth=st.integers(1, 3),
+    data=st.data(),
+)
+@settings(max_examples=150, deadline=None)
+def test_letter_tables_match_the_plain_walk(name, lo, width, depth, data):
+    model = CROSS_MODELS[name]((lo, lo + width - 1), depth)
+    first, last = model.window
+    stray = data.draw(st.integers(0, 4)) == 0  # then some letters leave the window
+    index = st.integers(first - 1, last + 1) if stray else st.integers(first, last)
+    kinds = st.sampled_from([Kind.CREATOR, Kind.ANNIHILATOR, Kind.POSITION])
+    words = st.lists(st.builds(Letter, kinds, index), max_size=4).map(lambda ls: Word(tuple(ls)))
+    coeffs = st.sampled_from([0, 0.0, 0j]) | st.integers(-3, 3) | st.floats(-2.0, 2.0)
+    combination = data.draw(st.lists(st.tuples(coeffs, words), max_size=4))
+    expected = outcome(reference_sparse_map, model, combination)
+    for _ in range(2):  # the second call reads the tables the first filled
+        got = outcome(sparse_map, model, combination)
+        if isinstance(expected, dict):
+            assert exact_map(got) == exact_map(expected)
+        else:
+            assert got is expected is IndexError
+
+
+@pytest.mark.parametrize("name", sorted(CROSS_MODELS))
+def test_letter_tables_check_a_letter_after_the_vector_dies(name):
+    model = CROSS_MODELS[name]((0, 2), 2)
+    killer = [creator(0)] * 3  # past every depth cap and every exclusion
+    assert all(reference_walk(model, word(*killer), {t: 1}) == {} for t in model.labels)
+    for coeff in (1, 0.5):
+        with pytest.raises(IndexError, match=r"index 3 outside window \[0, 2\]"):
+            sparse_map(model, [(coeff, word(creator(3), *killer))])
 
 
 def states_and_references(model, data):

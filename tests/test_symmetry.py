@@ -41,6 +41,7 @@ from spreadlab import symmetry
 from spreadlab.reports import Deviations
 from spreadlab.symmetry import (
     SymmetryFamily,
+    check_symmetries,
     check_symmetry,
     describe_map,
     shift_family,
@@ -155,6 +156,78 @@ def test_table_driven_harness_matches_reference_loop(case):
     slow = reference_check_symmetry(table_state(window, table, slow_calls), words, family, tol)
     assert_same_check(fast, slow)
     assert_same_words(fast_calls, slow_calls)
+
+
+@st.composite
+def suite_cases(draw):
+    """Several states, on windows that differ or coincide, each with its own
+    value table, under several families of mixed maps."""
+    lo = draw(st.integers(-3, 0))
+    hi = lo + draw(st.integers(1, 4))
+    ends = st.tuples(st.integers(lo - 1, lo + 1), st.integers(hi - 1, hi + 1))
+    windows = draw(st.lists(ends.filter(lambda w: w[0] <= w[1]), min_size=1, max_size=4))
+    words = draw(st.lists(st.lists(letters(lo, hi), max_size=4), min_size=1, max_size=8))
+    words = [Word(tuple(w)) for w in words]
+    words += draw(st.lists(st.sampled_from(words), max_size=3))  # duplicates
+    words = draw(st.permutations(words))
+    maps = st.lists(index_maps(lo, hi), min_size=1, max_size=4)
+    families = [SymmetryFamily(f"f{k}", tuple(draw(maps))) for k in range(draw(st.integers(1, 3)))]
+    tol = draw(st.sampled_from([1e-12, 0.25]))
+    value = st.one_of(st.sampled_from([0.0, tol, 2 * tol, math.nan, 1.0]), st.floats(-1.0, 1.0))
+    texts = sorted({relabel(w, g).to_text() for w in words for f in families for g in f.maps}
+                   | {w.to_text() for w in words})
+    values = st.lists(value, min_size=len(texts), max_size=len(texts))
+    tables = [dict(zip(texts, draw(values))) for _ in windows]
+    return windows, words, families, tables, tol
+
+
+@given(case=suite_cases(), streamed=st.booleans())
+@settings(max_examples=150, deadline=None)
+def test_one_pass_matches_the_reference_loop_for_every_state_and_family(case, streamed):
+    windows, words, families, tables, tol = case
+    calls = [[] for _ in windows]
+    states = [table_state(w, table, c) for w, table, c in zip(windows, tables, calls)]
+    checks = check_symmetries(states, (w for w in words) if streamed else words, families, tol)
+    assert [len(row) for row in checks] == [len(families)] * len(states)
+    for s, (window, table) in enumerate(zip(windows, tables)):
+        evaluated = []
+        for f, family in enumerate(families):
+            slow_calls = []
+            slow_state = table_state(window, table, slow_calls)
+            slow = reference_check_symmetry(slow_state, words, family, tol)
+            assert_same_check(checks[s][f], slow)
+            evaluated += slow_calls
+        # Each state reads each distinct word once in the pass, whichever
+        # family's map reached it first.
+        assert_same_words(calls[s], evaluated)
+
+
+def test_a_pass_over_several_states_holds_about_one_states_memory(monkeypatch):
+    # Each state keeps one value per known word of a batch, so a pass over
+    # k states on one window takes batches of about BATCH // k input words:
+    # with the full BATCH, four states peak about half as high again.
+    monkeypatch.setattr(symmetry, "BATCH", 256)
+    ladder = list(words_over([-2, -1, 0, 1, 2], 3, (Kind.CREATOR, Kind.ANNIHILATOR)))
+    family = spreading_family(-1, 1, 2)
+
+    def read(k):
+        return lambda w: sum((i + k) * 17**j for j, i in enumerate(w.indices()))
+
+    def peak(states):
+        tracemalloc.start()
+        try:
+            checks = check_symmetries(states, ladder, [family], tol=1e-12)
+            return checks, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    states = [FakeState((-8, 8), read(k)) for k in range(4)]
+    peak(states[:1])  # first-use allocations stay out of the comparison
+    one, one_peak = peak(states[:1])
+    four, four_peak = peak(states)
+    assert four[0][0].samples == one[0][0].samples == 1_111 * len(family.maps)
+    assert json.dumps(four[0][0].witnesses) == json.dumps(one[0][0].witnesses)
+    assert four_peak <= 1.25 * one_peak, (one_peak, four_peak)
 
 
 BIG = 10**15
