@@ -15,13 +15,13 @@ a model with vector states also tests label membership in closed form
 Everything else is derived here once: the window check, position letters
 (creator images, then annihilator images), the one dict walk loop
 :func:`walk_steps`, dense letter matrices (oracles) and the vector states.
-The walk reads each letter through one lookup, label -> images, which
-:func:`letter_images` builds from ``act``; only the dense oracle
-:func:`letter_matrix` reads ``act`` otherwise.  The label maps of
-:func:`sparse_map` (the route by which suites apply words) look letters up
-in per-model tables (:func:`letter_table`), each filled over the labels the
-first time its letter is used; :func:`walk_pairs`, its ``Word`` adapter
-:func:`walk` and the vector states look them up through ``act``.  The
+Every walk reads a letter through one lookup, a table label -> images
+(:func:`letter_table`) that starts empty: :func:`walk_steps` fills a row
+from ``act`` the first time it reads it, so each letter acts on each label
+at most once per table, and only on the labels a walk reaches.
+:func:`sparse_map` and :func:`walk` use tables owned by the model; the
+suffix-trie walk of a state uses tables that live for one term's walk.
+Only the dense oracle :func:`letter_matrix` reads ``act`` otherwise.  The
 states are data: a model, a window and weighted basis labels, read on many
 words at once by a walk of their suffix trie.  Labels and dense matrices
 are built only when the model's ``dim`` is within :data:`MAX_DENSE_DIM`.
@@ -32,7 +32,6 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from enum import Enum
-from functools import partial
 from typing import Any, Hashable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -254,53 +253,45 @@ def check_window(model, index: int) -> None:
         raise IndexError(f"index {index} outside window [{lo}, {hi}]")
 
 
-def letter_images(model, parts: tuple[Kind, ...], index: int):
-    """The lookup of one letter, label -> [(image, weight)], from the model's
-    label action: the images of the actions in ``parts`` (see :data:`_PARTS`)
-    concatenated in that order, so that every walked sum is made in the order
-    of the parts.  Nothing is computed before a label is looked up."""
-    act = model.act
-    if len(parts) == 1:
-        return partial(act, parts[0], index)
-    return lambda label: [pair for part in parts for pair in act(part, index, label)]
-
-
-def letter_table(model, kind: Kind, index: int) -> dict:
-    """label -> ((image, weight), ...) of the letter at ``index`` over every
-    one of ``model.labels``, filled the first time it is asked for.  The
-    tables are kept in the model's instance dict, as its cached labels are,
-    so they die with the model.  Rows are tuples and images are the label
-    objects themselves, so a table copies no label.  A letter outside the
-    window raises IndexError and fills nothing."""
+def letter_table(model, kind: Kind, index: int, tables: dict | None = None) -> dict:
+    """The table label -> ((image, weight), ...) of the letter at ``index``,
+    once it is window-checked: in ``tables``, or else in the model's instance
+    dict, as its cached labels are, so that it dies with the model."""
     check_window(model, index)
-    tables = vars(model).setdefault("_letter_tables", {})
-    key = (kind, index)
-    if key not in tables:
-        images = letter_images(model, _PARTS[kind], index)
-        same = {label: label for label in model.labels}
-        tables[key] = {label: tuple([(same.get(image, image), weight)
-                                     for image, weight in images(label)])
-                       for label in model.labels}
-    return tables[key]
+    if tables is None:
+        tables = vars(model).setdefault("_letter_tables", {})
+    return tables.setdefault((kind, index), {})
 
 
-def walk_steps(model, steps: Iterable[tuple[Any, int]], vec: dict) -> dict:
+def letter_steps(model, letters: Iterable[tuple[Kind, int]], tables: dict | None = None) -> list:
+    """The :func:`walk_steps` steps (table, parts, index) of (kind, index)
+    letters, each window-checked before any is walked; ``parts`` lists the
+    letter's actions (see :data:`_PARTS`), the tables are :func:`letter_table`'s."""
+    return [(letter_table(model, kind, index, tables), _PARTS[kind], index)
+            for kind, index in letters]
+
+
+def walk_steps(model, steps: Iterable[tuple[dict, tuple[Kind, ...], int]], vec: dict) -> dict:
     """Push a superposition (label -> coefficient) through a word given as
-    (images, index) steps, rightmost letter first, where ``images`` is the
-    letter's lookup label -> [(image, weight)]: a :func:`letter_images`
-    lookup or a :func:`letter_table` row.  Every letter is window-checked,
-    also once the vector is empty; products equal to zero are dropped.  This
-    is the one walk loop: :func:`walk_pairs`, :func:`sparse_map` and the
-    states feed it."""
-    lo, hi = model.window
-    for images, index in steps:
-        if not lo <= index <= hi:
-            check_window(model, index)  # raises
+    :func:`letter_steps` steps, rightmost letter first; products equal to
+    zero are dropped.  A label's row of a letter's table is filled from the
+    model's action the first time it is read: the images of the letter's
+    parts, concatenated in their order, so every walked sum is made in the
+    order of the parts.  The one walk loop, and the one reader of ``act``
+    besides the dense oracle :func:`letter_matrix`."""
+    act = model.act
+    for table, parts, index in steps:
         if not vec:
-            continue
+            break
         out: dict = {}
         for label, coeff in vec.items():
-            for image, weight in images(label):
+            row = table.get(label)
+            if row is None:
+                row = act(parts[0], index, label)
+                for part in parts[1:]:
+                    row = row + act(part, index, label)
+                row = table[label] = tuple(row)
+            for image, weight in row:
                 c = weight * coeff
                 if c != 0:
                     out[image] = out.get(image, 0) + c
@@ -308,38 +299,23 @@ def walk_steps(model, steps: Iterable[tuple[Any, int]], vec: dict) -> dict:
     return vec
 
 
-def walk_pairs(model, pairs: Iterable[tuple[tuple[Kind, ...], int]], vec: dict) -> dict:
-    """:func:`walk_steps` on a word given as (parts, index) pairs, rightmost
-    letter first, where ``parts`` lists the actions the letter is made of
-    (see :data:`_PARTS`), each letter looked up through the model's action."""
-    steps = [(letter_images(model, parts, index), index) for parts, index in pairs]
-    return walk_steps(model, steps, vec)
-
-
-def letter_pairs(w: Word) -> list[tuple[tuple[Kind, ...], int]]:
-    """The (parts, index) pairs of a word's letters, rightmost first."""
-    return [(_PARTS[l.kind], l.index) for l in reversed(w.letters)]
-
-
 def walk(model, w: Word, vec: dict) -> dict:
     """Push a superposition (label -> coefficient) through a word, rightmost
-    letter first."""
-    return walk_pairs(model, letter_pairs(w), vec)
+    letter first, through the model's letter tables."""
+    steps = letter_steps(model, [(l.kind, l.index) for l in reversed(w.letters)])
+    return walk_steps(model, steps, vec)
 
 
 def sparse_map(model, combination: list[tuple[complex, Word]]) -> dict:
     """Label -> image (label -> weight) of the combination sum(c * w) of
     (c, w) pairs, walked one basis label at a time through the model's
-    letter tables (:func:`letter_table`), so each letter acts on each label
-    once per model; zero weights and labels with a zero image are dropped.
-    The empty word is the unit.  A term with a zero coefficient is never
-    walked, so its letters are not window-checked."""
+    letter tables, so each letter acts on each label at most once, for the
+    labels a walk reaches; zero weights and labels with a zero image are
+    dropped.  The empty word is the unit.  A term with a zero coefficient is
+    never walked, so its letters are not window-checked."""
     check_space(model.window, model.dim)
-    walks = [
-        (coeff, [(letter_table(model, l.kind, l.index).__getitem__, l.index)
-                 for l in reversed(w.letters)])
-        for coeff, w in combination if coeff != 0
-    ]
+    walks = [(coeff, letter_steps(model, [(l.kind, l.index) for l in reversed(w.letters)]))
+             for coeff, w in combination if coeff != 0]
     out = {}
     for label in model.labels:
         image: dict = {}
@@ -437,10 +413,10 @@ def _suffix_walk(term: Term, columns: list, new: list, shared: list, lengths: li
     from the right, an id into ``alphabet``.  ``images[d]`` is the image of
     the current path's first ``d`` nodes and ``dead`` the least depth at
     which it is empty; a new row takes one :func:`walk_steps` letter per
-    node below the ``shared`` depth, looked up through the model's action
-    (:func:`letter_images`, built for the letters the walk meets), never
-    cached per label."""
+    node below the ``shared`` depth.  Its letter tables are made for the
+    letters the walk meets and live for this walk only, not on the model."""
     model = term.model
+    tables: dict = {}
     steps: list = [None] * len(alphabet)
     zero = term.read({})
     width = len(columns)
@@ -457,8 +433,7 @@ def _suffix_walk(term: Term, columns: list, new: list, shared: list, lengths: li
                     letter = columns[depth][k]
                     step = steps[letter]
                     if step is None:
-                        kind, index = alphabet[letter]
-                        step = steps[letter] = (letter_images(model, _PARTS[kind], index), index)
+                        step = steps[letter] = letter_steps(model, (alphabet[letter],), tables)[0]
                     vec = walk_steps(model, (step,), vec)
                     depth += 1
                     images[depth] = vec

@@ -674,13 +674,12 @@ def boolean_morphism(plan, seed: int) -> tuple[Deviations, dict]:
         fxy = bool_model.alpha(f, x * y)
         fxs = bool_model.alpha(f, x.adjoint())
         unital = bool_model.alpha(f, base.identity())
+        # Part by part: the total matrices cannot tell the unit (0, 1) from
+        # the compact identity (I, 0).  The differences die with the call.
         found.add(
-            (
-                lhs.total_matrix() - rhs.total_matrix(),
-                fxy.total_matrix() - (fx * fy).total_matrix(),
-                fxs.total_matrix() - fx.adjoint().total_matrix(),
-                unital.total_matrix() - unital.home.identity().total_matrix(),
-            ),
+            tuple(part for d in (lhs - rhs, fxy - fx * fy, fxs - fx.adjoint(),
+                                 unital - unital.home.identity())
+                  for part in (d.compact, d.scalar)),
             lambda dev: {"f": f.to_text(), "g": g.to_text(), "deviation": dev},
         )
     return found, {}

@@ -411,6 +411,21 @@ def test_simplex_suite_catches_a_site_dependent_annihilator(monkeypatch):
     assert not report.details["verdicts"]["shift/x=1.0"]
 
 
+def test_morphism_suite_tells_the_unit_from_the_compact_identity(monkeypatch):
+    # The unit (0, 1) and the compact identity (I, 0) have one total matrix:
+    # an action that sends a scalar-only element to the compact identity on
+    # the output window must fail the suite.
+    def mutant(f, x):
+        out = alpha(f, x)
+        if x.compact.any():
+            return out
+        return out.home.element(out.scalar * np.eye(out.home.dim), 0)
+
+    monkeypatch.setattr("spreadlab.boolean.alpha", mutant)
+    report = run_suites(RunConfig(model="boolean", suites=("morphism",), seed=SEED))[0]
+    assert not report.passed and report.max_deviation == 1.0
+
+
 def test_word_states_conjugate_symmetric(bs, rng):
     from spreadlab.operators import Word, Letter, Kind
 

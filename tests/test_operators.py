@@ -6,7 +6,6 @@ import inspect
 import json
 import tracemalloc
 import weakref
-from collections import Counter
 from fractions import Fraction
 from itertools import permutations
 from pathlib import Path
@@ -42,7 +41,6 @@ from spreadlab.operators import (
     relabel,
     sparse_map,
     walk,
-    walk_pairs,
     word,
 )
 from spreadlab.qfock import QBasis, q_inner
@@ -53,6 +51,8 @@ from spreadlab.symmetry import (
     shift_family,
     spreading_family,
 )
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "spreadlab"
 
 
 # ---------------------------------------------------------------------------
@@ -439,8 +439,7 @@ def test_budget_count_stops_reading_once_past_the_budget():
 
 
 def test_only_check_budget_words_the_budget_error():
-    src = Path(__file__).resolve().parent.parent / "src" / "spreadlab"
-    counts = {path.name: path.read_text().count("above the budget of") for path in src.glob("*.py")}
+    counts = {path.name: path.read_text().count("above the budget of") for path in SRC.glob("*.py")}
     assert {name: n for name, n in counts.items() if n} == {"operators.py": 1}
     assert "above the budget of" in inspect.getsource(check_budget)
 
@@ -497,7 +496,7 @@ def test_sparse_map_never_walks_a_zero_term(monkeypatch):
     acted = []
 
     def counting(model, kind, index, label):
-        acted.append((kind, index))
+        acted.append((kind, index, label))
         return act(model, kind, index, label)
 
     monkeypatch.setattr(MonotoneBasis, "act", counting)
@@ -505,12 +504,16 @@ def test_sparse_map_never_walks_a_zero_term(monkeypatch):
         basis = MonotoneBasis((0, 2), 2)  # with tables of its own
         acted.clear()
         assert sparse_map(basis, [combination[0], (coeff, zero), combination[1]]) == want
-        # Each letter of the walked term fills its table, one action per
-        # label; the zero term's letters fill none.
-        size = len(basis.labels)
-        assert Counter(acted) == {(Kind.ANNIHILATOR, 1): size, (Kind.CREATOR, 1): size}
+        # Each (letter, label) acts at most once; the rightmost letter c(1)
+        # acts on every label, a(1) only on the labels c(1) reaches, and the
+        # zero term's letters act on none.
+        assert len(set(acted)) == len(acted)
+        assert {(k, i) for k, i, _ in acted} <= {(Kind.CREATOR, 1), (Kind.ANNIHILATOR, 1)}
+        assert {t for k, _, t in acted if k is Kind.CREATOR} == set(basis.labels)
+        assert {t for k, _, t in acted if k is Kind.ANNIHILATOR} < set(basis.labels)
+        acted.clear()
         assert sparse_map(basis, combination) == want
-        assert len(acted) == 2 * size  # read from the filled tables
+        assert acted == []  # read from the filled rows
 
 
 def test_letter_tables_die_with_their_model():
@@ -535,10 +538,9 @@ def test_letter_tables_die_with_their_model():
 
 
 def test_only_the_letter_lookup_and_the_dense_oracle_read_the_action():
-    # One walk loop: every walk reads letters through the lookup that
-    # letter_images builds (a letter table row is filled through it), and
-    # only the dense oracle letter_matrix reads the action on its own.
-    src = Path(__file__).resolve().parent.parent / "src" / "spreadlab"
+    # One walk loop: every walk reads letters through tables whose rows
+    # walk_steps fills from the action, and only the dense oracle
+    # letter_matrix reads the action on its own.
     readers = set()
 
     def visit(node, module, owner):
@@ -549,9 +551,28 @@ def test_only_the_letter_lookup_and_the_dense_oracle_read_the_action():
         for child in ast.iter_child_nodes(node):
             visit(child, module, owner)
 
-    for path in sorted(src.glob("*.py")):
+    for path in sorted(SRC.glob("*.py")):
         visit(ast.parse(path.read_text()), path.name, None)
-    assert readers == {("operators.py", "letter_images"), ("operators.py", "letter_matrix")}
+    assert readers == {("operators.py", "walk_steps"), ("operators.py", "letter_matrix")}
+
+
+def test_every_imported_name_is_used():
+    # A name a module imports and never reads is a leftover of a refactor.
+    unused = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        read |= {node.value.id for node in ast.walk(tree)
+                 if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    name = (alias.asname or alias.name).split(".")[0]
+                    if name not in read:
+                        unused.append((path.name, name))
+    assert unused == []
 
 
 # ---------------------------------------------------------------------------
@@ -636,10 +657,14 @@ def reference_sparse_map(model, combination):
     return out
 
 
+def typed(pairs):
+    """(image, weight) pairs, in order, with each weight's type."""
+    return [(t, type(x), x) for t, x in pairs]
+
+
 def exact_map(label_map):
     """Every entry of a label map, in order, with each weight's type."""
-    return [(label, [(t, type(x), x) for t, x in image.items()])
-            for label, image in label_map.items()]
+    return [(label, typed(image.items())) for label, image in label_map.items()]
 
 
 @given(
@@ -676,6 +701,53 @@ def test_letter_tables_check_a_letter_after_the_vector_dies(name):
     for coeff in (1, 0.5):
         with pytest.raises(IndexError, match=r"index 3 outside window \[0, 2\]"):
             sparse_map(model, [(coeff, word(creator(3), *killer))])
+
+
+def filled_rows(model):
+    """The model's letter tables, without the ones no walk has filled yet."""
+    return {key: dict(table) for key, table in vars(model).get("_letter_tables", {}).items() if table}
+
+
+@given(
+    name=st.sampled_from(sorted(CROSS_MODELS)),
+    lo=st.integers(-2, 1),
+    width=st.integers(1, 3),
+    depth=st.integers(1, 3),
+    data=st.data(),
+)
+@settings(max_examples=150, deadline=None)
+def test_walk_and_sparse_map_share_the_model_tables(name, lo, width, depth, data):
+    # One model, walk and sparse_map called in a drawn order: rows one route
+    # fills are read by the other, and every call equals its plain walk.
+    model = CROSS_MODELS[name]((lo, lo + width - 1), depth)
+    first, last = model.window
+    stray = data.draw(st.integers(0, 4)) == 0  # then some letters leave the window
+    index = st.integers(first - 1, last + 1) if stray else st.integers(first, last)
+    kinds = st.sampled_from([Kind.CREATOR, Kind.ANNIHILATOR, Kind.POSITION])
+    words = st.lists(st.builds(Letter, kinds, index), max_size=4).map(lambda ls: Word(tuple(ls)))
+    coeffs = st.sampled_from([0, 0.0, 0j]) | st.integers(-3, 3) | st.floats(-2.0, 2.0)
+    starts = st.dictionaries(st.sampled_from(model.labels), coeffs, min_size=1, max_size=4)
+    calls = data.draw(st.lists(
+        st.tuples(st.just(walk), words, starts)
+        | st.tuples(st.just(sparse_map), st.lists(st.tuples(coeffs, words), max_size=3)),
+        min_size=1, max_size=6,
+    ))
+    for route, *args in calls:
+        reference = reference_walk if route is walk else reference_sparse_map
+        before = filled_rows(model)
+        expected = outcome(reference, model, *args)
+        got = outcome(route, model, *args)
+        if expected is IndexError:
+            assert got is IndexError
+            assert filled_rows(model) == before  # raised before any row was filled
+        elif route is walk:
+            assert typed(got.items()) == typed(expected.items())
+        else:
+            assert exact_map(got) == exact_map(expected)
+    for (kind, index), table in filled_rows(model).items():
+        for label, row in table.items():
+            action = [pair for part in _REFERENCE_PARTS[kind] for pair in model.act(part, index, label)]
+            assert typed(row) == typed(action)
 
 
 def states_and_references(model, data):
@@ -781,8 +853,8 @@ def test_pair_walker_and_rows_match_the_word_route(name, lo, width, depth, data)
 
 def plain_values(state, alphabet, rows):
     """``StateFunctional.values`` as it was before the suffix-trie walk:
-    every row on its own, walked through ``walk_pairs`` once per term, each
-    term's dual read on every row."""
+    every row on its own, walked through ``reference_walk`` once per term,
+    each term's dual read on every row."""
     lo, hi = state.window
     out = []
     for row in rows:
@@ -790,10 +862,10 @@ def plain_values(state, alphabet, rows):
         for _, i in letters:
             if not lo <= i <= hi:
                 raise IndexError(f"index {i} outside state window [{lo}, {hi}]")
-        pairs = [(_REFERENCE_PARTS[kind], index) for kind, index in reversed(letters)]
+        w = Word(tuple(Letter(kind, index) for kind, index in letters))
         value = None
         for weight, model, label, dual, norm in state.terms:
-            image = walk_pairs(model, pairs, {label: 1.0})
+            image = reference_walk(model, w, {label: 1.0})
             total = 0
             for target, pairing in dual:
                 coeff = image.get(target)
@@ -839,6 +911,8 @@ def test_suffix_trie_matches_the_plain_walk(name, lo, width, depth, data):
     for state, _, _ in states_and_references(model, data):
         expected = outcome(plain_values, state, alphabet, rows)
         got = outcome(state.values, alphabet, rows)
+        # The trie walk's tables live for one term's walk, not on the model.
+        assert all("_letter_tables" not in vars(term.model) for term in state.terms)
         if expected is IndexError:
             assert got is IndexError
         else:

@@ -68,7 +68,7 @@ def test_harness_builds_no_relabeled_word(key, monkeypatch):
         raise AssertionError("a relabeled word took the Word route")
 
     monkeypatch.setattr(symmetry, "relabel", no_word_route, raising=False)
-    for name in ("relabel", "walk", "letter_pairs"):
+    for name in ("relabel", "walk"):
         monkeypatch.setattr(operators, name, no_word_route)
     monkeypatch.setattr(operators.StateFunctional, "__call__", no_word_route)
     for model in (MonotoneBasis, QBasis):
