@@ -26,8 +26,8 @@ import numpy as np
 from .monoid import FinitePermutation, IncreasingMap
 from .operators import (
     Kind,
+    LabelModel,
     StateFunctional,
-    TruncatedSpace,
     check_space,
     check_window,
     label_state,
@@ -43,20 +43,13 @@ class WindowOverflowError(ValueError):
 
 
 @dataclass(frozen=True)
-class BooleanSpace:
+class BooleanSpace(LabelModel):
     window: tuple[int, int]
-
-    def __post_init__(self) -> None:
-        check_space(self.window)
 
     @cached_property
     def labels(self) -> tuple[Label, ...]:
         lo, hi = self.window
         return (SHARP,) + tuple(range(lo, hi + 1))
-
-    @cached_property
-    def space(self) -> TruncatedSpace:
-        return TruncatedSpace(self.labels)
 
     def has_label(self, label) -> bool:
         """The vacuum label # or a window index."""
@@ -127,9 +120,6 @@ class BooleanSpace:
         the window kills."""
         lo, hi = self.window
         return replace(label_state(BooleanSpace((lo, hi + 1)), hi + 1), window=(lo, hi))
-
-    def vector_state(self, label: Label) -> StateFunctional:
-        return label_state(self, label)
 
 
 @dataclass(frozen=True, eq=False)

@@ -25,7 +25,7 @@ import numpy as np
 from .monoid import theta
 from .operators import (
     Kind,
-    TruncatedSpace,
+    LabelModel,
     annihilator_matrix,
     budget_count,
     check_budget,
@@ -40,20 +40,13 @@ Label = tuple[int, ...]
 
 
 @dataclass(frozen=True)
-class FermionChain:
+class FermionChain(LabelModel):
     window: tuple[int, int]
-
-    def __post_init__(self) -> None:
-        check_space(self.window)
 
     @cached_property
     def labels(self) -> tuple[Label, ...]:
         lo, hi = self.window
         return tuple(product((0, 1), repeat=hi - lo + 1))
-
-    @cached_property
-    def space(self) -> TruncatedSpace:
-        return TruncatedSpace(self.labels)
 
     @property
     def dim(self) -> int:

@@ -20,13 +20,12 @@ from typing import Iterable, Iterator, Sequence
 
 from .operators import (
     Kind,
+    LabelModel,
     StateFunctional,
-    TruncatedSpace,
     Word,
     annihilator as annihilator_letter,
     annihilator_matrix,
     budget_count,
-    check_space,
     creator as creator_letter,
     creator_matrix,
     label_state,
@@ -39,12 +38,12 @@ VACUUM: Label = ()
 
 
 @dataclass(frozen=True)
-class MonotoneBasis:
+class MonotoneBasis(LabelModel):
     window: tuple[int, int]
     depth: int
 
     def __post_init__(self) -> None:
-        check_space(self.window)
+        super().__post_init__()
         if self.depth < 1:
             raise ValueError("depth must be at least 1")
 
@@ -55,10 +54,6 @@ class MonotoneBasis:
         for k in range(min(self.depth, hi - lo + 1) + 1):  # no label outgrows the window
             out.extend(combinations(range(lo, hi + 1), k))
         return tuple(out)
-
-    @cached_property
-    def space(self) -> TruncatedSpace:
-        return TruncatedSpace(self.labels)
 
     def has_label(self, label) -> bool:
         """A strictly increasing tuple of window indices, at most depth long."""
@@ -111,9 +106,6 @@ class MonotoneBasis:
         the probe as long as it stays above every index in the word."""
         lo, hi = self.window
         return replace(label_state(self, (hi,)), window=(lo, hi - 1))
-
-    def vector_state(self, label: Label) -> StateFunctional:
-        return label_state(self, label)
 
 
 # ---------------------------------------------------------------------------

@@ -1,20 +1,18 @@
-"""Truncated Hilbert-space scaffolding shared by all operator models.
+"""The label-action protocol of the models, and what is derived from it.
 
-A :class:`TruncatedSpace` is an ordered finite family of basis labels.
-Operators are dense complex matrices acting on such a space.  Generator words
-are sequences of abstract letters (creator / annihilator / position at an
-integer index) that a concrete model turns into matrices; strings of letters
-multiply left to right, leftmost factor applied last; the empty word is the
-unit.
-
-Every model implements one label action, ``act(kind, index, label)``, giving
-the weighted basis labels that a creator or annihilator sends one basis
-label to, plus an inclusive index ``window`` and its ``labels``/``space``;
-a model with vector states also tests label membership in closed form
-(``has_label``), without enumerating its labels.
-Everything else is derived here once: the window check, position letters
-(creator images, then annihilator images), the one dict walk loop
-:func:`walk_steps`, dense letter matrices (oracles) and the vector states.
+A model is a :class:`LabelModel`: basis labels over an inclusive index
+``window``, their closed-form count ``dim``, and one label action
+``act(kind, index, label)``, giving the weighted basis labels that a creator
+or annihilator sends one basis label to; a model with vector states also
+tests label membership in closed form (``has_label``), without enumerating
+its labels.  A word is a string of :class:`Letter` ``(kind, index)`` pairs
+(creator / annihilator / position at an integer index), walked on label
+superpositions rightmost letter first, so strings multiply left to right;
+the empty word is the unit.  :class:`LabelModel` derives the window check,
+the dense ``space`` and the vector states; this module derives position
+letters (creator images, then annihilator images), the one dict walk loop
+:func:`walk_steps` and the dense letter matrices (:class:`Operator`, on a
+:class:`TruncatedSpace` of the labels), which serve only as oracles.
 Every walk reads a letter through one lookup, a table label -> images
 (:func:`letter_table`) that starts empty: :func:`walk_steps` fills a row
 from ``act`` the first time it reads it, so each letter acts on each label
@@ -32,6 +30,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from typing import Any, Hashable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -54,8 +53,7 @@ _ADJOINT_KIND = {
 }
 
 
-@dataclass(frozen=True)
-class Letter:
+class Letter(NamedTuple):
     kind: Kind
     index: int
 
@@ -263,10 +261,10 @@ def letter_table(model, kind: Kind, index: int, tables: dict | None = None) -> d
     return tables.setdefault((kind, index), {})
 
 
-def letter_steps(model, letters: Iterable[tuple[Kind, int]], tables: dict | None = None) -> list:
-    """The :func:`walk_steps` steps (table, parts, index) of (kind, index)
-    letters, each window-checked before any is walked; ``parts`` lists the
-    letter's actions (see :data:`_PARTS`), the tables are :func:`letter_table`'s."""
+def letter_steps(model, letters: Iterable[Letter], tables: dict | None = None) -> list:
+    """The :func:`walk_steps` steps (table, parts, index) of letters, each
+    window-checked before any is walked; ``parts`` lists the letter's
+    actions (see :data:`_PARTS`), the tables are :func:`letter_table`'s."""
     return [(letter_table(model, kind, index, tables), _PARTS[kind], index)
             for kind, index in letters]
 
@@ -302,7 +300,7 @@ def walk_steps(model, steps: Iterable[tuple[dict, tuple[Kind, ...], int]], vec: 
 def walk(model, w: Word, vec: dict) -> dict:
     """Push a superposition (label -> coefficient) through a word, rightmost
     letter first, through the model's letter tables."""
-    steps = letter_steps(model, [(l.kind, l.index) for l in reversed(w.letters)])
+    steps = letter_steps(model, reversed(w.letters))
     return walk_steps(model, steps, vec)
 
 
@@ -314,7 +312,7 @@ def sparse_map(model, combination: list[tuple[complex, Word]]) -> dict:
     dropped.  The empty word is the unit.  A term with a zero coefficient is
     never walked, so its letters are not window-checked."""
     check_space(model.window, model.dim)
-    walks = [(coeff, letter_steps(model, [(l.kind, l.index) for l in reversed(w.letters)]))
+    walks = [(coeff, letter_steps(model, reversed(w.letters)))
              for coeff, w in combination if coeff != 0]
     out = {}
     for label in model.labels:
@@ -377,6 +375,21 @@ def label_state(model, label: Hashable) -> StateFunctional:
     return StateFunctional(model.window, (Term(1, model, label, ((label, 1),), 1),))
 
 
+class LabelModel:
+    """Base of every model: a frozen dataclass that declares ``window``,
+    ``labels``, ``dim``, ``act`` and, for its vector states, ``has_label``."""
+
+    def __post_init__(self) -> None:
+        check_space(self.window)
+
+    @cached_property
+    def space(self) -> TruncatedSpace:
+        return TruncatedSpace(self.labels)
+
+    def vector_state(self, label: Hashable) -> StateFunctional:
+        return label_state(self, label)
+
+
 # ---------------------------------------------------------------------------
 # State functionals
 
@@ -406,7 +419,7 @@ class Term(NamedTuple):
 
 
 def _suffix_walk(term: Term, columns: list, new: list, shared: list, lengths: list,
-                 alphabet: Sequence[tuple[Kind, int]]) -> list:
+                 alphabet: Sequence[Letter]) -> list:
     """One term's readouts on rows sorted by their letters read from the
     right, walked as their suffix trie (see :meth:`StateFunctional.values`):
     ``columns[d][k]`` is the letter of row ``k`` at depth ``d``, counted
@@ -460,12 +473,12 @@ class StateFunctional:
     window: tuple[int, int]
     terms: tuple[Term, ...]
 
-    def values(self, alphabet: Sequence[tuple[Kind, int]], rows) -> list[complex]:
+    def values(self, alphabet: Sequence[Letter], rows) -> list[complex]:
         """Values on the words given as ``rows`` of letter ids into
-        ``alphabet``, a sequence of (kind, index) letters.  A row lists its
-        word's letters left to right, right-aligned and padded on the left
-        with -1 (a 2-d integer array, or lists of one width); a letter outside
-        the state window raises IndexError.
+        ``alphabet``, a sequence of letters.  A row lists its word's letters
+        left to right, right-aligned and padded on the left with -1 (a 2-d
+        integer array, or lists of one width); a letter outside the state
+        window raises IndexError.
 
         The rows are sorted by their letters read from the right
         (``np.lexsort``), which lists the words' suffix trie depth-first:
@@ -507,7 +520,7 @@ class StateFunctional:
         return out
 
     def __call__(self, w: Word) -> complex:
-        return self.values([(l.kind, l.index) for l in w.letters], [list(range(len(w)))])[0]
+        return self.values(w.letters, [list(range(len(w)))])[0]
 
     def admits(self, w: Word) -> bool:
         lo, hi = self.window

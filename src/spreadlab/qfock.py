@@ -25,10 +25,10 @@ import numpy as np
 
 from .operators import (
     Kind,
+    LabelModel,
     Letter,
     StateFunctional,
     Term,
-    TruncatedSpace,
     Word,
     annihilator_matrix,
     budget_count,
@@ -102,13 +102,13 @@ def q_inner_recursive(u: Label, v: Label, q, memo: dict | None = None) -> comple
 
 
 @dataclass(frozen=True)
-class QBasis:
+class QBasis(LabelModel):
     window: tuple[int, int]
     depth: int
     q: float  # or a fractions.Fraction, for exact walks
 
     def __post_init__(self) -> None:
-        check_space(self.window)
+        super().__post_init__()
         if self.depth < 1:
             raise ValueError("depth must be at least 1")
         if not abs(self.q) < 1:
@@ -152,10 +152,6 @@ class QBasis:
                 if a <= b:
                     g[a, b] = g[b, a] = float(value)
         return g
-
-    @cached_property
-    def space(self) -> TruncatedSpace:
-        return TruncatedSpace(self.labels)
 
     def has_label(self, label) -> bool:
         """A tuple of window indices, at most depth long."""

@@ -152,9 +152,9 @@ def check_symmetries(
     ``families[f]``, equal case for case to the separate call.
 
     ``words`` is read once, whatever the windows.  Each letter becomes an
-    id into the pass's alphabet of (kind, index) letters, and each word a
-    row of ids, right-aligned and padded on the left with -1.  States that
-    share a window share the rest of the work but their values: which words
+    id into the pass's alphabet of letters, and each word a row of ids,
+    right-aligned and padded on the left with -1.  States that share a
+    window share the rest of the work but their values: which words
     the window admits, and, for every map of every family, its relabeling,
     taken on the alphabet once as a table from each input letter to its
     image's id (so relabeling a row is one array lookup).  Maps keep kinds,
@@ -170,10 +170,11 @@ def check_symmetries(
     state's values come from :meth:`StateFunctional.values`, which walks its
     rows as a suffix trie: one call on a batch's words, then one on the
     images the table lacks per about :data:`BATCH` relabeled rows.  No
-    ``Word`` is built but a witness's.
+    ``Word`` is built but a witness's.  A batch's rows are put in input
+    order, so each map's first rows beyond ``tol`` are its first witnesses.
     """
     found = [[Deviations(tol, 10) for _ in families] for _ in states]
-    ids: dict[tuple, int] = {}  # (kind, index) -> the letter's id
+    ids: dict[Letter, int] = {}  # the letter's id
     # kinds -> the group's input positions and its rows, flat (4 bytes an id)
     groups: dict[tuple, tuple[array, array]] = {}
     for pos, w in enumerate(words):
@@ -183,7 +184,7 @@ def check_symmetries(
             groups[kinds] = (array("q"), array("i"))
         positions, rows = groups[kinds]
         positions.append(pos)
-        rows.extend([ids.setdefault((l.kind, l.index), len(ids)) for l in letters])
+        rows.extend([ids.setdefault(l, len(ids)) for l in letters])
     inputs = list(ids)
     windows: dict[tuple[int, int], list[int]] = {}
     for s, state in enumerate(states):
@@ -207,7 +208,7 @@ def check_symmetries(
             for m, g in enumerate(family.maps):
                 image = {i: int(g(i)) for i in indices}
                 tables.append((f, m, np.array([
-                    ids.setdefault((kind, image[i]), len(ids))
+                    ids.setdefault(Letter(kind, image[i]), len(ids))
                     if ok and lo <= image[i] <= hi else _OUTSIDE
                     for (kind, i), ok in zip(inputs, inside)
                 ] + [-1], np.int64)))
@@ -226,6 +227,8 @@ def check_symmetries(
                 stop = start + len(where)
                 letters[start:stop, width - len(kinds):] = rows
                 start = stop
+            order = np.argsort(positions, kind="stable")  # values do not depend on row order
+            positions, letters = positions[order], letters[order]
             codes = _codes(letters + 1, base)
             known, first, inverse = np.unique(codes, return_index=True, return_inverse=True)
             # One row of values per state, one column per known word.
@@ -288,7 +291,7 @@ def check_symmetries(
                 check.observe(
                     abs(lhs - rhs),
                     lambda size: {
-                        "word": Word(tuple(Letter(*alphabet[c]) for c in row if c >= 0)).to_text(),
+                        "word": Word(tuple(alphabet[c] for c in row if c >= 0)).to_text(),
                         "map": describe_map(family.maps[m]),
                         "lhs": [lhs.real, lhs.imag],
                         "rhs": [rhs.real, rhs.imag],

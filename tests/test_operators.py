@@ -22,6 +22,7 @@ from spreadlab.monotone import MonotoneBasis, lambda_forms
 from spreadlab.operators import (
     MAX_DENSE_DIM,
     Kind,
+    LabelModel,
     Letter,
     Operator,
     StateFunctional,
@@ -350,6 +351,21 @@ MODELS = {
 def test_empty_window_rejected_by_every_model(name):
     with pytest.raises(ValueError, match=r"empty window \[3, 1\]"):
         MODELS[name]((3, 1), 2)
+
+
+@pytest.mark.parametrize("cls", [MonotoneBasis, QBasis, BooleanSpace, FermionChain])
+def test_every_model_derives_the_protocol_from_label_model(cls):
+    # The window check, the dense space and the label vector state live in
+    # LabelModel; a model overrides only what it adds to them.
+    assert issubclass(cls, LabelModel)
+    assert "space" not in vars(cls)
+    assert ("__post_init__" in vars(cls)) is (cls in (MonotoneBasis, QBasis))
+    assert ("vector_state" in vars(cls)) is (cls is QBasis)
+
+
+def test_a_letter_is_its_kind_index_pair():
+    letter = Letter(Kind.CREATOR, 0)
+    assert letter == (Kind.CREATOR, 0) and hash(letter) == hash((Kind.CREATOR, 0))
 
 
 @given(

@@ -327,6 +327,52 @@ def test_witness_memory_is_bounded_by_the_cap():
     assert fail_peak <= 2 * pass_peak
 
 
+def test_witnesses_are_the_first_failing_words_in_input_order():
+    # The kind groups (C,) and (C, A) interleave in input order: c(0), then
+    # 20 words c(i).a(j), then c(-20) ... c(-1).  Every shift moves the first
+    # index, so every pair fails, and the first 10 cases in (word, map) order
+    # are c(0) and the first four c(-2).a(j), each under both shifts.
+    words = [word(creator(0))]
+    words += [word(creator(i), annihilator(j)) for i in range(-2, 3) for j in range(-2, 2)]
+    words += [word(creator(i)) for i in range(-20, 0)]
+    state = FakeState((-50, 50), lambda w: w.indices()[0])
+    fast = check_symmetry(state, words, shift_family(), tol=1e-12)
+    slow = reference_check_symmetry(state, words, shift_family(), tol=1e-12)
+    expected = ["c(0)"] + [f"c(-2).a({j})" for j in range(-2, 2)]
+    assert [case["word"] for case in fast.witnesses] == [w for w in expected for _ in "+-"]
+    assert_same_check(fast, slow)
+
+
+@st.composite
+def interleaved_cases(draw):
+    """At least 25 words of two or three kind patterns, drawn in any order,
+    under maps that move every word of the window [-3, 3]."""
+    kinds = st.sampled_from([Kind.CREATOR, Kind.ANNIHILATOR, Kind.POSITION])
+    patterns = draw(st.lists(st.lists(kinds, min_size=1, max_size=3).map(tuple),
+                             min_size=2, max_size=3, unique=True))
+    pattern_words = st.sampled_from(patterns).flatmap(
+        lambda p: st.lists(st.integers(-3, 3), min_size=len(p), max_size=len(p)).map(
+            lambda row: Word(tuple(map(Letter, p, row)))))
+    words = draw(st.lists(pattern_words, min_size=25, max_size=40))
+    moving = st.one_of(st.sampled_from([-2, -1, 1, 2]).map(tau_pow),
+                       st.integers(-5, -3).map(theta), st.integers(3, 5).map(psi))
+    maps = draw(st.lists(moving, min_size=1, max_size=3))
+    return words, SymmetryFamily("moving", tuple(maps))
+
+
+@given(case=interleaved_cases())
+@settings(max_examples=25, deadline=None)
+def test_witnesses_match_the_reference_loop_on_interleaved_kind_groups(case):
+    # A state injective on the words of a pattern fails every (word, map)
+    # pair, so each map has at least 25 failing words, more than the 10 kept.
+    words, family = case
+    state = FakeState((-8, 8), lambda w: sum((i + 9) * 17**k for k, i in enumerate(w.indices())))
+    fast = check_symmetry(state, words, family, tol=1e-12)
+    slow = reference_check_symmetry(state, words, family, tol=1e-12)
+    assert len(fast.witnesses) == 10
+    assert_same_check(fast, slow)
+
+
 def test_state_of_the_index_still_fails_shifts():
     # A cache keyed by the word's shape (kinds and index pattern) would give a
     # word and its shift one value, and this state would pass.
