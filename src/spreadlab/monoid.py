@@ -30,6 +30,8 @@ import re
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
+import numpy as np
+
 
 @dataclass(frozen=True)
 class IncreasingMap:
@@ -134,6 +136,44 @@ def evaluate_increasing(f: IncreasingMap, ks: Iterable[int]) -> list[int]:
             x += 1
         out.append(x)
     return out
+
+
+def evaluate_rows(maps: Sequence[IncreasingMap], points) -> np.ndarray:
+    """Row r is maps[r] at increasing points: ``points`` itself when it is one
+    sequence, its row r when it is a 2-d array.
+
+    Computed by the rank equation, not by the merge of
+    :func:`evaluate_increasing`: with x = k + offset, f(k) = x + #{i : g_i - i
+    <= x} over f's gaps g_0 < g_1 < ..., since f steps past its first m gaps
+    exactly when g_(m-1) - (m-1) <= x.  Row r's keys g_i - i and queries x are
+    moved up by r bands of one common width, so one sorted array of keys and
+    one ``np.searchsorted`` count every row at once; the keys are sorted
+    because every map's gaps strictly increase.  Exact: int64 while every
+    banded value fits, Python ints otherwise.
+    """
+    rows = len(maps)
+    counts = np.array([len(f.gaps) for f in maps], np.intp)
+    gaps = [g for f in maps for g in f.gaps]
+    if isinstance(points, np.ndarray):
+        ends = (points.min(), points.max()) if points.size else ()
+    else:
+        ends = (points[0], points[-1]) if len(points) else ()
+    # Every key g_i - i and every x lies in [-base, base].
+    size = max(map(abs, [*ends, *gaps, *(f.offset for f in maps)]), default=0)
+    base = 2 * int(size) + int(counts.max(initial=0)) + 1
+    span = 2 * base + 1
+    dtype = np.int64 if max(rows, 1) * span < 2**63 else object
+    row = np.repeat(np.arange(rows), counts)
+    first = np.cumsum(counts) - counts  # each row's first key
+    band = np.arange(rows).astype(dtype) * span + base
+    keys = np.array(gaps, dtype) - (np.arange(len(gaps)) - first[row]) + band[row]
+    offsets = np.array([f.offset for f in maps], dtype)
+    # Row r's x in its band; the count of keys at or below it, less the keys
+    # of the rows before, turns it into f(k) once the band is taken off.
+    values = np.asarray(points, dtype) + (offsets + band)[:, None]
+    values += np.searchsorted(keys, values, side="right")
+    values -= (band + first)[:, None]
+    return values
 
 
 def compose(f: IncreasingMap, g: IncreasingMap) -> IncreasingMap:

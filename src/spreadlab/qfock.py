@@ -68,12 +68,34 @@ def q_inner(u: Label, v: Label, q) -> complex | float:
 
 def q_pairings(v: Label, q) -> dict[Label, complex | float]:
     """<u, v>_q for every rearrangement u of v, from the one enumeration of
-    the permutations: each pi adds q**inversions(pi) to the u it matches."""
+    the permutations: each pi adds q**inversions(pi) to the u it matches.
+    The powers, up to the most inversions, and the zero are computed once."""
+    n = len(v)
+    powers = [q**k for k in range(n * (n - 1) // 2 + 1)]
+    zero = 0 * powers[0]
     out: dict = {}
-    for pi in permutations(range(len(v))):
+    for pi in permutations(range(n)):
         u = tuple(v[k] for k in pi)
-        out[u] = out.get(u, 0 * q**0) + q ** inversions(pi)
+        out[u] = out.get(u, zero) + powers[inversions(pi)]
     return out
+
+
+class SubPairTable(dict):
+    """A table of sub-pair values for :func:`q_inner_recursive` at one q, with
+    q's zero and the powers q**k it has needed, so that every pair it serves
+    reads them from here instead of computing them again."""
+
+    def __init__(self, q) -> None:
+        super().__init__()
+        self.q = q
+        self.powers = [q**0]
+        self.zero = 0 * self.powers[0]
+
+    def powers_below(self, n: int) -> list:
+        """The table's powers, q**k for every k < n at least."""
+        while len(self.powers) < n:
+            self.powers.append(self.q ** len(self.powers))
+        return self.powers
 
 
 def q_inner_recursive(u: Label, v: Label, q, memo: dict | None = None) -> complex | float:
@@ -83,21 +105,29 @@ def q_inner_recursive(u: Label, v: Label, q, memo: dict | None = None) -> comple
 
     ``memo`` is a table of the sub-pairs' values at this same q, fresh for
     each call without one: each sub-pair (u[1:], v without one slot) is read
-    from it or stored into it, and (u, v) itself is not stored."""
+    from it or stored into it, and (u, v) itself is not stored.  The powers
+    of q and its zero come from the memo when it is a :class:`SubPairTable`
+    of this q object, and are computed once for this call otherwise."""
     if memo is None:
-        memo = {}
+        memo = SubPairTable(q)
+    table = memo if isinstance(memo, SubPairTable) and memo.q is q else SubPairTable(q)
+    return _peel(u, v, table.powers_below(len(v)), table.zero, memo)
+
+
+def _peel(u: Label, v: Label, powers: list, zero, memo: dict):
+    """:func:`q_inner_recursive` with q**k read as ``powers[k]``."""
     if len(u) != len(v):
-        return 0 * q**0
+        return zero
     if not u:
-        return q**0
-    total = 0 * q**0
+        return powers[0]
+    total = zero
     for k, entry in enumerate(v):
         if entry == u[0]:
             pair = (u[1:], v[:k] + v[k + 1 :])
             if (rest := memo.get(pair)) is None:
-                rest = memo[pair] = q_inner_recursive(*pair, q, memo)
+                rest = memo[pair] = _peel(*pair, powers, zero, memo)
             if rest:  # adding a zero term would leave the total as it is
-                total += q**k * rest
+                total += powers[k] * rest
     return total
 
 

@@ -122,6 +122,8 @@ def _magnitude(deviation: Any) -> Any:
     """Size of a deviation: ``abs`` of a scalar (exact for ints and
     Fractions), the largest entry size of a list, a tuple of parts or a nested
     dict (a sparse map; exact), or of an array.  A NaN anywhere gives NaN."""
+    if type(deviation) is list and all(type(x) is int for x in deviation):
+        return max(map(abs, deviation), default=0)  # no NaN, nothing nested
     if isinstance(deviation, (dict, list, tuple)):  # a NaN ranks above every number
         entries = deviation.values() if isinstance(deviation, dict) else deviation
         return max(map(_magnitude, entries), key=lambda size: (size != size, size), default=0)

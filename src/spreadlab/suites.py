@@ -29,6 +29,7 @@ from .monoid import (
     cycle_for_interval,
     decompose_semidirect,
     evaluate_increasing,
+    evaluate_rows,
     localize,
     psi,
     random_increasing_map,
@@ -46,7 +47,7 @@ from .operators import (
     MAX_DENSE_DIM, Kind, annihilator, check_budget, check_space, creator, mixture, position,
     sparse_map, word,
 )
-from .qfock import QBasis, q_inner_recursive, q_pairings, words_over
+from .qfock import QBasis, SubPairTable, q_inner_recursive, q_pairings, words_over
 from .reports import Deviations, SuiteReport
 from .symmetry import (
     check_symmetries,
@@ -178,6 +179,11 @@ def suite(model: str, name: str, claim: str, plan: Callable[..., object]):
 # default window has 101.
 MAX_ORACLE_POINTS = 10_000
 
+# Window values the compose oracle evaluates at once for each side of the
+# equation: 64 map pairs of the default window, one pair of the largest.  At
+# 128 pairs the run is no faster and its peak memory is 0.6 MB higher.
+ORACLE_CHUNK_VALUES = 64 * 101
+
 
 def _oracle_plan(samples: int = 1000, window: tuple[int, int] = (-50, 50)):
     lo, hi = window
@@ -191,20 +197,27 @@ def _oracle_plan(samples: int = 1000, window: tuple[int, int] = (-50, 50)):
     _oracle_plan,
 )
 def monoid_compose_oracle(plan, seed: int) -> tuple[Deviations, dict]:
+    """compose(f, g) against f after g on the window, both evaluated by the
+    rank equation (:func:`evaluate_rows`), which shares no step with the merge
+    that builds the composite's gaps.  Pairs are drawn one at a time from the
+    seeded stream and evaluated a chunk at a time; only the points that differ
+    are visited, in (sample, point) order, for the witnesses."""
     rng = np.random.default_rng(seed)
     n, (lo, hi) = plan
     found = Deviations()
-    window = range(lo, hi + 1)
-    for _ in range(n):
-        f = random_increasing_map(rng)
-        g = random_increasing_map(rng)
-        lhs = evaluate_increasing(compose(f, g), window)
-        rhs = evaluate_increasing(f, evaluate_increasing(g, window))
-        if lhs == rhs:
-            continue
-        for k, a, b in zip(window, lhs, rhs):
-            if a != b:
-                found.observe(a - b, lambda _: {"f": f.to_text(), "g": g.to_text(), "k": k})
+    window = list(range(lo, hi + 1))
+    chunk = max(1, ORACLE_CHUNK_VALUES // len(window))
+    for start in range(0, n, chunk):
+        pairs = [(random_increasing_map(rng), random_increasing_map(rng))
+                 for _ in range(min(chunk, n - start))]
+        lhs = evaluate_rows([compose(f, g) for f, g in pairs], window)
+        rhs = evaluate_rows([f for f, _ in pairs],
+                            evaluate_rows([g for _, g in pairs], window))
+        diff = (lhs - rhs).ravel()
+        at = np.flatnonzero(diff)  # row-major: in (sample, point) order
+        for position, deviation in zip(at.tolist(), diff[at].tolist()):
+            (f, g), k = pairs[position // len(window)], window[position % len(window)]
+            found.observe(deviation, lambda _: {"f": f.to_text(), "g": g.to_text(), "k": k})
     found.samples = n  # one sample per map pair
     return found, {"window": [lo, hi]}
 
@@ -475,7 +488,7 @@ def qdeformed_inner(q: float, seed: int) -> tuple[Deviations, dict]:
     exact_q = Fraction(q)  # every float is a dyadic rational
     found = Deviations(1e-12)
     exact = Deviations()
-    memo: dict = {}  # the recursion's sub-pairs, all at the one exact q
+    memo = SubPairTable(exact_q)  # the recursion's sub-pairs and powers, at the one exact q
     for n in range(5):
         tuples = list(product(range(3), repeat=n))
         # v -> its columns u -> <u, v>, exact and at q; every u missing is 0

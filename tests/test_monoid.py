@@ -1,6 +1,7 @@
 """Exact combinatorics of the increasing-map monoids and finite permutations."""
 
 import ast
+import json
 from pathlib import Path
 
 import numpy as np
@@ -26,6 +27,7 @@ from spreadlab.monoid import (
     decompose_semidirect,
     evaluate,
     evaluate_increasing,
+    evaluate_rows,
     factor_D,
     factor_E,
     identity_map,
@@ -38,6 +40,7 @@ from spreadlab.monoid import (
     tau_pow,
     theta,
 )
+from spreadlab.cli import main
 from spreadlab.reports import Deviations
 from spreadlab import monoid, suites
 
@@ -446,12 +449,12 @@ def test_random_increasing_map_respects_bounds(rng):
 HUGE = 2**70
 
 
-def maps_near(base):
+def maps_near(base, max_gaps=8):
     """Increasing maps whose offset and gaps lie within 30 of ``base``."""
     return st.builds(
         IncreasingMap,
         offset=st.integers(-30, 30).map(lambda d: base + d),
-        gaps=st.sets(st.integers(-30, 30), max_size=8).map(
+        gaps=st.sets(st.integers(-30, 30), max_size=max_gaps).map(
             lambda s: tuple(base + g for g in sorted(s))
         ),
     )
@@ -477,6 +480,34 @@ def test_window_sweep_matches_scalar_evaluate(data, gap_base, offset_base):
     assert values == [rank_equation_value(g, k) for k in window]
     assert evaluate_increasing(f, values) == [evaluate(f, v) for v in values]
     assert evaluate_increasing(f, values) == [rank_equation_value(f, v) for v in values]
+
+
+def int_array(rows, width):
+    """``rows`` as an int64 array where its values fit, of Python ints otherwise."""
+    fits = all(-2**63 <= x < 2**63 for row in rows for x in row)
+    return np.array(rows, np.int64 if fits else object).reshape(len(rows), width)
+
+
+@given(data=st.data(), gap_base=st.sampled_from([0, 2**62, -2**62, HUGE, -HUGE]),
+       offset_base=st.sampled_from([0, 2**62, -2**62, HUGE, -HUGE]),
+       rows=st.integers(0, 6), width=st.integers(0, 12))
+@settings(max_examples=300)
+def test_rank_equation_rows_match_the_merge(data, gap_base, offset_base, rows, width):
+    maps = [
+        IncreasingMap(offset_base + f.offset - gap_base, f.gaps)
+        for f in data.draw(st.lists(maps_near(gap_base, max_gaps=12), min_size=rows,
+                                    max_size=rows))
+    ]
+    near = gap_base - offset_base  # points whose shifted values land among the gaps
+    points = st.sets(st.integers(near - 45, near + 45), min_size=width, max_size=width)
+    shared = sorted(data.draw(points))
+    got = evaluate_rows(maps, shared)
+    assert got.shape == (rows, width)
+    assert got.tolist() == [evaluate_increasing(f, shared) for f in maps]
+    own = [sorted(data.draw(points)) for _ in maps]
+    got = evaluate_rows(maps, int_array(own, width))
+    assert got.shape == (rows, width)
+    assert got.tolist() == [evaluate_increasing(f, ks) for f, ks in zip(maps, own)]
 
 
 words = st.lists(
@@ -552,6 +583,48 @@ def test_compose_oracle_sweep_keeps_the_per_point_witnesses(broken, monkeypatch)
     assert not got.passed and got.witnesses
     got.claim = want.claim
     assert got.to_json(include_wall_time=False) == want.to_json(include_wall_time=False)
+
+
+@pytest.mark.parametrize("broken", [None, lambda f, g: compose(theta(3), compose(f, g))])
+def test_compose_oracle_far_past_int64_keeps_the_per_point_report(broken, monkeypatch, tmp_path):
+    if broken is not None:
+        monkeypatch.setattr(suites, "compose", broken)
+    window = (HUGE, HUGE + 100)
+    code = main(["monoid", "--check", "compose-oracle", "--window", f"{HUGE}..{HUGE + 100}",
+                 "--samples", "20", "--seed", "3", "--format", "json", "--out", str(tmp_path)])
+    got = json.loads((tmp_path / "monoid_compose-oracle.json").read_text())
+    want = per_point_compose_oracle(
+        suites.RunConfig(model="monoid", window=window, samples=20, seed=3)
+    ).to_dict(include_wall_time=False)
+    assert code == (0 if broken is None else 1)
+    assert bool(got["witnesses"]) is (broken is not None)
+    del got["wall_time_s"]
+    got["claim"] = want["claim"]
+    assert got == want
+
+
+def merge_stopping_at_gaps(f, ks):
+    """:func:`evaluate_increasing` stepping past only the gaps below x, not
+    those at x: a value that lands on a gap stays there."""
+    gaps, offset = f.gaps, f.offset
+    passed = 0
+    out = []
+    for k in ks:
+        x = k + offset + passed
+        while passed < len(gaps) and gaps[passed] < x:
+            passed += 1
+            x += 1
+        out.append(x)
+    return out
+
+
+def test_a_merge_defect_fails_the_compose_oracle(monkeypatch):
+    # compose builds the composite's gaps by the merge; the oracle evaluates
+    # both sides by the rank equation, so it sees a defect the merge shares.
+    monkeypatch.setattr(monoid, "evaluate_increasing", merge_stopping_at_gaps)
+    config = suites.RunConfig(model="monoid", seed=20230526)
+    report = suites.SUITES["monoid"]["compose-oracle"](config)
+    assert not report.passed and report.max_deviation >= 1 and report.witnesses
 
 
 def set_union_compose(f, g):

@@ -351,6 +351,35 @@ def test_sub_pair_table_changes_no_value(pairs, q):
         assert same_value(value, recursive_inner(a, b, q))
 
 
+def per_permutation_pairings(v, q):
+    """q_pairings computing the zero and q**inversions(pi) for every
+    permutation afresh."""
+    out = {}
+    for pi in permutations(range(len(v))):
+        u = tuple(v[k] for k in pi)
+        out[u] = out.get(u, 0 * q**0) + q ** inversions(pi)
+    return out
+
+
+@pytest.mark.parametrize("q", [0.0, -0.0, 0.5, 0.123456789, Fraction(-9, 10)], ids=repr)
+def test_power_tables_keep_every_value_and_its_type(q):
+    tuples = [t for n in range(4) for t in product(range(3), repeat=n)]
+    shared = qfock.SubPairTable(q)
+    for v in tuples:
+        got, want = q_pairings(v, q), per_permutation_pairings(v, q)
+        assert got.keys() == want.keys()
+        assert all(same_value(got[u], want[u]) for u in want)
+        for u in tuples:
+            want = recursive_inner(u, v, q)
+            for memo in (shared, {}, None):
+                assert same_value(q_inner_recursive(u, v, q, memo), want)
+    assert all(len(a) == len(b) < 3 for a, b in shared)
+    assert all(same_value(value, recursive_inner(a, b, q)) for (a, b), value in shared.items())
+    # 0**0 = 1: the empty pair, and the identity pairing at q = 0.
+    assert same_value(q_inner_recursive((), (), q), q**0) and q**0 == 1
+    assert same_value(q_pairings((2, 2, 1), q)[2, 2, 1], 1 + q)
+
+
 def test_inner_suite_keeps_one_table_of_sub_pairs(monkeypatch):
     tables = []
 

@@ -103,6 +103,23 @@ def test_list_deviations_stay_exact_and_keep_nan():
     assert math.isnan(found.max_deviation) and not found.passed
 
 
+@given(st.lists(st.integers() | st.integers(-2**70, 2**70)
+                | st.sampled_from([2**53 + 1, -2**53 - 1, 2**63, -2**63]), max_size=20))
+@settings(max_examples=200)
+def test_int_list_fast_path_matches_the_general_path(entries):
+    # A tuple of ints takes the general path, entry by entry.
+    got, want = _magnitude(entries), _magnitude(tuple(entries))
+    assert got == want and type(got) is type(want) is int
+    assert got == max((abs(x) for x in entries), default=0)
+
+
+def test_lists_of_other_entries_keep_their_sizes():
+    assert math.isnan(_magnitude([1, math.nan]))
+    assert _magnitude([True, -2]) == 2 and _magnitude([True]) == 1
+    assert _magnitude([1, [-3]]) == 3 and _magnitude([1, {2: -4}]) == 4
+    assert _magnitude([2, -2.5]) == 2.5 and _magnitude([np.array([-7.0]), 1]) == 7.0
+
+
 def test_merge_keeps_counts_worst_verdict_and_cap():
     exact = Deviations(0.0)
     exact.observe(1e-15)  # within the parent's tolerance, not within its own
